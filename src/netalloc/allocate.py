@@ -20,7 +20,7 @@ from .meanfield import (
     instance_certified,
     solve_allocation,
 )
-from .model import Allocation, Instance, feasible_allocations
+from .model import Allocation, Instance, derive_seed, feasible_allocations
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def greedy(
     trace: list[GreedyStep] = []
     if kappa == 0:
         return incumbent, trace
-    base_seed = np.random.SeedSequence(seed)
-    base = solve_allocation(instance, incumbent, settings, seed=_spawn(base_seed, 0))
+    base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
     base_mu, base_welfare = base.mu, base.welfare
     use_batch = instance_certified(instance) and not strict
     for round_idx in range(1, kappa + 1):
@@ -84,7 +83,7 @@ def greedy(
             mus = np.empty((n, len(untreated)))
             for k, i in enumerate(untreated):
                 init = None if strict else base_mu
-                cand_seed = _spawn(base_seed, round_idx * n + i)
+                cand_seed = derive_seed(seed, round_idx * n + i)
                 sol = solve_allocation(
                     instance, candidates[k], settings, seed=cand_seed, init=init
                 )
@@ -103,10 +102,6 @@ def greedy(
         base_welfare = float(values[best])
         base_mu = mus[:, best].copy()
     return incumbent, trace
-
-
-def _spawn(seq: np.random.SeedSequence, index: int) -> int:
-    return int(np.random.SeedSequence((seq.entropy, index)).generate_state(1)[0])
 
 
 def bfva(
@@ -138,17 +133,13 @@ def bfva(
         values = np.array(
             [
                 solve_allocation(
-                    instance, allocations[k], settings, seed=_spawn_seed(seed, k)
+                    instance, allocations[k], settings, seed=derive_seed(seed, k)
                 ).welfare
                 for k in range(count)
             ]
         )
     best = _argmax_lexicographic(values, allocations)
     return Allocation.from_vector(allocations[best]), float(values[best])
-
-
-def _spawn_seed(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
 
 
 def random_allocation_welfare(

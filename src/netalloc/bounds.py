@@ -218,8 +218,14 @@ def regret_upper_bound(instance: Instance, bfva_welfare: float | None = None) ->
             "profile and network-size condition"
         )
     factor = guarantee_factor(1.0 - margin, margin)
+    return _regret(instance, kl_upper_bound(instance), factor, bfva_welfare)
+
+
+def _regret(
+    instance: Instance, klub: float, factor: float, bfva_welfare: float | None
+) -> float:
     cap = float(bfva_welfare) if bfva_welfare is not None else float(instance.n)
-    return math.sqrt(8.0 * kl_upper_bound(instance)) + (1.0 - factor) * cap
+    return math.sqrt(8.0 * klub) + (1.0 - factor) * cap
 
 
 def bounds_report(instance: Instance, bfva_welfare: float | None = None) -> BoundsReport:
@@ -234,15 +240,13 @@ def bounds_report(instance: Instance, bfva_welfare: float | None = None) -> Boun
     else:
         factor = 0.0
     klub = kl_upper_bound(instance)
-    cap = float(bfva_welfare) if bfva_welfare is not None else float(instance.n)
-    regret = math.sqrt(8.0 * klub) + (1.0 - factor) * cap
     return BoundsReport(
         margin=margin,
         curvature_upper=1.0 - margin,
         submodularity_lower=margin,
         guarantee_factor=factor,
         kl_upper_bound=klub,
-        regret_upper_bound=regret,
+        regret_upper_bound=_regret(instance, klub, factor, bfva_welfare),
         positivity_holds=positivity,
         sample_size_ok=size_ok,
         contraction_holds=contraction,

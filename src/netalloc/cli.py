@@ -18,6 +18,9 @@ from pathlib import Path
 import click
 
 from .experiments import (
+    ALLOCATORS,
+    EVALUATORS,
+    METHODS,
     ExperimentConfig,
     run_allocate,
     run_bounds,
@@ -50,7 +53,7 @@ def _common_options(fn):
         click.option("--reps", "replications", type=int),
         click.option("--seed", type=int),
         click.option("--out", type=click.Path(), default="."),
-        click.option("--evaluator", "evaluators", type=click.Choice(["exact", "va", "mcmc"]), multiple=True),
+        click.option("--evaluator", "evaluators", type=click.Choice(list(EVALUATORS)), multiple=True),
         click.option("--mode", type=click.Choice(["gauss-seidel", "jacobi"])),
         click.option("--workers", type=int),
     ]
@@ -85,7 +88,7 @@ def main():
 @main.command()
 @_common_options
 @click.option("--method", "methods", multiple=True,
-              type=click.Choice(["brute", "bfva", "greedy", "random", "none"]))
+              type=click.Choice(METHODS))
 def simulate(config_path, out, mode, methods, **kw):
     """Run a benchmark sweep and write welfare_table.csv."""
     cfg, out_dir = _build_config(config_path, out, mode, **kw)
@@ -117,7 +120,7 @@ def validate(config_path, out, mode, **kw):
 @_common_options
 @click.option("--network", "network_file", type=click.Path(exists=True))
 @click.option("--covariates", "covariates_file", type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(["greedy", "bfva", "brute", "none"]))
+@click.option("--method", type=click.Choice(list(ALLOCATORS)))
 @click.option("--mcmc-check", is_flag=True, default=None)
 def allocate(config_path, out, mode, **kw):
     """Compute an allocation for user data; writes allocation.json and

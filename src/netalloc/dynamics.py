@@ -10,14 +10,13 @@ distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .exact import config_matrix, enumerate_gibbs
-from .model import Instance, allocation_vector, weights
+from .model import Instance, allocation_vector, sigmoid, weights
 
 
 @dataclass
@@ -47,13 +46,6 @@ class ChainModel:
         self.neighbor_w = [2.0 * w.w2[i, nb] for i, nb in zip(range(self.n), self.neighbors)]
 
 
-def _sigmoid(a: float) -> float:
-    if a >= 0:
-        return 1.0 / (1.0 + math.exp(-a))
-    e = math.exp(a)
-    return e / (1.0 + e)
-
-
 def step(state: ChainState, model: ChainModel) -> ChainState:
     """Advance the chain one step: redraw one uniformly chosen unit.
 
@@ -62,7 +54,7 @@ def step(state: ChainState, model: ChainModel) -> ChainState:
     """
     i = int(state.rng.integers(model.n))
     arg = model.w1[i] + float(model.neighbor_w[i] @ state.y[model.neighbors[i]])
-    state.y[i] = state.rng.random() < _sigmoid(arg)
+    state.y[i] = state.rng.random() < sigmoid(arg)
     state.t += 1
     return state
 
@@ -85,6 +77,8 @@ def mcmc_welfare(
     """
     if sweeps <= burn_in:
         raise ValueError("sweeps must exceed burn_in")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     model = ChainModel(instance, d)
     n = model.n
     per_sweep = n if steps_per_sweep is None else int(steps_per_sweep)
@@ -101,7 +95,7 @@ def mcmc_welfare(
         for k in range(per_sweep):
             i = sites[k]
             arg = w1[i] + float(neighbor_w[i] @ y[neighbors[i]])
-            y[i] = draws[k] < _sigmoid(arg)
+            y[i] = draws[k] < sigmoid(arg)
         if sweep_idx >= burn_in:
             kept[sweep_idx - burn_in] = y.mean()
     state.t = sweeps * per_sweep

@@ -5,14 +5,20 @@ random fixed-edge-count networks, binary covariates drawn fair-coin per
 unit, L1-distance similarity, a 30 percent treatment capacity, and
 per-person welfare averaged over replications. Every random stream is
 derived from one master seed, so full runs are reproducible bit for bit.
+
+Allocation rules and welfare evaluators live in one table each
+(``ALLOCATORS`` and ``EVALUATORS``); every run mode dispatches through them.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import itertools
 import json
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,17 +27,85 @@ import numpy as np
 from . import allocate as alloc
 from . import bounds as bnd
 from . import dynamics, exact, meanfield
-from .model import Allocation, Instance, ThetaParams, make_instance, weights
+from .model import (
+    Allocation,
+    Instance,
+    ThetaParams,
+    default_a_n,
+    derive_seed,
+    make_instance,
+    weights,
+)
 from .network import SimilarityKernel, erdos_renyi, load_covariates, load_network
 
-EVALUATORS = ("exact", "va", "mcmc")
-METHODS = ("brute", "bfva", "greedy", "random", "none")
+
+# ---------------------------------------------------------------------------
+# welfare evaluators and allocation rules
+# ---------------------------------------------------------------------------
+# The package functions are looked up on their modules at call time, so a
+# caller that swaps a module attribute (a profiler, a test double) sees
+# every call.
 
 
-def derive_seed(master: int, *key) -> int:
-    """Stable child seed from a master seed and an integer key path."""
-    entropy = [int(master)] + [int(k) for k in key]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+def _exact(d, instance, cfg, seed) -> float:
+    return exact.exact_welfare(d, instance, max_units=cfg.exact_cap)
+
+
+def _va(d, instance, cfg, seed) -> float:
+    return meanfield.approx_welfare(d, instance, cfg.solver, seed=seed)
+
+
+def _mcmc(d, instance, cfg, seed) -> tuple[float, float]:
+    """Simulated total welfare and its batch-means standard error."""
+    s = cfg.sampler
+    est, se = dynamics.mcmc_welfare(
+        d, instance, sweeps=s.sweeps, burn_in=s.burn_in, seed=seed,
+        steps_per_sweep=s.steps_per_sweep,
+    )
+    return est * instance.n, se * instance.n
+
+
+# name -> fn(d, instance, cfg, seed) -> total welfare of allocation d.
+EVALUATORS = {
+    "exact": _exact,
+    "va": _va,
+    "mcmc": lambda d, instance, cfg, seed: _mcmc(d, instance, cfg, seed)[0],
+}
+# Within a simulate replication, evaluator ev of the rule with seed tag t
+# draws its seed from tag _EVALUATOR_SEED_BASE[ev] + t.
+_EVALUATOR_SEED_BASE = {"exact": 0, "va": 10, "mcmc": 20}
+
+
+def _none(instance, kappa, cfg, seed):
+    return Allocation.zeros(instance.n), None, ()
+
+
+def _greedy(instance, kappa, cfg, seed):
+    allocation, steps = alloc.greedy(instance, kappa, cfg.solver, seed=seed)
+    return allocation, None, steps
+
+
+def _bfva(instance, kappa, cfg, seed):
+    allocation, welfare = alloc.bfva(instance, kappa, cfg.solver, seed=seed)
+    return allocation, welfare, ()
+
+
+def _brute(instance, kappa, cfg, seed):
+    allocation, _ = exact.brute_force_optimal(instance, kappa, max_units=cfg.exact_cap)
+    return allocation, None, ()
+
+
+# name -> (seed tag within a simulate replication, rule). A rule
+# fn(instance, kappa, cfg, seed) returns the allocation, its mean-field
+# welfare when the rule computed one (else None), and its greedy trace.
+ALLOCATORS = {
+    "none": (0, _none),
+    "greedy": (1, _greedy),
+    "bfva": (2, _bfva),
+    "brute": (3, _brute),
+}
+# Methods of a simulate sweep: the allocation rules plus random allocations.
+METHODS = (*ALLOCATORS, "random")
 
 
 def simulation_instance(
@@ -57,6 +131,13 @@ class SamplerSettings:
     sweeps: int = 10_000
     burn_in: int = 5_000
     steps_per_sweep: int | None = None
+
+    def __post_init__(self):
+        if not self.sweeps > self.burn_in >= 0:
+            raise ValueError(
+                f"sampler needs sweeps > burn_in >= 0, got sweeps={self.sweeps}, "
+                f"burn_in={self.burn_in}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,6 +184,11 @@ class ExperimentConfig:
         bad = set(self.evaluators) - set(EVALUATORS)
         if bad:
             raise ValueError(f"unknown evaluators: {sorted(bad)}")
+        if self.method not in ALLOCATORS:
+            raise ValueError(
+                f"unknown allocation method {self.method!r}; "
+                f"choose one of {sorted(ALLOCATORS)}"
+            )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
 
@@ -135,19 +221,16 @@ class ExperimentConfig:
     def resolved_theta(self, set_id: int, n: int, generated: bool) -> ThetaParams:
         """Parameters for one cell, applying the spillover-scaling default:
         1/N for generated (dense) networks, 1 for declared-sparse data."""
+        sparse = (not generated) if self.sparse is None else self.sparse
         if self.theta is not None:
             theta = ThetaParams.from_dict(self.theta)
             if "a_n" not in self.theta and self.a_n is None:
-                theta = theta.replace_a_n(self._default_a_n(n, generated))
+                theta = theta.replace_a_n(default_a_n(n, sparse))
         else:
-            theta = ThetaParams.from_set(set_id, a_n=self._default_a_n(n, generated))
+            theta = ThetaParams.from_set(set_id, a_n=default_a_n(n, sparse))
         if self.a_n is not None:
             theta = theta.replace_a_n(self.a_n)
         return theta
-
-    def _default_a_n(self, n: int, generated: bool) -> float:
-        sparse = (not generated) if self.sparse is None else self.sparse
-        return 1.0 if sparse else 1.0 / n
 
     def draws_for(self, n: int) -> int:
         if self.random_draws is not None:
@@ -197,171 +280,95 @@ def _cell_key(set_id: int, density: float, n: int) -> tuple:
     return (set_id, int(round(density * 1000)), n)
 
 
+def _reason(exc: ValueError, method: str | None = None) -> str:
+    """Reason string for a computation refused as too large; re-raises
+    every other error."""
+    if isinstance(exc, exact.ExactSizeError):
+        return "exact_infeasible"
+    if method == "bfva":  # bfva refuses enumerations above its cap
+        return "enumeration_infeasible"
+    raise exc
+
+
 def _replication_task(payload) -> dict:
     """Welfare of every requested (method, evaluator) pair for one replication.
 
     Returns per-person values keyed by (method, evaluator); infeasible pairs
     map to a reason string instead of a number.
     """
-    cfg: ExperimentConfig = payload["cfg"]
-    set_id, density, n, rep = payload["cell"] + (payload["rep"],)
+    cfg, (set_id, density, n), rep = payload
     key = _cell_key(set_id, density, n)
     theta = cfg.resolved_theta(set_id, n, generated=True)
-    inst_seed = derive_seed(cfg.seed, *key, rep, 0)
-    instance = simulation_instance(n, density, theta, seed=inst_seed)
+    seed = functools.partial(derive_seed, cfg.seed, *key, rep)  # seed(tag)
+    instance = simulation_instance(n, density, theta, seed=seed(0))
     kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
-    exact_ok = n <= cfg.exact_cap
 
-    def evaluate(d, tag: int):
-        values = {}
-        for ev in cfg.evaluators:
-            if ev == "exact":
-                if exact_ok:
-                    values[ev] = exact.exact_welfare(d, instance, max_units=cfg.exact_cap) / n
-                else:
-                    values[ev] = "exact_infeasible"
-            elif ev == "va":
-                values[ev] = (
-                    meanfield.approx_welfare(
-                        d, instance, cfg.solver,
-                        seed=derive_seed(cfg.seed, *key, rep, 10 + tag),
-                    )
-                    / n
-                )
-            elif ev == "mcmc":
-                est, _ = dynamics.mcmc_welfare(
-                    d,
-                    instance,
-                    sweeps=cfg.sampler.sweeps,
-                    burn_in=cfg.sampler.burn_in,
-                    seed=derive_seed(cfg.seed, *key, rep, 20 + tag),
-                    steps_per_sweep=cfg.sampler.steps_per_sweep,
-                )
-                values[ev] = est
-            else:
-                raise ValueError(f"unknown evaluator {ev!r}")
-        return values
+    def per_person(call):
+        try:
+            return call() / n
+        except exact.ExactSizeError as exc:
+            return _reason(exc)
+
+    def evaluator(ev: str, tag: int):
+        """Evaluator ev as a function of the allocation alone."""
+        s = seed(tag)
+        return lambda d: EVALUATORS[ev](d, instance, cfg, s)
 
     out = {}
     for method in cfg.methods:
-        if method == "none":
-            d = np.zeros(n, dtype=np.int8)
-            out[method] = evaluate(d, 0)
-        elif method == "greedy":
-            allocation, _ = alloc.greedy(
-                instance, kappa, cfg.solver, seed=derive_seed(cfg.seed, *key, rep, 1)
-            )
-            out[method] = evaluate(allocation.d, 1)
-        elif method == "bfva":
-            try:
-                allocation, _ = alloc.bfva(
-                    instance, kappa, cfg.solver,
-                    seed=derive_seed(cfg.seed, *key, rep, 2),
-                )
-            except ValueError:
-                out[method] = {ev: "enumeration_infeasible" for ev in cfg.evaluators}
-                continue
-            out[method] = evaluate(allocation.d, 2)
-        elif method == "brute":
-            if not exact_ok:
-                out[method] = {ev: "exact_infeasible" for ev in cfg.evaluators}
-                continue
-            allocation, _ = exact.brute_force_optimal(instance, kappa, max_units=cfg.exact_cap)
-            out[method] = evaluate(allocation.d, 3)
-        elif method == "random":
-            draws = cfg.draws_for(n)
-            rand_seed = derive_seed(cfg.seed, *key, rep, 4)
-            values = {}
-            for j, ev in enumerate(cfg.evaluators):
-                if ev == "exact" and not exact_ok:
-                    values[ev] = "exact_infeasible"
-                    continue
-                evaluator = _single_evaluator(
-                    ev, instance, cfg, derive_seed(cfg.seed, *key, rep, 30 + j)
-                )
-                values[ev] = (
-                    alloc.random_allocation_welfare(
-                        instance, kappa, draws, rand_seed, evaluator
-                    )
-                    / n
-                )
-            out[method] = values
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        if method == "random":
+            out[method] = {
+                ev: per_person(lambda: alloc.random_allocation_welfare(
+                    instance, kappa, cfg.draws_for(n), seed(4), evaluator(ev, 30 + j)
+                ))
+                for j, ev in enumerate(cfg.evaluators)
+            }
+            continue
+        tag, rule = ALLOCATORS[method]
+        try:
+            d = rule(instance, kappa, cfg, seed(tag))[0].d
+        except ValueError as exc:
+            out[method] = dict.fromkeys(cfg.evaluators, _reason(exc, method))
+            continue
+        out[method] = {
+            ev: per_person(lambda: evaluator(ev, _EVALUATOR_SEED_BASE[ev] + tag)(d))
+            for ev in cfg.evaluators
+        }
     return out
-
-
-def _single_evaluator(ev: str, instance: Instance, cfg: ExperimentConfig, seed: int):
-    if ev == "exact":
-        return lambda d: exact.exact_welfare(d, instance, max_units=cfg.exact_cap)
-    if ev == "va":
-        return lambda d: meanfield.approx_welfare(d, instance, cfg.solver, seed=seed)
-    if ev == "mcmc":
-        return lambda d: dynamics.mcmc_welfare(
-            d,
-            instance,
-            sweeps=cfg.sampler.sweeps,
-            burn_in=cfg.sampler.burn_in,
-            seed=seed,
-            steps_per_sweep=cfg.sampler.steps_per_sweep,
-        )[0] * instance.n
-    raise ValueError(f"unknown evaluator {ev!r}")
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[dict]:
     """Benchmark sweep over the configured grid; one CSV row per cell,
     method, and evaluator, aggregated across replications."""
+    cells = list(itertools.product(cfg.param_sets, cfg.densities, cfg.sizes))
+    payloads = [(cfg, cell, rep) for cell in cells for rep in range(cfg.replications)]
+    if cfg.workers > 1:
+        # Spawned workers import the package afresh instead of forking a
+        # process whose BLAS threads may hold locks.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
+            results = list(pool.map(_replication_task, payloads))
+    else:
+        results = [_replication_task(p) for p in payloads]
     rows = []
-    for set_id in cfg.param_sets:
-        for density in cfg.densities:
-            for n in cfg.sizes:
-                payloads = [
-                    {"cfg": cfg, "cell": (set_id, density, n), "rep": r}
-                    for r in range(cfg.replications)
-                ]
-                if cfg.workers > 1:
-                    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                        results = list(pool.map(_replication_task, payloads))
-                else:
-                    results = [_replication_task(p) for p in payloads]
-                for method in cfg.methods:
-                    for ev in cfg.evaluators:
-                        cell = [res[method][ev] for res in results]
-                        reasons = [v for v in cell if isinstance(v, str)]
-                        if reasons:
-                            rows.append(
-                                {
-                                    "param_set": set_id,
-                                    "density": density,
-                                    "n": n,
-                                    "method": method,
-                                    "evaluator": ev,
-                                    "mean": "NA",
-                                    "stderr": "NA",
-                                    "replications": cfg.replications,
-                                    "reason": reasons[0],
-                                }
-                            )
-                            continue
-                        values = np.array(cell, dtype=float)
-                        stderr = (
-                            float(values.std(ddof=1) / math.sqrt(values.size))
-                            if values.size > 1
-                            else 0.0
-                        )
-                        rows.append(
-                            {
-                                "param_set": set_id,
-                                "density": density,
-                                "n": n,
-                                "method": method,
-                                "evaluator": ev,
-                                "mean": float(values.mean()),
-                                "stderr": stderr,
-                                "replications": cfg.replications,
-                                "reason": "",
-                            }
-                        )
+    for c, cell in enumerate(cells):
+        reps = results[c * cfg.replications : (c + 1) * cfg.replications]
+        for method, ev in itertools.product(cfg.methods, cfg.evaluators):
+            cell_values = [res[method][ev] for res in reps]
+            reasons = [v for v in cell_values if isinstance(v, str)]
+            mean = stderr = "NA"
+            if not reasons:
+                values = np.array(cell_values, dtype=float)
+                mean = float(values.mean())
+                stderr = (
+                    float(values.std(ddof=1) / math.sqrt(values.size))
+                    if values.size > 1
+                    else 0.0
+                )
+            rows.append(dict(zip(SIMULATE_COLUMNS, (
+                *cell, method, ev, mean, stderr, cfg.replications,
+                reasons[0] if reasons else "",
+            ))))
     return rows
 
 
@@ -394,100 +401,71 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
     """
     tol = cfg.tolerances
     entries = []
-    for set_id in cfg.param_sets:
-        for density in cfg.densities:
-            for n in cfg.sizes:
-                key = _cell_key(set_id, density, n)
-                for rep in range(cfg.replications):
-                    theta = cfg.resolved_theta(set_id, n, generated=True)
-                    instance = simulation_instance(
-                        n, density, theta, seed=derive_seed(cfg.seed, *key, rep, 0)
-                    )
-                    kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
-                    entry = {
-                        "param_set": set_id,
-                        "density": density,
-                        "n": n,
-                        "replication": rep,
-                        "checks": {},
-                    }
-                    checks = entry["checks"]
-                    g_alloc, _ = alloc.greedy(
-                        instance, kappa, cfg.solver,
-                        seed=derive_seed(cfg.seed, *key, rep, 1),
-                    )
-                    rules = {"greedy": g_alloc.d, "none": np.zeros(n, dtype=np.int8)}
-                    solutions = {
-                        name: meanfield.solve_allocation(
-                            instance, d, cfg.solver,
-                            seed=derive_seed(cfg.seed, *key, rep, 2),
-                        )
-                        for name, d in rules.items()
-                    }
-                    if "mcmc" in cfg.evaluators:
-                        for name, d in rules.items():
-                            est, _ = dynamics.mcmc_welfare(
-                                d,
-                                instance,
-                                sweeps=cfg.sampler.sweeps,
-                                burn_in=cfg.sampler.burn_in,
-                                seed=derive_seed(cfg.seed, *key, rep, 3),
-                                steps_per_sweep=cfg.sampler.steps_per_sweep,
-                            )
-                            gap = abs(solutions[name].welfare / n - est)
-                            checks[f"va_vs_mcmc_{name}"] = {
-                                "value": gap,
-                                "pass": bool(gap <= tol.va_mcmc),
-                            }
-                    if n <= cfg.exact_cap:
-                        klub = bnd.kl_upper_bound(instance)
-                        for name, d in rules.items():
-                            sol = solutions[name]
-                            dist = exact.enumerate_gibbs(
-                                weights(instance, d), max_units=cfg.exact_cap
-                            )
-                            kl = exact.exact_kl(sol.mu, dist)
-                            checks[f"kl_bounds_{name}"] = {
-                                "value": kl,
-                                "upper": klub,
-                                "pass": bool(tol.kl_nonneg <= kl <= klub),
-                            }
-                            gap = abs(dist.welfare - sol.welfare)
-                            pinsker = math.sqrt(max(2.0 * kl, 0.0)) + tol.pinsker_slack
-                            checks[f"va_vs_exact_{name}"] = {
-                                "value": gap / n,
-                                "upper": pinsker / n,
-                                "pass": bool(gap <= pinsker),
-                            }
-                        if n <= 12:
-                            stat = dynamics.stationarity_check(
-                                instance, rules["greedy"], max_units=12
-                            )
-                            checks["stationarity"] = {
-                                "value": stat,
-                                "pass": bool(stat <= tol.stationarity),
-                            }
-                        report = bnd.bounds_report(instance)
-                        if report.positivity_holds and report.sample_size_ok:
-                            _, bf_w = alloc.bfva(
-                                instance, kappa, cfg.solver,
-                                seed=derive_seed(cfg.seed, *key, rep, 5),
-                            )
-                            checks["greedy_guarantee"] = {
-                                "value": solutions["greedy"].welfare,
-                                "lower": report.guarantee_factor * bf_w,
-                                "pass": bool(
-                                    solutions["greedy"].welfare
-                                    >= report.guarantee_factor * bf_w - 1e-9
-                                ),
-                            }
-                    entries.append(entry)
-    failed = sum(
-        1
-        for e in entries
-        for c in e["checks"].values()
-        if not c["pass"]
+    grid = itertools.product(
+        cfg.param_sets, cfg.densities, cfg.sizes, range(cfg.replications)
     )
+    for set_id, density, n, rep in grid:
+        seed = functools.partial(derive_seed, cfg.seed, *_cell_key(set_id, density, n), rep)
+        theta = cfg.resolved_theta(set_id, n, generated=True)
+        instance = simulation_instance(n, density, theta, seed=seed(0))
+        kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
+        checks = {}
+        entries.append({
+            "param_set": set_id,
+            "density": density,
+            "n": n,
+            "replication": rep,
+            "checks": checks,
+        })
+        g_alloc, _ = alloc.greedy(instance, kappa, cfg.solver, seed=seed(1))
+        rules = {"greedy": g_alloc.d, "none": np.zeros(n, dtype=np.int8)}
+        solutions = {
+            name: meanfield.solve_allocation(instance, d, cfg.solver, seed=seed(2))
+            for name, d in rules.items()
+        }
+        if "mcmc" in cfg.evaluators:
+            for name, d in rules.items():
+                sampled = EVALUATORS["mcmc"](d, instance, cfg, seed(3))
+                gap = abs(solutions[name].welfare - sampled) / n
+                checks[f"va_vs_mcmc_{name}"] = {
+                    "value": gap,
+                    "pass": bool(gap <= tol.va_mcmc),
+                }
+        if n > cfg.exact_cap:
+            continue
+        klub = bnd.kl_upper_bound(instance)
+        for name, d in rules.items():
+            sol = solutions[name]
+            dist = exact.enumerate_gibbs(weights(instance, d), max_units=cfg.exact_cap)
+            kl = exact.exact_kl(sol.mu, dist)
+            checks[f"kl_bounds_{name}"] = {
+                "value": kl,
+                "upper": klub,
+                "pass": bool(tol.kl_nonneg <= kl <= klub),
+            }
+            gap = abs(dist.welfare - sol.welfare)
+            pinsker = math.sqrt(max(2.0 * kl, 0.0)) + tol.pinsker_slack
+            checks[f"va_vs_exact_{name}"] = {
+                "value": gap / n,
+                "upper": pinsker / n,
+                "pass": bool(gap <= pinsker),
+            }
+        if n <= 12:
+            stat = dynamics.stationarity_check(instance, rules["greedy"], max_units=12)
+            checks["stationarity"] = {
+                "value": stat,
+                "pass": bool(stat <= tol.stationarity),
+            }
+        report = bnd.bounds_report(instance)
+        if report.positivity_holds and report.sample_size_ok:
+            _, bf_w = alloc.bfva(instance, kappa, cfg.solver, seed=seed(5))
+            lower = report.guarantee_factor * bf_w
+            checks["greedy_guarantee"] = {
+                "value": solutions["greedy"].welfare,
+                "lower": lower,
+                "pass": bool(solutions["greedy"].welfare >= lower - 1e-9),
+            }
+    failed = sum(1 for e in entries for c in e["checks"].values() if not c["pass"])
     total = sum(len(e["checks"]) for e in entries)
     report = {
         "instances": entries,
@@ -515,57 +493,32 @@ def load_instance(cfg: ExperimentConfig) -> Instance:
 def run_allocate(cfg: ExperimentConfig) -> dict:
     """Compute an allocation for user-supplied network and covariate files.
 
-    Returns the allocation record (with per-round trace) plus the bounds
+    Returns the allocation record (with per-round trace, including the
+    candidates whose fixed-point solve did not converge) plus the bounds
     report; optionally cross-checks the final welfare by simulation.
     """
     instance = load_instance(cfg)
     n = instance.n
     kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
-    trace_out = []
-    if cfg.method == "greedy":
-        allocation, trace = alloc.greedy(
-            instance, kappa, cfg.solver, seed=derive_seed(cfg.seed, 1)
-        )
-        trace_out = [
-            {"round": s.round, "unit": s.unit, "delta": s.delta} for s in trace
-        ]
-        welfare = meanfield.approx_welfare(
-            allocation.d, instance, cfg.solver, seed=derive_seed(cfg.seed, 2)
-        )
-    elif cfg.method == "bfva":
-        allocation, welfare = alloc.bfva(
-            instance, kappa, cfg.solver, seed=derive_seed(cfg.seed, 1)
-        )
-    elif cfg.method == "brute":
-        allocation, _ = exact.brute_force_optimal(instance, kappa, max_units=cfg.exact_cap)
-        welfare = meanfield.approx_welfare(
-            allocation.d, instance, cfg.solver, seed=derive_seed(cfg.seed, 2)
-        )
-    elif cfg.method == "none":
-        allocation = Allocation.zeros(n)
-        welfare = meanfield.approx_welfare(
-            allocation.d, instance, cfg.solver, seed=derive_seed(cfg.seed, 2)
-        )
-    else:
-        raise ValueError(f"unknown allocation method {cfg.method!r}")
+    _, rule = ALLOCATORS[cfg.method]
+    allocation, welfare, steps = rule(instance, kappa, cfg, derive_seed(cfg.seed, 1))
+    if welfare is None:
+        welfare = EVALUATORS["va"](allocation.d, instance, cfg, derive_seed(cfg.seed, 2))
     record = {
         "n": n,
         "kappa": kappa,
         "treated": list(allocation.treated),
         "welfare_va": welfare,
-        "trace": trace_out,
+        "trace": [
+            {"round": s.round, "unit": s.unit, "delta": s.delta,
+             "nonconverged": list(s.nonconverged)}
+            for s in steps
+        ],
     }
     if cfg.mcmc_check:
-        est, se = dynamics.mcmc_welfare(
-            allocation.d,
-            instance,
-            sweeps=cfg.sampler.sweeps,
-            burn_in=cfg.sampler.burn_in,
-            seed=derive_seed(cfg.seed, 3),
-            steps_per_sweep=cfg.sampler.steps_per_sweep,
+        record["welfare_mcmc"], record["welfare_mcmc_stderr"] = _mcmc(
+            allocation.d, instance, cfg, derive_seed(cfg.seed, 3)
         )
-        record["welfare_mcmc"] = est * n
-        record["welfare_mcmc_stderr"] = se * n
     bounds = bnd.bounds_report(instance).to_dict()
     return {"allocation": record, "bounds": bounds}
 

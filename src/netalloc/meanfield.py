@@ -8,19 +8,21 @@ found by fixed-point iteration on the first-order conditions
 The iteration sweeps units in index order updating in place by default
 (each coordinate update exactly maximizes the variational objective along
 that coordinate, so the objective never decreases). A simultaneous-update
-mode is available for literal replication of the published iteration; a
-contraction certificate guarantees both modes reach the unique maximizer.
+mode is available for literal replication of the published iteration. The
+contraction certificate bounds the sup-norm Lipschitz constant of the
+first-order-condition map by one: when the bound is strict the map is a
+contraction and both modes reach the unique maximizer; at equality the map
+is only shown to be non-expansive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
-from .model import Instance, ThetaParams, WeightSystem, weights
+from .model import Instance, ThetaParams, WeightSystem, sigmoid, weights
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -97,8 +99,11 @@ def contraction_certificate(
 ) -> bool:
     """True when a_n * m_upper * (|theta5| + |theta6|) * max_degree <= 4.
 
-    Under this condition the fixed-point iteration is a contraction, so it
-    converges to the unique maximizer from any initialization.
+    A quarter of the left side bounds the sup-norm Lipschitz constant of the
+    first-order-condition map. Below 4 the map is a contraction, so the
+    iteration converges to the unique maximizer from any initialization.
+    At exactly 4 the bound is 1, which makes the map only non-expansive;
+    the boundary still counts as certified.
     """
     magnitude = theta.a_n * m_upper * (abs(theta.theta5) + abs(theta.theta6))
     return magnitude * max_degree <= 4.0
@@ -110,18 +115,11 @@ def instance_certified(instance: Instance) -> bool:
     )
 
 
-def _sigmoid(a: float) -> float:
-    if a >= 0:
-        return 1.0 / (1.0 + math.exp(-a))
-    e = math.exp(a)
-    return e / (1.0 + e)
-
-
 def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem, clamp: float) -> np.ndarray:
     w1, w2 = w.w1, w.w2
     lo, hi = clamp, 1.0 - clamp
     for i in range(mu.shape[0]):
-        v = _sigmoid(w1[i] + 2.0 * float(w2[i] @ mu))
+        v = sigmoid(w1[i] + 2.0 * float(w2[i] @ mu))
         mu[i] = min(max(v, lo), hi)
     return mu
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +23,18 @@ from .network import Network, SimilarityKernel, check_covariates, similarity_mat
 
 log = logging.getLogger(__name__)
 
-logistic = expit
+def derive_seed(master: int, *key) -> int:
+    """Stable child seed from a master seed and an integer key path."""
+    entropy = [int(master)] + [int(k) for k in key]
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+def sigmoid(a: float) -> float:
+    """Logistic function of one float, without overflow for large |a|."""
+    if a >= 0:
+        return 1.0 / (1.0 + math.exp(-a))
+    e = math.exp(a)
+    return e / (1.0 + e)
 
 
 def logistic_slope(x):
@@ -54,9 +66,10 @@ class ThetaParams:
     """Structural parameters theta0..theta6 plus the spillover scaling a_n.
 
     theta2 and theta3 may be scalars (K = 1, or one shared coefficient per
-    covariate column) or length-K sequences. a_n rescales every spillover
-    term and must be positive; a_n * max_degree should stay bounded as the
-    network grows, which is reported (not enforced) at instance assembly.
+    covariate column) or length-K sequences. Every entry must be finite.
+    a_n rescales every spillover term and must be positive; a_n *
+    max_degree should stay bounded as the network grows, which is reported
+    (not enforced) at instance assembly.
     """
 
     theta0: float
@@ -69,10 +82,13 @@ class ThetaParams:
     a_n: float = 1.0
 
     def __post_init__(self):
-        if not self.a_n > 0:
-            raise ValueError("a_n must be positive")
-        for name in ("theta2", "theta3"):
+        if not 0 < self.a_n < math.inf:
+            raise ValueError("a_n must be positive and finite")
+        for k in range(7):
+            name = f"theta{k}"
             v = getattr(self, name)
+            if not np.isfinite(np.asarray(v, dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {v!r}")
             if np.ndim(v) > 0:
                 object.__setattr__(self, name, tuple(float(u) for u in v))
 
@@ -164,7 +180,7 @@ def feasible_allocations(n: int, kappa: int, max_count: int = 2_000_000) -> np.n
     """
     if not 0 <= kappa <= n:
         raise ValueError("kappa must be between 0 and n")
-    total = sum(_comb(n, k) for k in range(kappa + 1))
+    total = sum(math.comb(n, k) for k in range(kappa + 1))
     if total > max_count:
         raise ValueError(
             f"{total} feasible allocations exceed the enumeration cap {max_count}"
@@ -176,12 +192,6 @@ def feasible_allocations(n: int, kappa: int, max_count: int = 2_000_000) -> np.n
             out[row, list(combo)] = 1
             row += 1
     return out
-
-
-def _comb(n, k):
-    import math
-
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)

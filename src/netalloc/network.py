@@ -1,7 +1,7 @@
 """Social networks, covariate matrices, and pairwise similarity kernels.
 
 Networks are undirected simple graphs stored as dense 0/1 adjacency
-matrices. Covariates are nonnegative N x K arrays, one row per unit.
+matrices. Covariates are finite, nonnegative N x K arrays, one row per unit.
 """
 
 from __future__ import annotations
@@ -151,12 +151,15 @@ class SimilarityKernel:
 
 
 def check_covariates(x) -> np.ndarray:
-    """Validate and return covariates as a float (N, K) array."""
+    """Validate and return covariates as a finite, nonnegative float (N, K)
+    array."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError(f"covariates must be 2-dimensional, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("covariates must be finite")
     if (x < 0).any():
         raise ValueError("covariates must be nonnegative")
     return x

@@ -130,7 +130,7 @@ class TestAllocate:
         inst = make_instance(net, x, theta, m=np.ones((3, 3)) * 1.0)
         best, _ = brute_force_optimal(inst, 1)
         assert tuple(record["treated"]) == best.treated == (1,)
-        assert {"round", "unit", "delta"} == set(record["trace"][0])
+        assert {"round", "unit", "delta", "nonconverged"} == set(record["trace"][0])
         bounds = json.loads((tmp_path / "bounds_report.json").read_text())
         assert "guarantee_factor" in bounds
 
@@ -160,6 +160,39 @@ class TestAllocate:
         assert (out_a / "bounds_report.json").read_bytes() == (
             out_b / "bounds_report.json"
         ).read_bytes()
+
+    def test_trace_reports_nonconverged_candidates(self, runner, tmp_path):
+        cfg = make_toy_files(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["solver"] = {"max_iter": 1}
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(
+            main, ["allocate", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads((tmp_path / "allocation.json").read_text())
+        assert record["trace"][0]["nonconverged"]
+        assert set(record["trace"][0]["nonconverged"]) <= {0, 1, 2}
+
+    def test_bad_sampler_fails_before_allocating(self, runner, tmp_path, monkeypatch):
+        import netalloc.allocate
+
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy ran before the config was checked")
+
+        monkeypatch.setattr(netalloc.allocate, "greedy", fail)
+        cfg = make_toy_files(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["sampler"] = {"sweeps": 100, "burn_in": 100}
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(
+            main,
+            ["allocate", "--config", str(cfg), "--mcmc-check", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert "sweeps > burn_in" in str(result.exception)
+        assert not (tmp_path / "allocation.json").exists()
 
     def test_missing_files_error(self, runner, tmp_path):
         result = runner.invoke(main, ["allocate", "--out", str(tmp_path)])
@@ -241,3 +274,30 @@ class TestConfigParsing:
         assert cfg.solver.rho == 1e-8
         assert cfg.solver.mode == "jacobi"
         assert cfg.sizes == (7,)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"method": "random"},
+            {"method": "exhaustive"},
+            {"sampler": {"sweeps": 10, "burn_in": 10}},
+            {"sampler": {"sweeps": 10, "burn_in": 20}},
+            {"sampler": {"sweeps": 10, "burn_in": -1}},
+        ],
+    )
+    def test_invalid_settings_rejected_at_construction(self, raw):
+        from netalloc.experiments import ExperimentConfig
+
+        with pytest.raises(ValueError, match="allocation method|sweeps > burn_in"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_choices_follow_the_registries(self):
+        from netalloc.experiments import ALLOCATORS, EVALUATORS, METHODS
+
+        params = {
+            (cmd, p.name): p for cmd in ("simulate", "allocate")
+            for p in main.commands[cmd].params
+        }
+        assert tuple(params["simulate", "methods"].type.choices) == METHODS
+        assert tuple(params["allocate", "method"].type.choices) == tuple(ALLOCATORS)
+        assert tuple(params["simulate", "evaluators"].type.choices) == tuple(EVALUATORS)

@@ -188,3 +188,10 @@ class TestMcmcWelfare:
         inst = protocol_instance(5, seed=1)
         with pytest.raises(ValueError, match="burn_in"):
             mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=100, burn_in=100, seed=0)
+
+    def test_rejects_negative_burn_in(self, rng):
+        # A negative burn-in used to leave unfilled entries in the kept
+        # series and bias the estimate toward zero.
+        inst = protocol_instance(5, seed=1)
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=20, burn_in=-5, seed=0)

@@ -195,3 +195,14 @@ class TestFileLoading:
         x = load_covariates(cov_path)
         with pytest.raises(ValueError, match="do not match"):
             make_instance(net, x, ThetaParams.from_set(1))
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_infinite_covariates_rejected(self, tmp_path, bad):
+        path = tmp_path / "cov.csv"
+        path.write_text(f"x\n1.0\n{bad}\n")
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            load_covariates(path)
+
+    def test_nan_covariates_rejected_in_memory(self):
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            similarity_matrix(np.array([[0.0], [np.nan]]), SimilarityKernel.abs_diff())

@@ -237,6 +237,13 @@ def batch_fixed_point(
     products. Intended for certified instances, where the fixed point is
     unique and independent of the update schedule; callers should fall back
     to per-allocation solves when the certificate fails.
+
+    Each iteration does two coupling products, ``sm @ mu`` and
+    ``sm @ (d * mu)``, for the iterate it evaluates. They give its
+    objective, its first-order residual and the next iterate, which the
+    following iteration evaluates. Every (n, batch) array lives in one of
+    seven buffers allocated up front: the allocations, w1, the current and
+    the next iterate, the two products and one scratch array.
     """
     settings = settings or SolverSettings()
     th = instance.theta
@@ -255,35 +262,65 @@ def batch_fixed_point(
     else:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(size=(n, batch))
-    mu = _clamped(mu, settings.clamp)
+    lo, hi = settings.clamp, 1.0 - settings.clamp
+    cur = np.clip(mu, lo, hi, out=mu)
+    nxt = np.empty_like(cur)
+    p1 = np.empty_like(cur)  # sm @ cur
+    p2 = np.empty_like(cur)  # sm @ (dt * cur)
+    tmp = np.empty_like(cur)
+    scale = 0.5 * th.a_n
 
-    def step(cur):
-        arg = w1 + th.a_n * (th.theta5 * (sm @ cur) + th.theta6 * dt * (sm @ (dt * cur)))
-        return _clamped(expit(arg), settings.clamp)
+    def evaluate(mu, free):
+        """Objective of ``mu``; leaves its two products in p1 and p2.
 
-    def objectives(cur):
-        energy = (w1 * cur).sum(axis=0) + 0.5 * th.a_n * (
-            th.theta5 * (cur * (sm @ cur)).sum(axis=0)
-            + th.theta6 * ((dt * cur) * (sm @ (dt * cur))).sum(axis=0)
+        ``free`` is a buffer the caller does not need; it is overwritten.
+        Here and in ``step`` the order of the elementwise operations fixes
+        every rounding; tests pin the output bit for bit to a reference.
+        """
+        np.multiply(dt, mu, out=tmp)
+        np.matmul(sm, tmp, out=p2)
+        np.matmul(sm, mu, out=p1)
+        quad6 = np.multiply(tmp, p2, out=tmp).sum(axis=0)
+        quad5 = np.multiply(mu, p1, out=tmp).sum(axis=0)
+        energy = np.multiply(w1, mu, out=tmp).sum(axis=0) + scale * (
+            th.theta5 * quad5 + th.theta6 * quad6
         )
-        negent = (cur * np.log(cur) + (1 - cur) * np.log(1 - cur)).sum(axis=0)
+        np.subtract(1.0, mu, out=free)
+        np.log(free, out=tmp)
+        np.multiply(free, tmp, out=free)
+        np.log(mu, out=tmp)
+        np.multiply(mu, tmp, out=tmp)
+        negent = np.add(tmp, free, out=tmp).sum(axis=0)
         return energy - negent
 
-    obj = objectives(mu)
+    def step(out):
+        """Next iterate from p1 and p2 (both overwritten) into ``out``."""
+        np.multiply(p1, th.theta5, out=p1)
+        np.multiply(dt, th.theta6, out=tmp)
+        np.multiply(tmp, p2, out=p2)
+        np.add(p1, p2, out=p1)
+        np.multiply(p1, th.a_n, out=p1)
+        np.add(w1, p1, out=out)
+        expit(out, out=out)
+        np.clip(out, lo, hi, out=out)
+
+    obj = evaluate(cur, nxt)
+    step(nxt)
     done = np.zeros(batch, dtype=bool)
     iterations = 0
     for iterations in range(1, settings.max_iter + 1):
-        new_mu = step(mu)
-        new_obj = objectives(new_mu)
-        residual = np.abs(step(new_mu) - new_mu).max(axis=0)
+        cur, nxt = nxt, cur  # cur: the iterate this iteration evaluates
+        new_obj = evaluate(cur, nxt)
+        step(nxt)
+        residual = np.abs(np.subtract(nxt, cur, out=tmp), out=tmp).max(axis=0)
         done = (new_obj - obj <= settings.rho) & (residual <= settings.foc_tol)
-        mu, obj = new_mu, new_obj
+        obj = new_obj
         if done.all():
             break
     return BatchSolution(
-        mu=mu,
+        mu=cur,
         objectives=obj,
-        welfare=mu.sum(axis=0),
+        welfare=cur.sum(axis=0),
         converged=done.copy(),
         iterations=iterations,
     )

@@ -78,9 +78,10 @@ class Network:
 def erdos_renyi(n: int, density: float, seed: int) -> Network:
     """Uniform random simple graph with a fixed number of edges.
 
-    The edge count is round(density * n * (n - 1) / 2), rounding half up,
-    and the edge set is drawn uniformly without replacement from all
-    unordered pairs. Deterministic given the seed.
+    The edge count is floor(density * P + 0.5) in floating point, where
+    P = n * (n - 1) // 2 is the integer number of unordered pairs: density
+    times P, rounded half up. The edge set is drawn uniformly without
+    replacement from all unordered pairs. Deterministic given the seed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

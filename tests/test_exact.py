@@ -148,6 +148,13 @@ class TestExactWelfare:
         single = np.array([exact_welfare(d, inst) for d in allocations])
         np.testing.assert_allclose(batch, single, atol=1e-9)
 
+    def test_invariant_under_chunk_size(self, rng):
+        inst = random_instance(rng, 9, density=0.5)
+        allocations = rng.integers(0, 2, size=(300, 9))
+        default = welfare_of_allocations(inst, allocations)
+        small = welfare_of_allocations(inst, allocations, chunk=7)
+        assert np.abs(small - default).max() <= 1e-12
+
     def test_batch_float32_close(self, rng):
         inst = random_instance(rng, 8, density=0.5)
         allocations = rng.integers(0, 2, size=(20, 8))

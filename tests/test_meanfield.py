@@ -28,6 +28,73 @@ from tests.conftest import protocol_instance, random_instance
 SETTINGS = SolverSettings()
 
 
+def _three_product_kernel(instance, allocations, settings, seed=None, init=None):
+    """Unfused reference for ``batch_fixed_point``, which must match it bit
+    for bit.
+
+    Each iteration computes both coupling products in ``step``, again in
+    ``objectives`` and again for the residual: six where two are enough.
+    """
+    th = instance.theta
+    sm = instance.coupling
+    dt = np.asarray(allocations, dtype=float).T.copy()
+    n, batch = dt.shape
+    base = th.theta0 + instance.x_effect2
+    w1 = (
+        base[:, None]
+        + (th.theta1 + instance.x_effect3)[:, None] * dt
+        + th.a_n * th.theta4 * (sm @ dt)
+    )
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        mu = np.tile(init[:, None], (1, batch)) if init.ndim == 1 else init.copy()
+    else:
+        mu = np.random.default_rng(seed).uniform(size=(n, batch))
+    mu = np.clip(mu, settings.clamp, 1.0 - settings.clamp)
+
+    def step(cur):
+        arg = w1 + th.a_n * (th.theta5 * (sm @ cur) + th.theta6 * dt * (sm @ (dt * cur)))
+        return np.clip(expit(arg), settings.clamp, 1.0 - settings.clamp)
+
+    def objectives(cur):
+        energy = (w1 * cur).sum(axis=0) + 0.5 * th.a_n * (
+            th.theta5 * (cur * (sm @ cur)).sum(axis=0)
+            + th.theta6 * ((dt * cur) * (sm @ (dt * cur))).sum(axis=0)
+        )
+        negent = (cur * np.log(cur) + (1 - cur) * np.log(1 - cur)).sum(axis=0)
+        return energy - negent
+
+    obj = objectives(mu)
+    done = np.zeros(batch, dtype=bool)
+    iterations = 0
+    for iterations in range(1, settings.max_iter + 1):
+        new_mu = step(mu)
+        new_obj = objectives(new_mu)
+        residual = np.abs(step(new_mu) - new_mu).max(axis=0)
+        done = (new_obj - obj <= settings.rho) & (residual <= settings.foc_tol)
+        mu, obj = new_mu, new_obj
+        if done.all():
+            break
+    return mu, obj, done, iterations
+
+
+class _CountingCoupling(np.ndarray):
+    """Coupling matrix that counts the matrix products it enters.
+
+    Both ``sm @ x`` and ``np.matmul(sm, x, out=...)`` reach numpy through
+    ``__array_ufunc__``, so neither spelling escapes the count.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        inputs = tuple(
+            x.view(np.ndarray) if isinstance(x, _CountingCoupling) else x
+            for x in inputs
+        )
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestObjective:
     def test_pure_entropy_at_half(self):
         from netalloc import WeightSystem
@@ -218,6 +285,70 @@ class TestBatchSolver:
             sol = solve_allocation(inst, allocations[k], SETTINGS, seed=k)
             assert abs(batch.welfare[k] - sol.welfare) <= 1e-6
             assert np.abs(batch.mu[:, k] - sol.mu).max() <= 1e-6
+
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("start", ["random", "init1d", "init2d"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100_000])
+    def test_bit_identical_to_three_product_kernel(self, set_id, start, max_iter):
+        n, batch = 30, 17
+        inst = protocol_instance(n, set_id=set_id, seed=set_id)
+        rng = np.random.default_rng(max_iter)
+        allocations = rng.integers(0, 2, size=(batch, n))
+        kwargs = {
+            "random": {"seed": 5},
+            "init1d": {"init": rng.uniform(size=n)},
+            "init2d": {"init": rng.uniform(size=(n, batch))},
+        }[start]
+        settings = SolverSettings(max_iter=max_iter)
+        mu, obj, done, iterations = _three_product_kernel(
+            inst, allocations, settings, **kwargs
+        )
+        batch_sol = batch_fixed_point(inst, allocations, settings, **kwargs)
+        assert batch_sol.iterations == iterations
+        assert batch_sol.mu.tobytes() == mu.tobytes()
+        assert batch_sol.objectives.tobytes() == obj.tobytes()
+        assert batch_sol.welfare.tobytes() == mu.sum(axis=0).tobytes()
+        assert batch_sol.converged.tobytes() == done.tobytes()
+        if max_iter == 100_000:
+            assert done.all()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 100_000])
+    def test_two_coupling_products_per_iteration(self, rng, max_iter):
+        # One product builds w1, two evaluate the starting iterate and two
+        # evaluate each iterate after it.
+        inst = protocol_instance(20, seed=6)
+        counting = inst.coupling.view(_CountingCoupling)
+        counting.products = 0
+        inst.__dict__["coupling"] = counting
+        allocations = rng.integers(0, 2, size=(11, 20))
+        sol = batch_fixed_point(
+            inst, allocations, SolverSettings(max_iter=max_iter), seed=0
+        )
+        assert counting.products == 3 + 2 * sol.iterations
+
+    @pytest.mark.parametrize("start", ["random", "init1d"])
+    def test_invariant_under_batch_split(self, rng, start):
+        # A shared starting point (greedy's case) gives every column the same
+        # iteration in either split. Random starts depend on the split, so
+        # they only agree to the stopping tolerance, which is tightened here.
+        inst = protocol_instance(25, seed=12)
+        assert instance_certified(inst)
+        allocations = rng.integers(0, 2, size=(40, 25))
+        if start == "random":
+            kwargs = {"seed": 3}
+            settings = SolverSettings(rho=1e-13, foc_tol=1e-13)
+        else:
+            kwargs = {"init": rng.uniform(size=25)}
+            settings = SETTINGS
+        whole = batch_fixed_point(inst, allocations, settings, **kwargs)
+        parts = [
+            batch_fixed_point(inst, block, settings, **kwargs)
+            for block in (allocations[:13], allocations[13:])
+        ]
+        assert whole.converged.all()
+        assert all(part.converged.all() for part in parts)
+        split = np.concatenate([part.welfare for part in parts])
+        assert np.abs(whole.welfare - split).max() <= 1e-9
 
     def test_objectives_match_direct_evaluation(self, rng):
         inst = protocol_instance(9, seed=4)

@@ -27,9 +27,14 @@ class TestErdosRenyi:
         net = erdos_renyi(15, 0.3, seed=11)
         assert net.edge_count == 32
 
-    @pytest.mark.parametrize("n,density", [(5, 0.3), (10, 0.45), (12, 0.8), (7, 0.09)])
+    # (10, 0.7): 0.7 * 45 is 31.499999999999996 and rounds to 31, while
+    # 0.7 * 10 * 9 / 2 evaluates to 31.5; the count scales the integer
+    # number of pairs.
+    @pytest.mark.parametrize(
+        "n,density", [(5, 0.3), (10, 0.45), (12, 0.8), (7, 0.09), (10, 0.7)]
+    )
     def test_edge_count_formula(self, n, density):
-        expected = int(np.floor(density * n * (n - 1) / 2 + 0.5))
+        expected = int(np.floor(density * (n * (n - 1) // 2) + 0.5))
         assert erdos_renyi(n, density, seed=0).edge_count == expected
 
     def test_seeds_give_different_graphs_same_count(self):
@@ -67,7 +72,7 @@ class TestErdosRenyi:
         a = net.adjacency
         assert np.array_equal(a, a.T)
         assert (np.diag(a) == 0).all()
-        assert net.edge_count == int(np.floor(density * n * (n - 1) / 2 + 0.5))
+        assert net.edge_count == int(np.floor(density * (n * (n - 1) // 2) + 0.5))
 
 
 class TestDegreeStats:

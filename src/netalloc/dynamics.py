@@ -35,12 +35,22 @@ class ChainState:
 
 
 class ChainModel:
-    """Precomputed per-unit update data for fast single-site sweeps."""
+    """Precomputed per-unit update data for fast single-site sweeps.
+
+    A dense w2 is read at the network's neighbors; a CSR w2 through the
+    ``indptr`` slices of its stored entries.
+    """
 
     def __init__(self, instance: Instance, d):
         w = weights(instance, d)
         self.n = instance.n
         self.w1 = w.w1
+        if not isinstance(w.w2, np.ndarray):
+            ptr, cols, vals = w.w2.indptr, w.w2.indices, 2.0 * w.w2.data
+            spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
+            self.neighbors = [cols[s] for s in spans]
+            self.neighbor_w = [vals[s] for s in spans]
+            return
         adj = instance.net.adjacency
         self.neighbors = [np.flatnonzero(adj[i]) for i in range(self.n)]
         self.neighbor_w = [2.0 * w.w2[i, nb] for i, nb in zip(range(self.n), self.neighbors)]
@@ -118,7 +128,7 @@ def single_site_kernel(instance: Instance, d=None, max_units: int = 12) -> np.nd
         raise ValueError(f"kernel assembly infeasible for {n} units (cap {max_units})")
     if d is None:
         d = np.zeros(n, dtype=np.int8)
-    w = weights(instance, allocation_vector(d, n))
+    w = weights(instance, allocation_vector(d, n)).dense()
     y = config_matrix(n)
     total = 1 << n
     # Choice probabilities p[c, i] do not depend on y_i because w2 has a

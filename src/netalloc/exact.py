@@ -20,6 +20,7 @@ from .model import (
     Instance,
     WeightSystem,
     feasible_allocations,
+    to_dense,
     weights,
 )
 
@@ -84,10 +85,11 @@ def enumerate_gibbs(
     """Exact stationary distribution for a weight system.
 
     Normalization is log-sum-exp stabilized; marginals are exact sums of
-    configuration probabilities.
+    configuration probabilities. A sparse w2 is densified first.
     """
     n = w.n
     _check_size(n, max_units)
+    w = w.dense()
     if n <= _DENSE_LIMIT:
         y = config_matrix(n)
         e = _energies(y, w)
@@ -167,7 +169,7 @@ def welfare_of_allocations(
         allocations = allocations[None, :]
     n_alloc = allocations.shape[0]
     th = instance.theta
-    sm = instance.coupling
+    sm = to_dense(instance.coupling)
     table, s, iu, ju = _pair_tables(n, np.dtype(dtype).name)
     base = th.theta0 + instance.x_effect2
     smp = sm[iu, ju]

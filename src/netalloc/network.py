@@ -1,7 +1,12 @@
 """Social networks, covariate matrices, and pairwise similarity kernels.
 
-Networks are undirected simple graphs stored as dense 0/1 adjacency
-matrices. Covariates are finite, nonnegative N x K arrays, one row per unit.
+Networks are undirected simple graphs stored as dense int8 0/1 adjacency
+matrices (N^2 bytes). Covariates are finite, nonnegative N x K arrays, one
+row per unit. The similarity kernel can be evaluated on all pairs
+(``similarity_matrix``), on a list of pairs such as the edges
+(``pair_similarity``), or reduced to its range over distinct pairs in row
+blocks (``similarity_bounds``); the last two never build an N x N array,
+which is what lets ``Instance.coupling`` store sparse networks in CSR form.
 """
 
 from __future__ import annotations
@@ -46,16 +51,23 @@ class Network:
         """Build a network from an iterable of (i, j) pairs.
 
         Duplicate and reversed pairs collapse to a single undirected edge.
+        The first bad pair, in input order, is the one reported.
         """
+        e = np.array(list(edges), dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (i, j) pairs")
+        i, j = e[:, 0], e[:, 1]
+        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        if bad.any():
+            bi, bj = (int(v) for v in e[np.argmax(bad)])
+            if bi == bj:
+                raise ValueError(f"self-links not allowed: ({bi},{bj})")
+            raise ValueError(f"edge ({bi},{bj}) out of range for n={n}")
         a = np.zeros((n, n), dtype=np.int8)
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-links not allowed: ({i},{j})")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            a[i, j] = 1
-            a[j, i] = 1
+        a[i, j] = 1
+        a[j, i] = 1
         return cls(n=n, adjacency=a)
 
     @cached_property
@@ -72,7 +84,15 @@ class Network:
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return int(self.degree.sum()) // 2
+
+    @property
+    def edge_density(self) -> float:
+        """Share of unordered pairs that are edges, 2E / (N (N - 1));
+        0 below two units."""
+        if self.n < 2:
+            return 0.0
+        return 2.0 * self.edge_count / (self.n * (self.n - 1))
 
 
 def erdos_renyi(n: int, density: float, seed: int) -> Network:
@@ -166,6 +186,13 @@ def check_covariates(x) -> np.ndarray:
     return x
 
 
+def _from_l1(l1: np.ndarray, kernel: SimilarityKernel) -> np.ndarray:
+    """Similarity from L1 distances for the distance-based kernels."""
+    if kernel.kind == "absdiff":
+        return l1
+    return 1.0 / (1.0 + l1)
+
+
 def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
     """Pairwise similarity matrix for the given covariates and kernel.
 
@@ -177,10 +204,51 @@ def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
     n = x.shape[0]
     if kernel.kind == "constant":
         return np.full((n, n), kernel.value, dtype=float)
-    l1 = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=-1)
-    if kernel.kind == "absdiff":
-        return l1
-    return 1.0 / (1.0 + l1)
+    return _from_l1(np.abs(x[:, None, :] - x[None, :, :]).sum(axis=-1), kernel)
+
+
+def pair_similarity(x, kernel: SimilarityKernel, rows, cols) -> np.ndarray:
+    """Similarity of the pairs (rows[k], cols[k]).
+
+    Entry k equals ``similarity_matrix(x, kernel)[rows[k], cols[k]]`` bit
+    for bit: the same differences are summed over the same covariate axis.
+    """
+    x = check_covariates(x)
+    if kernel.kind == "constant":
+        return np.full(len(rows), kernel.value, dtype=float)
+    return _from_l1(np.abs(x[rows] - x[cols]).sum(axis=-1), kernel)
+
+
+# Elements per row block of similarity_bounds: 1 MiB of float64.
+_BOUNDS_BLOCK = 1 << 17
+
+
+def similarity_bounds(x, kernel: SimilarityKernel) -> tuple[float, float]:
+    """(min, max) similarity over distinct pairs; (0, 0) below two units.
+
+    Equal to the min and max of the off-diagonal entries of
+    ``similarity_matrix(x, kernel)``. Equal covariate rows give equal
+    similarities, so only pairs of distinct rows are evaluated, plus one
+    zero distance when some row repeats. They are evaluated in row blocks
+    of at most ``_BOUNDS_BLOCK`` differences, so memory stays O(N K).
+    """
+    x = check_covariates(x)
+    n = x.shape[0]
+    if n < 2:
+        return 0.0, 0.0
+    if kernel.kind == "constant":
+        return kernel.value, kernel.value
+    rows = np.unique(x, axis=0)
+    u, k = rows.shape
+    found = [_from_l1(np.zeros(1), kernel)] if u < n else []  # a repeated row
+    step = max(1, _BOUNDS_BLOCK // (u * max(k, 1)))
+    for start in range(0, u if u > 1 else 0, step):
+        idx = np.arange(start, min(start + step, u))
+        block = _from_l1(np.abs(rows[idx, None, :] - rows[None, :, :]).sum(axis=-1), kernel)
+        block[idx - start, idx] = np.nan  # the diagonal is not a pair
+        found.append([np.nanmin(block), np.nanmax(block)])
+    both = np.concatenate(found)
+    return float(both.min()), float(both.max())
 
 
 def load_network(path, n: int | None = None) -> Network:
@@ -189,7 +257,7 @@ def load_network(path, n: int | None = None) -> Network:
     The file holds one "i,j" pair per line with 0-based unit indices.
     Blank lines and lines starting with '#' are ignored. Duplicate and
     reversed pairs are deduplicated. If ``n`` is omitted it is inferred
-    as one plus the largest index seen.
+    as one plus the largest index seen. A file with no edges is rejected.
     """
     edges = []
     max_idx = -1
@@ -208,6 +276,8 @@ def load_network(path, n: int | None = None) -> Network:
                 raise ValueError(f"{path}:{lineno}: negative unit index")
             edges.append((i, j))
             max_idx = max(max_idx, i, j)
+    if not edges:
+        raise ValueError(f"{path}: no edges")
     if n is None:
         n = max_idx + 1
     elif max_idx >= n:

@@ -194,6 +194,18 @@ class TestAllocate:
         assert "sweeps > burn_in" in str(result.exception)
         assert not (tmp_path / "allocation.json").exists()
 
+    @pytest.mark.parametrize("text", ["", "# i,j\n"])
+    def test_edge_file_without_edges_is_named(self, runner, tmp_path, text):
+        # Read as a 0-unit network, this used to fail on the covariate count.
+        cfg = make_toy_files(tmp_path)
+        (tmp_path / "net.txt").write_text(text)
+        result = runner.invoke(
+            main, ["allocate", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"{tmp_path / 'net.txt'}: no edges"
+
     def test_missing_files_error(self, runner, tmp_path):
         result = runner.invoke(main, ["allocate", "--out", str(tmp_path)])
         assert result.exit_code == 1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import expit
 
 from netalloc import (
@@ -22,6 +23,7 @@ from netalloc import (
     variational_objective,
     weights,
 )
+from netalloc import meanfield
 from netalloc.meanfield import JACOBI, instance_certified, with_mode
 from tests.conftest import protocol_instance, random_instance
 
@@ -93,6 +95,20 @@ class _CountingCoupling(np.ndarray):
             for x in inputs
         )
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _count_helper_calls(monkeypatch) -> list:
+    """Count the calls of the kernel's coupling-product helper; the count is
+    the single entry of the returned list."""
+    calls = [0]
+    helper = meanfield._product
+
+    def counted(sm, x, out=None):
+        calls[0] += 1
+        return helper(sm, x, out)
+
+    monkeypatch.setattr(meanfield, "_product", counted)
+    return calls
 
 
 class TestObjective:
@@ -313,18 +329,32 @@ class TestBatchSolver:
             assert done.all()
 
     @pytest.mark.parametrize("max_iter", [1, 2, 5, 100_000])
-    def test_two_coupling_products_per_iteration(self, rng, max_iter):
+    def test_two_coupling_products_per_iteration(self, rng, max_iter, monkeypatch):
         # One product builds w1, two evaluate the starting iterate and two
-        # evaluate each iterate after it.
+        # evaluate each iterate after it. All of them go through the
+        # storage-dispatching helper.
         inst = protocol_instance(20, seed=6)
         counting = inst.coupling.view(_CountingCoupling)
         counting.products = 0
         inst.__dict__["coupling"] = counting
+        helper_calls = _count_helper_calls(monkeypatch)
         allocations = rng.integers(0, 2, size=(11, 20))
         sol = batch_fixed_point(
             inst, allocations, SolverSettings(max_iter=max_iter), seed=0
         )
         assert counting.products == 3 + 2 * sol.iterations
+        assert helper_calls == [3 + 2 * sol.iterations]
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 100_000])
+    def test_two_csr_products_per_iteration(self, rng, max_iter, monkeypatch):
+        inst = protocol_instance(20, seed=6)
+        inst.__dict__["coupling"] = sparse.csr_array(inst.coupling)
+        helper_calls = _count_helper_calls(monkeypatch)
+        allocations = rng.integers(0, 2, size=(11, 20))
+        sol = batch_fixed_point(
+            inst, allocations, SolverSettings(max_iter=max_iter), seed=0
+        )
+        assert helper_calls == [3 + 2 * sol.iterations]
 
     @pytest.mark.parametrize("start", ["random", "init1d"])
     def test_invariant_under_batch_split(self, rng, start):

@@ -147,7 +147,9 @@ class TestWeights:
         inst = make_instance(net, x, SET1)
         d = np.array([1, 0, 1])
         w = weights(inst, d)
-        assert np.all(w.w2 == 0.0)
+        # No edges: the coupling, hence w2, is CSR with nothing stored.
+        assert w.w2.nnz == 0
+        assert np.all(w.dense().w2 == 0.0)
         expected = SET1.theta0 + SET1.theta1 * d + x[:, 0] * (SET1.theta2 + SET1.theta3 * d)
         np.testing.assert_allclose(w.w1, expected, atol=1e-14)
 

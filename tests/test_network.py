@@ -108,6 +108,34 @@ class TestNetworkValidation:
             Network(2, a)
 
 
+class TestFromEdges:
+    def test_matches_pairwise_scatter(self, rng):
+        pairs = rng.integers(0, 12, size=(40, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        want = np.zeros((12, 12), dtype=np.int8)
+        for i, j in pairs:
+            want[i, j] = want[j, i] = 1
+        got = Network.from_edges(12, [tuple(p) for p in pairs])
+        assert np.array_equal(got.adjacency, want)
+        assert Network.from_edges(12, pairs).edge_count == got.edge_count
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (0, 9)], r"self-links not allowed: \(2,2\)"),
+            ([(0, 1), (0, 9), (2, 2)], r"edge \(0,9\) out of range for n=4"),
+            ([(0, 1), (-1, 2), (3, 3)], r"edge \(-1,2\) out of range for n=4"),
+        ],
+    )
+    def test_first_bad_edge_is_reported(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Network.from_edges(4, edges)
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Network.from_edges(4, [(0, 1, 2)])
+
+
 class TestSimilarity:
     def test_absdiff_scalar(self):
         m = similarity_matrix(np.array([[0.0], [1.0], [1.0]]), SimilarityKernel.abs_diff())
@@ -168,6 +196,13 @@ class TestFileLoading:
         path = tmp_path / "net.txt"
         path.write_text("0,0\n")
         with pytest.raises(ValueError, match="self-links not allowed"):
+            load_network(path)
+
+    @pytest.mark.parametrize("text", ["", "# i,j\n\n# nothing else\n"])
+    def test_file_without_edges_rejected(self, tmp_path, text):
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path}: no edges$"):
             load_network(path)
 
     def test_index_out_of_range(self, tmp_path):

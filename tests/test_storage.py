@@ -1,0 +1,260 @@
+"""Coupling storage: CSR for sparse networks, dense otherwise.
+
+Results must not depend on the storage. Each invariance test forces CSR on
+an instance built dense, by seeding its cached ``coupling``, and compares
+the two. Also covers the storage rule itself, ``m_bounds`` without the
+dense similarity matrix, and the memory of a large sparse run.
+"""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from netalloc import (
+    Network,
+    SimilarityKernel,
+    SolverSettings,
+    ThetaParams,
+    batch_fixed_point,
+    bfva,
+    enumerate_gibbs,
+    erdos_renyi,
+    fixed_point_solve,
+    greedy,
+    make_instance,
+    mcmc_welfare,
+    potential,
+    utility,
+    weights,
+    welfare_of_allocations,
+)
+from netalloc.meanfield import JACOBI, instance_certified
+from netalloc.model import SPARSE_DENSITY, choice_argument
+from tests.conftest import protocol_instance
+
+TOL = 1e-9
+# Sampled versus mean-field welfare per person: acceptance criterion 3.
+MCMC_TOL = 0.01
+KERNELS = [
+    SimilarityKernel.abs_diff(),
+    SimilarityKernel.inverse_distance(),
+    SimilarityKernel.constant(0.7),
+]
+
+
+def csr_twin(inst):
+    """A copy of a dense-coupling instance whose coupling is stored as CSR."""
+    assert isinstance(inst.coupling, np.ndarray)
+    twin = replace(inst)
+    csr = sparse.csr_array(inst.coupling)
+    csr.eliminate_zeros()
+    twin.__dict__["coupling"] = csr
+    return twin
+
+
+@pytest.fixture
+def pair():
+    inst = protocol_instance(30, density=0.3, seed=4)
+    assert instance_certified(inst)
+    return inst, csr_twin(inst)
+
+
+def ring(n):
+    return Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+class TestStorageRule:
+    def test_density_picks_the_format(self, rng):
+        x = rng.integers(0, 2, size=(200, 1)).astype(float)
+        theta = ThetaParams.from_set(1, a_n=0.1)
+        sparse_net, dense_net = ring(200), erdos_renyi(200, 0.1, seed=1)
+        assert sparse_net.edge_density <= SPARSE_DENSITY < dense_net.edge_density
+        assert sparse.issparse(make_instance(sparse_net, x, theta).coupling)
+        assert isinstance(make_instance(dense_net, x, theta).coupling, np.ndarray)
+
+    def test_edge_density(self):
+        assert ring(10).edge_density == pytest.approx(10 / 45)
+        assert Network.from_edges(1, []).edge_density == 0.0
+        assert Network.from_edges(2, [(0, 1)]).edge_density == 1.0
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_csr_values_equal_dense_bit_for_bit(self, rng, kernel, k):
+        n = 120
+        net = ring(n)
+        # Few covariate values, so absdiff has zero-similarity edges.
+        x = rng.integers(0, 2, size=(n, k)).astype(float)
+        inst = make_instance(net, x, ThetaParams.from_set(1), kernel=kernel)
+        csr = inst.coupling
+        assert sparse.issparse(csr) and csr.format == "csr"
+        assert np.array_equal(csr.toarray(), inst.m * net.adjacency)
+        assert (csr.data != 0).all()
+        if kernel.kind == "absdiff":
+            assert csr.nnz < 2 * net.edge_count
+
+    def test_explicit_similarity_on_sparse_network(self, rng):
+        n = 80
+        m = rng.uniform(size=(n, n))
+        m = m + m.T
+        m[0, 1] = m[1, 0] = 0.0
+        net = ring(n)
+        inst = make_instance(net, np.zeros((n, 1)), ThetaParams.from_set(1), m=m)
+        assert sparse.issparse(inst.coupling)
+        assert np.array_equal(inst.coupling.toarray(), m * net.adjacency)
+        assert inst.coupling.nnz == 2 * n - 2
+
+
+class TestMBounds:
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("rows", ["repeated", "distinct", "equal"])
+    def test_equals_off_diagonal_extremes(self, rng, kernel, k, n, rows):
+        if rows == "repeated":
+            x = rng.integers(0, 3, size=(n, k)).astype(float)
+            if n > 2:
+                x[5] = x[7]  # a duplicate row: absdiff similarity 0
+        elif rows == "distinct":
+            x = rng.uniform(0, 5, size=(n, k))
+        else:
+            x = np.full((n, k), 1.5)
+        inst = make_instance(Network.from_edges(n, []), x, ThetaParams.from_set(1),
+                             kernel=kernel)
+        assert "m" not in inst.__dict__
+        got = inst.m_bounds
+        assert "m" not in inst.__dict__  # computed without the dense matrix
+        if n < 2:
+            assert got == (0.0, 0.0)
+        else:
+            off = inst.m[~np.eye(n, dtype=bool)]
+            assert got == (off.min(), off.max())
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_explicit_matrix(self, rng, n):
+        m = rng.uniform(size=(n, n))
+        m = m + m.T
+        inst = make_instance(Network.from_edges(n, []), np.zeros((n, 1)),
+                             ThetaParams.from_set(1), m=m)
+        if n < 2:
+            assert inst.m_bounds == (0.0, 0.0)
+        else:
+            off = m[~np.eye(n, dtype=bool)]
+            assert inst.m_bounds == (off.min(), off.max())
+
+    def test_bounds_span_blocks(self, rng, monkeypatch):
+        from netalloc import network
+
+        monkeypatch.setattr(network, "_BOUNDS_BLOCK", 7)
+        x = rng.uniform(size=(33, 2))
+        inst = make_instance(Network.from_edges(33, []), x, ThetaParams.from_set(1),
+                             kernel=SimilarityKernel.inverse_distance())
+        off = inst.m[~np.eye(33, dtype=bool)]
+        assert inst.m_bounds == (off.min(), off.max())
+
+
+class TestInvariance:
+    def test_weights(self, pair, rng):
+        dense, csr = pair
+        for _ in range(5):
+            d = rng.integers(0, 2, size=dense.n)
+            wd, ws = weights(dense, d), weights(csr, d)
+            assert sparse.issparse(ws.w2)
+            assert np.array_equal(ws.w2.toarray(), wd.w2)
+            assert np.abs(ws.w1 - wd.w1).max() <= 1e-12
+
+    @pytest.mark.parametrize("start", ["random", "init1d"])
+    def test_batch_fixed_point(self, pair, rng, start):
+        dense, csr = pair
+        allocations = rng.integers(0, 2, size=(23, dense.n))
+        kwargs = {"seed": 2} if start == "random" else {"init": rng.uniform(size=dense.n)}
+        a = batch_fixed_point(dense, allocations, SolverSettings(), **kwargs)
+        b = batch_fixed_point(csr, allocations, SolverSettings(), **kwargs)
+        assert np.abs(a.welfare - b.welfare).max() <= TOL
+        assert np.array_equal(a.converged, b.converged) and a.converged.all()
+        assert a.iterations == b.iterations
+
+    @pytest.mark.parametrize("mode", ["gauss-seidel", JACOBI])
+    def test_fixed_point_solve(self, pair, rng, mode):
+        dense, csr = pair
+        d = rng.integers(0, 2, size=dense.n)
+        settings = SolverSettings(mode=mode)
+        a = fixed_point_solve(weights(dense, d), settings, seed=3)
+        b = fixed_point_solve(weights(csr, d), settings, seed=3)
+        assert a.converged and b.converged
+        assert np.abs(a.mu - b.mu).max() <= TOL
+        assert abs(a.objective - b.objective) <= TOL
+
+    def test_greedy(self, pair):
+        dense, csr = pair
+        for strict in (False, True):
+            a, trace_a = greedy(dense, 6, seed=1, strict=strict)
+            b, trace_b = greedy(csr, 6, seed=1, strict=strict)
+            assert a.treated == b.treated
+            assert [s.unit for s in trace_a] == [s.unit for s in trace_b]
+            assert all(abs(s.delta - t.delta) <= TOL for s, t in zip(trace_a, trace_b))
+
+    def test_bfva(self):
+        dense = protocol_instance(9, density=0.3, seed=2)
+        csr = csr_twin(dense)
+        a, va = bfva(dense, 3, seed=1)
+        b, vb = bfva(csr, 3, seed=1)
+        assert a.treated == b.treated and abs(va - vb) <= TOL
+
+    def test_mcmc_welfare(self, pair, rng):
+        dense, csr = pair
+        d = rng.integers(0, 2, size=dense.n)
+        a, _ = mcmc_welfare(d, dense, sweeps=3000, burn_in=500, seed=5)
+        b, _ = mcmc_welfare(d, csr, sweeps=3000, burn_in=500, seed=5)
+        assert abs(a - b) <= MCMC_TOL
+
+    def test_utility_potential_choice_argument(self, pair, rng):
+        dense, csr = pair
+        for _ in range(5):
+            d = rng.integers(0, 2, size=dense.n)
+            y = rng.integers(0, 2, size=dense.n)
+            i = int(rng.integers(dense.n))
+            y[i] = 1
+            assert utility(i, y, csr, d) == pytest.approx(utility(i, y, dense, d), abs=1e-12)
+            assert potential(y, csr, d) == pytest.approx(potential(y, dense, d), abs=1e-12)
+            assert choice_argument(i, y, weights(csr, d)) == pytest.approx(
+                choice_argument(i, y, weights(dense, d)), abs=1e-12
+            )
+
+    def test_exact_oracle_densifies(self, rng):
+        dense = protocol_instance(10, density=0.3, seed=5)
+        csr = csr_twin(dense)
+        d = rng.integers(0, 2, size=10)
+        a = enumerate_gibbs(weights(dense, d))
+        b = enumerate_gibbs(weights(csr, d))
+        assert isinstance(b.weights.w2, np.ndarray)
+        assert np.abs(a.marginals - b.marginals).max() <= 1e-12
+        allocations = rng.integers(0, 2, size=(6, 10))
+        assert np.abs(welfare_of_allocations(dense, allocations)
+                      - welfare_of_allocations(csr, allocations)).max() <= 1e-12
+
+
+def test_large_ring_stays_below_one_dense_matrix():
+    # One N x N float64 array at N = 3000 is 72 MB. The int8 adjacency
+    # (9 MB) is built before tracing starts.
+    n = 3000
+    net = ring(n)
+    x = np.random.default_rng(0).integers(0, 3, size=(n, 2)).astype(float)
+    theta = ThetaParams.from_set(1, a_n=0.2)
+    d = np.zeros(n, dtype=np.int8)
+    d[::7] = 1
+    tracemalloc.start()
+    try:
+        inst = make_instance(net, x, theta, kernel=SimilarityKernel.inverse_distance())
+        assert instance_certified(inst)
+        w = weights(inst, d)
+        sol = fixed_point_solve(w, seed=0)
+        mcmc_welfare(d, inst, sweeps=4, burn_in=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert sparse.issparse(inst.coupling) and "m" not in inst.__dict__
+    assert peak < 72e6 / 8

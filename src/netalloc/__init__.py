@@ -18,14 +18,7 @@ from .bounds import (
     kl_upper_bound,
     regret_upper_bound,
 )
-from .dynamics import (
-    ChainModel,
-    ChainState,
-    mcmc_welfare,
-    single_site_kernel,
-    stationarity_check,
-    step,
-)
+from .dynamics import ChainModel, mcmc_welfare, single_site_kernel, stationarity_check
 from .exact import (
     ExactDistribution,
     ExactSizeError,
@@ -75,7 +68,6 @@ __all__ = [
     "Allocation",
     "BoundsReport",
     "ChainModel",
-    "ChainState",
     "ExactDistribution",
     "ExactSizeError",
     "GreedyStep",
@@ -119,7 +111,6 @@ __all__ = [
     "single_site_kernel",
     "solve_allocation",
     "stationarity_check",
-    "step",
     "utility",
     "variational_objective",
     "weights",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,17 +42,7 @@ class BoundsReport:
     contraction_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "margin": self.margin,
-            "curvature_upper": self.curvature_upper,
-            "submodularity_lower": self.submodularity_lower,
-            "guarantee_factor": self.guarantee_factor,
-            "kl_upper_bound": self.kl_upper_bound,
-            "regret_upper_bound": self.regret_upper_bound,
-            "positivity_holds": self.positivity_holds,
-            "sample_size_ok": self.sample_size_ok,
-            "contraction_holds": self.contraction_holds,
-        }
+        return asdict(self)
 
 
 def _theta_scalars(theta):

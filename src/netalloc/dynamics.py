@@ -10,28 +10,11 @@ distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
-from .exact import config_matrix, enumerate_gibbs
+from .exact import _configs, enumerate_gibbs
 from .model import Instance, allocation_vector, sigmoid, weights
-
-
-@dataclass
-class ChainState:
-    """Mutable state of one simulation chain: choices, step count, and the
-    seeded generator that drives it."""
-
-    y: np.ndarray
-    t: int
-    rng: np.random.Generator
-
-    @classmethod
-    def start(cls, n: int, seed: int | None = None) -> "ChainState":
-        rng = np.random.default_rng(seed)
-        return cls(y=rng.integers(0, 2, size=n).astype(np.int8), t=0, rng=rng)
 
 
 class ChainModel:
@@ -56,17 +39,12 @@ class ChainModel:
         self.neighbor_w = [2.0 * w.w2[i, nb] for i, nb in zip(range(self.n), self.neighbors)]
 
 
-def step(state: ChainState, model: ChainModel) -> ChainState:
-    """Advance the chain one step: redraw one uniformly chosen unit.
-
-    At most one coordinate of y changes. The state is updated in place and
-    returned.
-    """
-    i = int(state.rng.integers(model.n))
-    arg = model.w1[i] + float(model.neighbor_w[i] @ state.y[model.neighbors[i]])
-    state.y[i] = state.rng.random() < sigmoid(arg)
-    state.t += 1
-    return state
+def _redraw(y: np.ndarray, model: ChainModel, sites, draws) -> None:
+    """Redraw unit sites[k] of y in place from its logit conditional with
+    uniform draws[k], for k in order: one step of the process per site."""
+    w1, neighbors, neighbor_w = model.w1, model.neighbors, model.neighbor_w
+    for i, u in zip(sites, draws):
+        y[i] = u < sigmoid(w1[i] + float(neighbor_w[i] @ y[neighbors[i]]))
 
 
 def mcmc_welfare(
@@ -92,23 +70,14 @@ def mcmc_welfare(
     model = ChainModel(instance, d)
     n = model.n
     per_sweep = n if steps_per_sweep is None else int(steps_per_sweep)
-    state = ChainState.start(n, seed)
-    rng = state.rng
-    y = state.y
-    w1 = model.w1
-    neighbors = model.neighbors
-    neighbor_w = model.neighbor_w
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n).astype(np.int8)
     kept = np.empty(sweeps - burn_in)
     for sweep_idx in range(sweeps):
         sites = rng.integers(0, n, size=per_sweep)
-        draws = rng.random(per_sweep)
-        for k in range(per_sweep):
-            i = sites[k]
-            arg = w1[i] + float(neighbor_w[i] @ y[neighbors[i]])
-            y[i] = draws[k] < sigmoid(arg)
+        _redraw(y, model, sites, rng.random(per_sweep))
         if sweep_idx >= burn_in:
             kept[sweep_idx - burn_in] = y.mean()
-    state.t = sweeps * per_sweep
     estimate = float(kept.mean())
     n_batches = min(batches, kept.size)
     usable = kept[: kept.size - kept.size % n_batches]
@@ -129,7 +98,7 @@ def single_site_kernel(instance: Instance, d=None, max_units: int = 12) -> np.nd
     if d is None:
         d = np.zeros(n, dtype=np.int8)
     w = weights(instance, allocation_vector(d, n)).dense()
-    y = config_matrix(n)
+    y = _configs(n, 0, 1 << n)
     total = 1 << n
     # Choice probabilities p[c, i] do not depend on y_i because w2 has a
     # zero diagonal.

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
+from .meanfield import variational_objective
 from .model import (
     Allocation,
     Instance,
@@ -26,10 +27,9 @@ from .model import (
 
 # Above this many units the 2^N enumeration is refused outright.
 MAX_EXACT_UNITS = 20
-# Dense configuration tables are cached up to this size; beyond it the
-# enumeration streams over chunks of configurations.
-_DENSE_LIMIT = 16
-_CHUNK = 1 << 14
+# Configurations are listed in blocks of this many codes, so every N <= 15
+# is one cached block and larger N stream in bounded memory.
+_BLOCK = 1 << 15
 
 
 class ExactSizeError(ValueError):
@@ -55,15 +55,13 @@ class ExactDistribution:
 
 
 @lru_cache(maxsize=8)
-def config_matrix(n: int) -> np.ndarray:
-    """All 2^n binary configurations as a float matrix, one row per code."""
-    codes = np.arange(1 << n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-
-
-def _config_chunk(start: int, stop: int, n: int) -> np.ndarray:
+def _configs(n: int, start: int, stop: int) -> np.ndarray:
+    """Configurations with codes start..stop-1 as a float matrix, one row per
+    code: row r has y_i = ((start + r) >> i) & 1."""
     codes = np.arange(start, stop, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+    y = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+    y.flags.writeable = False  # the cache hands the same block to every caller
+    return y
 
 
 def _check_size(n: int, cap: int):
@@ -90,30 +88,17 @@ def enumerate_gibbs(
     n = w.n
     _check_size(n, max_units)
     w = w.dense()
-    if n <= _DENSE_LIMIT:
-        y = config_matrix(n)
-        e = _energies(y, w)
-        log_z = float(logsumexp(e))
-        p = np.exp(e - log_z)
-        marginals = p @ y
-        return ExactDistribution(
-            log_partition=log_z,
-            marginals=marginals,
-            weights=w,
-            probs=p if with_probs else None,
-        )
-    # Streaming path: two passes keep memory bounded at chunk size.
+    # Two passes over the configuration blocks: energies, then marginals.
     total = 1 << n
+    blocks = [(start, min(start + _BLOCK, total)) for start in range(0, total, _BLOCK)]
     e = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        e[start:stop] = _energies(_config_chunk(start, stop, n), w)
+    for start, stop in blocks:
+        e[start:stop] = _energies(_configs(n, start, stop), w)
     log_z = float(logsumexp(e))
     p = np.exp(e - log_z)
     marginals = np.zeros(n)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        marginals += p[start:stop] @ _config_chunk(start, stop, n)
+    for start, stop in blocks:
+        marginals += p[start:stop] @ _configs(n, start, stop)
     return ExactDistribution(
         log_partition=log_z,
         marginals=marginals,
@@ -129,7 +114,7 @@ def exact_welfare(d, instance: Instance, max_units: int = MAX_EXACT_UNITS) -> fl
 
 
 @lru_cache(maxsize=4)
-def _pair_tables(n: int, dtype_name: str = "float64"):
+def _pair_tables(n: int):
     """Stacked configuration/pair table and choice counts for size n.
 
     The table concatenates the configuration matrix with one column per
@@ -137,13 +122,10 @@ def _pair_tables(n: int, dtype_name: str = "float64"):
     configuration under any symmetric zero-diagonal quadratic form is a
     single matrix product against stacked linear and doubled pair weights.
     """
-    dtype = np.dtype(dtype_name)
-    y = config_matrix(n)
+    y = _configs(n, 0, 1 << n)
     iu, ju = np.triu_indices(n, k=1)
-    table = np.ascontiguousarray(
-        np.concatenate([y, y[:, iu] * y[:, ju]], axis=1), dtype=dtype
-    )
-    s = y.sum(axis=1).astype(dtype)
+    table = np.concatenate([y, y[:, iu] * y[:, ju]], axis=1)
+    s = y.sum(axis=1)
     return table, s, iu, ju
 
 
@@ -152,15 +134,13 @@ def welfare_of_allocations(
     allocations: np.ndarray,
     max_units: int = 15,
     chunk: int = 256,
-    dtype=np.float64,
 ) -> np.ndarray:
     """Exact welfare for a batch of allocations (rows of a 0/1 matrix).
 
     The energies of all configurations for a block of allocations come from
     one matrix product of the configuration/pair table against
     per-allocation weight vectors, which keeps hundred-network sweeps
-    tractable. ``dtype=np.float32`` roughly triples throughput at an
-    absolute welfare error around 1e-5, far below benchmark tolerances.
+    tractable.
     """
     n = instance.n
     _check_size(n, max_units)
@@ -170,7 +150,7 @@ def welfare_of_allocations(
     n_alloc = allocations.shape[0]
     th = instance.theta
     sm = to_dense(instance.coupling)
-    table, s, iu, ju = _pair_tables(n, np.dtype(dtype).name)
+    table, s, iu, ju = _pair_tables(n)
     base = th.theta0 + instance.x_effect2
     smp = sm[iu, ju]
     out = np.empty(n_alloc)
@@ -184,7 +164,7 @@ def welfare_of_allocations(
         )
         # Doubled upper-triangle weights reproduce the full quadratic form.
         coef[n:] = th.a_n * smp[:, None] * (th.theta5 + th.theta6 * dt[iu] * dt[ju])
-        e = table @ coef.astype(table.dtype)
+        e = table @ coef
         e -= e.max(axis=0)
         np.exp(e, out=e)
         out[start : start + chunk] = (s @ e) / e.sum(axis=0)
@@ -196,7 +176,6 @@ def brute_force_optimal(
     kappa: int,
     max_units: int = 15,
     max_allocations: int = 2_000_000,
-    dtype=np.float64,
 ) -> tuple[Allocation, float]:
     """Exact argmax of equilibrium welfare over allocations of size <= kappa.
 
@@ -206,9 +185,7 @@ def brute_force_optimal(
     n = instance.n
     _check_size(n, max_units)
     allocations = feasible_allocations(n, kappa, max_count=max_allocations)
-    values = welfare_of_allocations(
-        instance, allocations, max_units=max_units, dtype=dtype
-    )
+    values = welfare_of_allocations(instance, allocations, max_units=max_units)
     best = _argmax_lexicographic(values, allocations)
     return Allocation.from_vector(allocations[best]), float(values[best])
 
@@ -228,15 +205,12 @@ def exact_kl(mu: np.ndarray, dist: ExactDistribution) -> float:
     """KL divergence of the independent Bernoulli law with means mu from the
     exact stationary distribution carried by ``dist``.
 
-    Evaluates log Z - [w1'mu + mu' w2 mu - sum_i (mu_i log mu_i +
-    (1 - mu_i) log(1 - mu_i))], which is exact for interior mu.
+    Evaluates log Z minus the unclamped variational objective at mu, which
+    is exact for interior mu.
     """
     mu = np.asarray(mu, dtype=float)
-    w = dist.weights
-    if mu.shape != w.w1.shape:
+    if mu.shape != dist.weights.w1.shape:
         raise ValueError("mu length does not match the distribution")
     if (mu <= 0).any() or (mu >= 1).any():
         raise ValueError("mu entries must lie strictly inside (0, 1)")
-    energy = float(w.w1 @ mu + mu @ w.w2 @ mu)
-    negentropy = float(np.sum(mu * np.log(mu) + (1 - mu) * np.log(1 - mu)))
-    return dist.log_partition - (energy - negentropy)
+    return dist.log_partition - variational_objective(mu, dist.weights, clamp=0.0)

@@ -29,6 +29,7 @@ from . import bounds as bnd
 from . import dynamics, exact, meanfield
 from .model import (
     Allocation,
+    EnumerationCapError,
     Instance,
     ThetaParams,
     default_a_n,
@@ -191,6 +192,10 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.kappa is not None and self.kappa < 0:
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        if not 0 <= self.kappa_frac <= 1:
+            raise ValueError(f"kappa_frac must lie in [0, 1], got {self.kappa_frac}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -280,12 +285,12 @@ def _cell_key(set_id: int, density: float, n: int) -> tuple:
     return (set_id, int(round(density * 1000)), n)
 
 
-def _reason(exc: ValueError, method: str | None = None) -> str:
-    """Reason string for a computation refused as too large; re-raises
-    every other error."""
+def _reason(exc: ValueError) -> str:
+    """Reason string for a computation refused as too large, chosen by the
+    exception type; re-raises every other error."""
     if isinstance(exc, exact.ExactSizeError):
         return "exact_infeasible"
-    if method == "bfva":  # bfva refuses enumerations above its cap
+    if isinstance(exc, EnumerationCapError):
         return "enumeration_infeasible"
     raise exc
 
@@ -328,7 +333,7 @@ def _replication_task(payload) -> dict:
         try:
             d = rule(instance, kappa, cfg, seed(tag))[0].d
         except ValueError as exc:
-            out[method] = dict.fromkeys(cfg.evaluators, _reason(exc, method))
+            out[method] = dict.fromkeys(cfg.evaluators, _reason(exc))
             continue
         out[method] = {
             ev: per_person(lambda: evaluator(ev, _EVALUATOR_SEED_BASE[ev] + tag)(d))

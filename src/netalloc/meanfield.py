@@ -49,6 +49,12 @@ class SolverSettings:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
+        if not 0 < self.clamp < 0.5:
+            raise ValueError(f"clamp must lie in (0, 0.5), got {self.clamp}")
+        if not self.foc_tol >= 0:
+            raise ValueError(f"foc_tol must be nonnegative, got {self.foc_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,10 @@ def allocation_vector(d, n: int) -> np.ndarray:
     return vec
 
 
+class EnumerationCapError(ValueError):
+    """Raised when a capacity admits more allocations than may be listed."""
+
+
 def feasible_allocations(n: int, kappa: int, max_count: int = 2_000_000) -> np.ndarray:
     """All allocations with at most kappa treated units, as a (count, n) matrix.
 
@@ -220,7 +224,7 @@ def feasible_allocations(n: int, kappa: int, max_count: int = 2_000_000) -> np.n
         raise ValueError("kappa must be between 0 and n")
     total = sum(math.comb(n, k) for k in range(kappa + 1))
     if total > max_count:
-        raise ValueError(
+        raise EnumerationCapError(
             f"{total} feasible allocations exceed the enumeration cap {max_count}"
         )
     out = np.zeros((total, n), dtype=np.int8)

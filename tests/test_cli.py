@@ -1,6 +1,7 @@
 """Command line interface: subcommands, file outputs, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,45 @@ class TestSimulate:
         means = {row.split(",")[3]: row.split(",")[5] for row in rows}
         assert means["brute"] == means["bfva"] == means["greedy"] == means["none"]
 
+    @pytest.mark.parametrize("method", ["bfva", "greedy"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--kappa", "10"], "kappa must be between 0 and n"),
+            (["--kappa", "-1"], "kappa must be nonnegative"),
+            (["--kappa-frac", "-0.5"], r"kappa_frac must lie in \[0, 1\]"),
+            (["--kappa-frac", "1.5"], r"kappa_frac must lie in \[0, 1\]"),
+        ],
+    )
+    def test_bad_capacity_is_an_error(self, runner, tmp_path, method, flags, message):
+        # bfva used to write these cells as enumeration_infeasible and exit 0.
+        result = runner.invoke(
+            main,
+            [
+                "simulate", "--n", "6", "--reps", "1", "--method", method,
+                "--evaluator", "va", "--out", str(tmp_path), *flags,
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert re.search(message, str(result.exception))
+        assert not (tmp_path / "welfare_table.csv").exists()
+
+    def test_enumeration_cap_gets_reason(self, runner, tmp_path):
+        # 30 units at capacity 9 admit far more allocations than bfva lists.
+        result = runner.invoke(
+            main,
+            [
+                "simulate", "--n", "30", "--reps", "1", "--method", "bfva",
+                "--evaluator", "va", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "welfare_table.csv").read_text().strip().splitlines()
+        fields = rows[1].split(",")
+        assert fields[5] == "NA"
+        assert fields[8] == "enumeration_infeasible"
+
 
 class TestAllocate:
     def test_toy_instance_matches_exhaustive_optimum(self, runner, tmp_path):
@@ -192,6 +232,19 @@ class TestAllocate:
         assert result.exit_code == 1
         assert isinstance(result.exception, ValueError)
         assert "sweeps > burn_in" in str(result.exception)
+        assert not (tmp_path / "allocation.json").exists()
+
+    def test_bad_solver_setting_names_the_field(self, runner, tmp_path):
+        cfg = make_toy_files(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["solver"] = {"clamp": 0.7}
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(
+            main, ["allocate", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert "clamp" in str(result.exception)
         assert not (tmp_path / "allocation.json").exists()
 
     @pytest.mark.parametrize("text", ["", "# i,j\n"])

@@ -6,7 +6,6 @@ from scipy.special import expit
 
 from netalloc import (
     ChainModel,
-    ChainState,
     Network,
     ThetaParams,
     conditional_choice_prob,
@@ -15,34 +14,39 @@ from netalloc import (
     mcmc_welfare,
     single_site_kernel,
     stationarity_check,
-    step,
     weights,
 )
+from netalloc.dynamics import _redraw
 from tests.conftest import protocol_instance, random_instance
+
+
+def _step(y, model, rng):
+    """One step of the process: redraw one uniformly chosen unit of y."""
+    _redraw(y, model, rng.integers(0, model.n, size=1), rng.random(1))
 
 
 class TestStep:
     def test_changes_at_most_one_coordinate(self, rng):
         inst = random_instance(rng, 8, density=0.5)
         model = ChainModel(inst, rng.integers(0, 2, 8))
-        state = ChainState.start(8, seed=0)
+        chain_rng = np.random.default_rng(0)
+        y = chain_rng.integers(0, 2, size=8).astype(np.int8)
         for _ in range(200):
-            before = state.y.copy()
-            t_before = state.t
-            step(state, model)
-            assert (before != state.y).sum() <= 1
-            assert state.t == t_before + 1
+            before = y.copy()
+            _step(y, model, chain_rng)
+            assert (before != y).sum() <= 1
 
     def test_single_unit_marginal(self):
         net = Network.from_edges(1, [])
         inst = make_instance(net, np.array([[1.0]]), ThetaParams(-0.5, 0, 0, 0, 0, 0, 0))
         model = ChainModel(inst, np.zeros(1, dtype=int))
-        state = ChainState.start(1, seed=42)
+        chain_rng = np.random.default_rng(42)
+        y = chain_rng.integers(0, 2, size=1).astype(np.int8)
         hits = 0
         n_steps = 20000
         for _ in range(n_steps):
-            step(state, model)
-            hits += int(state.y[0])
+            _step(y, model, chain_rng)
+            hits += int(y[0])
         target = float(expit(-0.5))
         se = np.sqrt(target * (1 - target) / n_steps) * 3  # ignores autocorrelation
         assert abs(hits / n_steps - target) < 6 * se
@@ -57,12 +61,10 @@ class TestStep:
         counts = {}
         trials = 100_000
         master = np.random.default_rng(7)
-        state = ChainState.start(2, seed=0)
         for _ in range(trials):
-            state.y = start.copy()
-            state.rng = np.random.default_rng(int(master.integers(2**63)))
-            step(state, model)
-            key = tuple(state.y)
+            y = start.copy()
+            _step(y, model, np.random.default_rng(int(master.integers(2**63))))
+            key = tuple(y)
             counts[key] = counts.get(key, 0) + 1
         # Kernel row for configuration (1, 0): code = 1.
         kernel = single_site_kernel(inst, d, max_units=4)
@@ -156,14 +158,15 @@ class TestMcmcWelfare:
         inst = protocol_instance(5, seed=29)
         d = np.array([0, 1, 0, 0, 1])
         model = ChainModel(inst, d)
-        state = ChainState.start(5, seed=13)
+        chain_rng = np.random.default_rng(13)
+        y = chain_rng.integers(0, 2, size=5).astype(np.int8)
         total_steps = 1_000_000
         burn = 50_000
         counts = np.zeros(5)
         for t in range(total_steps):
-            step(state, model)
+            _step(y, model, chain_rng)
             if t >= burn:
-                counts += state.y
+                counts += y
         empirical = counts / (total_steps - burn)
         exact = enumerate_gibbs(weights(inst, d)).marginals
         assert np.abs(empirical - exact).max() <= 0.02

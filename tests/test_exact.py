@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import netalloc.exact as ex
 from netalloc import (
     Network,
     ThetaParams,
@@ -77,21 +79,25 @@ class TestEnumerateGibbs:
             assert dist.log_partition == pytest.approx(log_z, abs=1e-11)
             np.testing.assert_allclose(dist.marginals, marginals, atol=1e-11)
 
-    def test_streaming_path_matches_dense(self, rng):
+    def test_block_count_invariance(self, rng, monkeypatch):
         inst = random_instance(rng, 6)
-        d = rng.integers(0, 2, 6)
-        w = weights(inst, d)
-        dense = enumerate_gibbs(w, with_probs=True)
-        import netalloc.exact as ex
+        w = weights(inst, rng.integers(0, 2, 6))
+        one = enumerate_gibbs(w, with_probs=True)
+        monkeypatch.setattr(ex, "_BLOCK", 4)  # 16 blocks of 4 configurations
+        several = enumerate_gibbs(w, with_probs=True)
+        assert abs(several.log_partition - one.log_partition) <= 1e-12
+        assert np.abs(several.marginals - one.marginals).max() <= 1e-12
+        assert np.abs(several.probs - one.probs).max() <= 1e-12
 
-        old = ex._DENSE_LIMIT
-        ex._DENSE_LIMIT = 3  # force the chunked two-pass path
-        try:
-            streamed = enumerate_gibbs(w, with_probs=True)
-        finally:
-            ex._DENSE_LIMIT = old
-        assert streamed.log_partition == pytest.approx(dense.log_partition, abs=1e-12)
-        np.testing.assert_allclose(streamed.marginals, dense.marginals, atol=1e-12)
+    @pytest.mark.parametrize("n", [2, 5, 9, 12, 15])
+    def test_bit_identical_to_dense_enumeration(self, n):
+        inst = simulation_instance(n, 0.5, ThetaParams.from_set(1, a_n=1 / n), seed=n)
+        w = weights(inst, np.random.default_rng(n).integers(0, 2, n))
+        log_z, marginals, probs = _dense_enumeration(w)
+        dist = enumerate_gibbs(w, with_probs=True)
+        assert dist.log_partition == log_z
+        assert dist.marginals.tobytes() == marginals.tobytes()
+        assert dist.probs.tobytes() == probs.tobytes()
 
     def test_size_cap(self):
         w = WeightSystem(np.zeros(25), np.zeros((25, 25)))
@@ -102,6 +108,17 @@ class TestEnumerateGibbs:
 def _configs(n):
     codes = np.arange(1 << n)
     return ((codes[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+def _dense_enumeration(w):
+    """One-table reference for ``enumerate_gibbs``, which must match it bit
+    for bit while all configurations fit in one block (N <= 15)."""
+    codes = np.arange(1 << w.n, dtype=np.uint32)
+    y = ((codes[:, None] >> np.arange(w.n, dtype=np.uint32)) & 1).astype(float)
+    e = y @ w.w1 + ((y @ w.w2) * y).sum(axis=1)
+    log_z = float(logsumexp(e))
+    p = np.exp(e - log_z)
+    return log_z, p @ y, p
 
 
 class TestExactWelfare:
@@ -154,13 +171,6 @@ class TestExactWelfare:
         default = welfare_of_allocations(inst, allocations)
         small = welfare_of_allocations(inst, allocations, chunk=7)
         assert np.abs(small - default).max() <= 1e-12
-
-    def test_batch_float32_close(self, rng):
-        inst = random_instance(rng, 8, density=0.5)
-        allocations = rng.integers(0, 2, size=(20, 8))
-        f64 = welfare_of_allocations(inst, allocations)
-        f32 = welfare_of_allocations(inst, allocations, dtype=np.float32)
-        np.testing.assert_allclose(f32, f64, atol=1e-4)
 
 
 class TestBruteForce:

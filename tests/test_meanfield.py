@@ -215,6 +215,21 @@ class TestFixedPoint:
         assert not sol.converged
         assert sol.iterations == 1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("clamp", 0.7),  # used to report convergence at welfare N * 0.3
+            ("clamp", 0.5),
+            ("clamp", 0.0),
+            ("clamp", -1e-3),
+            ("foc_tol", -1e-8),  # could never converge
+            ("max_iter", 0),  # returned the starting point
+        ],
+    )
+    def test_settings_that_give_wrong_results_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverSettings(**{field: value})
+
     def test_monotone_in_treatment(self, rng):
         # Treating one more unit never lowers any mean-field marginal when
         # effects are nonnegative and the contraction condition holds.

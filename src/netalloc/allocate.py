@@ -9,6 +9,7 @@ no-treatment baselines.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,22 +17,28 @@ import numpy as np
 from .exact import _argmax_lexicographic
 from .meanfield import (
     SolverSettings,
+    _coupling_constants,
+    _linear_response,
     batch_fixed_point,
     instance_certified,
     solve_allocation,
 )
 from .model import Allocation, Instance, derive_seed, feasible_allocations
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class GreedyStep:
-    """One greedy round: the treated unit, its welfare gain, and any
-    candidate evaluations that failed to converge."""
+    """One greedy round: the treated unit, its welfare gain, the candidates
+    whose exact solve failed to converge, and how many candidates were
+    solved exactly (all of them unless the screen ruled some out)."""
 
     round: int
     unit: int
     delta: float
     nonconverged: tuple = ()
+    screened: int = 0
 
 
 def no_treatment(instance: Instance) -> Allocation:
@@ -51,9 +58,15 @@ def greedy(
     Each round evaluates the mean-field welfare gain of treating every
     untreated unit and treats the best one, breaking ties toward the
     smallest index. Candidate fixed points warm-start from the incumbent
-    solution and, on certified instances, all candidates of a round are
-    solved in one batched iteration; pass ``strict=True`` to force fresh
-    random initializations and per-candidate solves instead.
+    solution. On certified instances the candidates of a round are first
+    screened: ``meanfield._linear_response`` scores every one of them at
+    the incumbent fixed point with a proven error bound, and only those
+    that the bound cannot rule out as the round's winner are solved
+    exactly, in one batched iteration. When the incumbent solve did not
+    converge or the bound certifies nothing, every candidate is solved.
+    Pass ``strict=True`` to solve every candidate on its own from a fresh
+    random initialization instead. ``GreedyStep.nonconverged`` lists only
+    candidates that were solved exactly.
     """
     settings = settings or SolverSettings()
     n = instance.n
@@ -64,43 +77,48 @@ def greedy(
     if kappa == 0:
         return incumbent, trace
     base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
-    base_mu, base_welfare = base.mu, base.welfare
+    base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
     use_batch = instance_certified(instance) and not strict
+    if use_batch:
+        constants = _coupling_constants(instance.coupling)
     for round_idx in range(1, kappa + 1):
-        untreated = [i for i in range(n) if incumbent.d[i] == 0]
-        candidates = np.tile(incumbent.d, (len(untreated), 1))
-        candidates[np.arange(len(untreated)), untreated] = 1
-        failed = []
+        untreated = np.flatnonzero(incumbent.d == 0)
+        rows = untreated
+        if use_batch and base_converged:
+            screen = _linear_response(instance, incumbent.d, base_mu, settings, *constants)
+            if screen is not None:
+                scores, eps, margin = screen
+                rows = untreated[scores + eps >= np.max(scores - eps) - margin]
+        candidates = np.tile(incumbent.d, (len(rows), 1))
+        candidates[np.arange(len(rows)), rows] = 1
         if use_batch:
-            batch = batch_fixed_point(
-                instance, candidates, settings, init=base_mu
-            )
-            values = batch.welfare
-            mus = batch.mu
-            failed = [untreated[k] for k in np.flatnonzero(~batch.converged)]
+            batch = batch_fixed_point(instance, candidates, settings, init=base_mu)
+            values, mus, converged = batch.welfare, batch.mu, batch.converged
         else:
-            values = np.empty(len(untreated))
-            mus = np.empty((n, len(untreated)))
-            for k, i in enumerate(untreated):
+            values = np.empty(len(rows))
+            mus = np.empty((n, len(rows)))
+            converged = np.empty(len(rows), dtype=bool)
+            for k, i in enumerate(rows):
                 init = None if strict else base_mu
-                cand_seed = derive_seed(seed, round_idx * n + i)
+                cand_seed = derive_seed(seed, round_idx * n + int(i))
                 sol = solve_allocation(
                     instance, candidates[k], settings, seed=cand_seed, init=init
                 )
-                values[k] = sol.welfare
-                mus[:, k] = sol.mu
-                if not sol.converged:
-                    failed.append(i)
+                values[k], mus[:, k], converged[k] = sol.welfare, sol.mu, sol.converged
         best = int(np.argmax(values))
-        unit = untreated[best]
+        unit = int(rows[best])
         delta = float(values[best] - base_welfare)
+        log.debug("greedy round %d: %d of %d candidates solved exactly",
+                  round_idx, len(rows), len(untreated))
         trace.append(
             GreedyStep(round=round_idx, unit=unit, delta=delta,
-                       nonconverged=tuple(failed))
+                       nonconverged=tuple(int(i) for i in rows[~converged]),
+                       screened=len(rows))
         )
         incumbent = incumbent.with_unit(unit)
         base_welfare = float(values[best])
         base_mu = mus[:, best].copy()
+        base_converged = bool(converged[best])
     return incumbent, trace
 
 

@@ -67,6 +67,8 @@ def mcmc_welfare(
         raise ValueError("sweeps must exceed burn_in")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
+    if steps_per_sweep is not None and steps_per_sweep < 1:
+        raise ValueError(f"steps_per_sweep must be at least 1, got {steps_per_sweep}")
     model = ChainModel(instance, d)
     n = model.n
     per_sweep = n if steps_per_sweep is None else int(steps_per_sweep)

@@ -139,6 +139,10 @@ class SamplerSettings:
                 f"sampler needs sweeps > burn_in >= 0, got sweeps={self.sweeps}, "
                 f"burn_in={self.burn_in}"
             )
+        if self.steps_per_sweep is not None and self.steps_per_sweep < 1:
+            raise ValueError(
+                f"steps_per_sweep must be at least 1, got {self.steps_per_sweep}"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ and guarantee-inequality criteria through a module-scoped fixture.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import netalloc as na
 from netalloc import SolverSettings, ThetaParams
 from netalloc.bounds import curvature_margin, guarantee_factor, sample_size_ok
 from netalloc.experiments import derive_seed, simulation_instance
-from netalloc.meanfield import GAUSS_SEIDEL, JACOBI, instance_certified, with_mode
+from netalloc.meanfield import GAUSS_SEIDEL, JACOBI, instance_certified
 from tests.conftest import random_theta
 
 MASTER = 20771
@@ -270,7 +271,7 @@ def test_criterion_8_contraction_uniqueness():
         d = rng.integers(0, 2, n)
         w = build_weights(inst, d)
         for mode in (GAUSS_SEIDEL, JACOBI):
-            settings = with_mode(tight, mode)
+            settings = replace(tight, mode=mode)
             reference = na.fixed_point_solve(w, settings, seed=0).mu
             for seed in range(1, 100):
                 mu = na.fixed_point_solve(w, settings, seed=seed).mu

@@ -214,6 +214,19 @@ class TestAllocate:
         assert record["trace"][0]["nonconverged"]
         assert set(record["trace"][0]["nonconverged"]) <= {0, 1, 2}
 
+    def test_zero_steps_per_sweep_exits_with_error(self, runner, tmp_path):
+        cfg = make_toy_files(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["sampler"] = {"steps_per_sweep": 0}
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(
+            main,
+            ["allocate", "--config", str(cfg), "--mcmc-check", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 1
+        assert "steps_per_sweep" in str(result.exception)
+        assert not (tmp_path / "allocation.json").exists()
+
     def test_bad_sampler_fails_before_allocating(self, runner, tmp_path, monkeypatch):
         import netalloc.allocate
 
@@ -355,6 +368,15 @@ class TestConfigParsing:
 
         with pytest.raises(ValueError, match="allocation method|sweeps > burn_in"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_steps_per_sweep_below_one_rejected(self, steps):
+        from netalloc.experiments import ExperimentConfig, SamplerSettings
+
+        with pytest.raises(ValueError, match="steps_per_sweep must be at least 1"):
+            ExperimentConfig.from_dict({"sampler": {"steps_per_sweep": steps}})
+        assert SamplerSettings(steps_per_sweep=None).steps_per_sweep is None
+        assert SamplerSettings(steps_per_sweep=1).steps_per_sweep == 1
 
     def test_choices_follow_the_registries(self):
         from netalloc.experiments import ALLOCATORS, EVALUATORS, METHODS

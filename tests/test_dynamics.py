@@ -198,3 +198,12 @@ class TestMcmcWelfare:
         inst = protocol_instance(5, seed=1)
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=20, burn_in=-5, seed=0)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_steps_per_sweep_below_one(self, steps):
+        # Zero steps left the chain at its random start and reported a
+        # standard error of ~1e-17; a negative count failed inside numpy.
+        inst = protocol_instance(5, seed=1)
+        with pytest.raises(ValueError, match="steps_per_sweep must be at least 1"):
+            mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=20, burn_in=5, seed=0,
+                         steps_per_sweep=steps)

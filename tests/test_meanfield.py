@@ -1,6 +1,7 @@
 """Mean-field fixed-point solver: ascent, convergence, uniqueness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from netalloc import (
     weights,
 )
 from netalloc import meanfield
-from netalloc.meanfield import JACOBI, instance_certified, with_mode
+from netalloc.meanfield import JACOBI, instance_certified
 from tests.conftest import protocol_instance, random_instance
 
 SETTINGS = SolverSettings()
@@ -204,7 +205,7 @@ class TestFixedPoint:
         d = np.zeros(15, dtype=int)
         d[[2, 5, 11]] = 1
         gs = solve_allocation(inst, d, SETTINGS, seed=4)
-        jacobi = solve_allocation(inst, d, with_mode(SETTINGS, JACOBI), seed=4)
+        jacobi = solve_allocation(inst, d, replace(SETTINGS, mode=JACOBI), seed=4)
         assert jacobi.converged
         assert np.abs(gs.mu - jacobi.mu).max() <= 1e-7
 

@@ -258,3 +258,24 @@ def test_large_ring_stays_below_one_dense_matrix():
     assert sol.converged
     assert sparse.issparse(inst.coupling) and "m" not in inst.__dict__
     assert peak < 72e6 / 8
+
+
+def test_large_ring_greedy_stays_below_one_dense_matrix():
+    # Solving all 3000 candidates of a round at once would take seven
+    # (3000, 3000) float blocks; the screen leaves a handful of columns.
+    n = 3000
+    net = ring(n)
+    x = np.random.default_rng(0).integers(0, 3, size=(n, 2)).astype(float)
+    theta = ThetaParams.from_set(1, a_n=0.2)
+    tracemalloc.start()
+    try:
+        inst = make_instance(net, x, theta, kernel=SimilarityKernel.inverse_distance())
+        assert instance_certified(inst)
+        allocation, trace = greedy(inst, 2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert allocation.count == 2
+    assert all(step.nonconverged == () for step in trace)
+    assert sparse.issparse(inst.coupling) and "m" not in inst.__dict__
+    assert peak < 72e6 / 8

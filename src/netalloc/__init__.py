@@ -55,7 +55,6 @@ from .model import (
 from .network import (
     Network,
     SimilarityKernel,
-    degree_stats,
     erdos_renyi,
     load_covariates,
     load_network,
@@ -88,7 +87,6 @@ __all__ = [
     "contraction_certificate",
     "curvature_margin",
     "default_a_n",
-    "degree_stats",
     "enumerate_gibbs",
     "erdos_renyi",
     "exact_kl",

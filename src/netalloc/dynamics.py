@@ -20,23 +20,22 @@ from .model import Instance, allocation_vector, sigmoid, weights
 class ChainModel:
     """Precomputed per-unit update data for fast single-site sweeps.
 
-    A dense w2 is read at the network's neighbors; a CSR w2 through the
-    ``indptr`` slices of its stored entries.
+    Row i is the ``indptr`` slice i of (columns, values): the network's
+    neighbour lists for a dense w2, the stored entries for a CSR w2.
     """
 
     def __init__(self, instance: Instance, d):
         w = weights(instance, d)
         self.n = instance.n
         self.w1 = w.w1
-        if not isinstance(w.w2, np.ndarray):
+        if isinstance(w.w2, np.ndarray):
+            net = instance.net
+            ptr, cols, vals = net.indptr, net.indices, 2.0 * w.w2[net.rows, net.indices]
+        else:
             ptr, cols, vals = w.w2.indptr, w.w2.indices, 2.0 * w.w2.data
-            spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
-            self.neighbors = [cols[s] for s in spans]
-            self.neighbor_w = [vals[s] for s in spans]
-            return
-        adj = instance.net.adjacency
-        self.neighbors = [np.flatnonzero(adj[i]) for i in range(self.n)]
-        self.neighbor_w = [2.0 * w.w2[i, nb] for i, nb in zip(range(self.n), self.neighbors)]
+        spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
+        self.neighbors = [cols[s] for s in spans]
+        self.neighbor_w = [vals[s] for s in spans]
 
 
 def _redraw(y: np.ndarray, model: ChainModel, sites, draws) -> None:

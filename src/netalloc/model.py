@@ -302,21 +302,22 @@ class Instance:
 
         Networks with edge density above ``SPARSE_DENSITY`` get the dense
         array ``m * adjacency``. Sparser ones get a ``scipy.sparse.csr_array``
-        holding the nonzero entries, with the similarity evaluated on the
-        edges only, so no N x N float array is built. Both forms hold the
-        same values bit for bit; every consumer follows the format.
+        holding the nonzero entries, built from the neighbour lists with the
+        similarity on the edges only, so no N x N array is built. Both forms
+        hold the same values bit for bit; every consumer follows the format.
         """
         net = self.net
         if net.edge_density > SPARSE_DENSITY:
             return self.m * net.adjacency
         from scipy import sparse  # loaded only once a network is sparse
 
-        rows, cols = np.nonzero(net.adjacency)
+        rows, cols = net.rows, net.indices
         if self.similarity is not None:
             values = self.similarity[rows, cols]
         else:
             values = pair_similarity(self.x, self.kernel, rows, cols)
-        out = sparse.csr_array((values, (rows, cols)), shape=(net.n, net.n))
+        # Copies, since eliminate_zeros compacts the index arrays in place.
+        out = sparse.csr_array((values, cols.copy(), net.indptr.copy()), shape=(net.n, net.n))
         out.eliminate_zeros()
         return out
 

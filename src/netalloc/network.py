@@ -1,8 +1,8 @@
 """Social networks, covariate matrices, and pairwise similarity kernels.
 
-Networks are undirected simple graphs stored as dense int8 0/1 adjacency
-matrices (N^2 bytes). Covariates are finite, nonnegative N x K arrays, one
-row per unit. The similarity kernel can be evaluated on all pairs
+Networks are undirected simple graphs stored as sorted neighbour lists
+(O(N + E) memory). Covariates are finite, nonnegative N x K arrays, one row
+per unit. The similarity kernel can be evaluated on all pairs
 (``similarity_matrix``), on a list of pairs such as the edges
 (``pair_similarity``), or reduced to its range over distinct pairs in row
 blocks (``similarity_bounds``); the last two never build an N x N array,
@@ -22,57 +22,79 @@ import numpy as np
 class Network:
     """Undirected simple graph on units 0..n-1.
 
-    The adjacency matrix must be symmetric, binary, and zero on the
-    diagonal (no self-links). Instances are immutable and safe to share
-    across workers.
+    The neighbours of unit i are ``indices[indptr[i]:indptr[i + 1]]``, sorted
+    and without repeats (read-only int64 arrays built by ``from_edges``). The
+    dense adjacency matrix is built on first access. Immutable and shareable.
     """
 
     n: int
-    adjacency: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        a = self.adjacency
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        if (np.diag(a) != 0).any():
-            raise ValueError("self-links not allowed")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
+        for name in ("indptr", "indices"):
+            a = np.asarray(getattr(self, name), dtype=np.int64).view()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "Network":
+        """Network of a square, symmetric 0/1 matrix; ``from_edges`` rejects self-links."""
         a = np.asarray(adjacency, dtype=np.int8)
-        return cls(n=a.shape[0], adjacency=a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
+        if not np.isin(a, (0, 1)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be symmetric")
+        return cls.from_edges(a.shape[0], np.argwhere(a))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":
-        """Build a network from an iterable of (i, j) pairs.
+        """Build a network from an iterable of integer (i, j) pairs.
 
         Duplicate and reversed pairs collapse to a single undirected edge.
-        The first bad pair, in input order, is the one reported.
+        Integer-valued floats are accepted. The first bad pair, in input
+        order, is the one reported.
         """
-        e = np.array(list(edges), dtype=np.int64)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError("edges must be (i, j) pairs")
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        e = e.reshape(0, 2) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iuf":
+            raise ValueError("edges must be (i, j) pairs of integers")
         i, j = e[:, 0], e[:, 1]
         bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        if e.dtype.kind == "f":
+            bad |= (e != np.trunc(e)).any(axis=1)  # NaN included
         if bad.any():
-            bi, bj = (int(v) for v in e[np.argmax(bad)])
+            bi, bj = e[np.argmax(bad)].tolist()
+            if bi % 1 or bj % 1:  # also true of NaN and infinity
+                raise ValueError(f"edge ({bi},{bj}) is not a pair of integers")
             if bi == bj:
                 raise ValueError(f"self-links not allowed: ({bi},{bj})")
             raise ValueError(f"edge ({bi},{bj}) out of range for n={n}")
-        a = np.zeros((n, n), dtype=np.int8)
-        a[i, j] = 1
-        a[j, i] = 1
-        return cls(n=n, adjacency=a)
+        i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+        codes = np.sort(np.concatenate([i * n + j, j * n + i]))  # np.unique: ~20x slower
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # drop repeats
+        indptr = np.searchsorted(codes, np.arange(n + 1) * n)  # row i: codes in [i n, i n + n)
+        return cls(n, indptr, codes - codes // n * n)
 
     @cached_property
     def degree(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(int)
+        return np.diff(self.indptr)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The unit whose list holds each entry of ``indices``."""
+        return np.repeat(np.arange(self.n), self.degree)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Dense read-only int8 adjacency matrix, built on first access."""
+        a = np.zeros(self.n * self.n, dtype=np.int8)
+        flat = np.repeat(np.arange(self.n) * self.n, self.degree) + self.indices
+        a[flat] = 1  # 2x faster than a 2-d scatter, and leaves ``rows`` uncached
+        a.setflags(write=False)
+        return a.reshape(self.n, self.n)
 
     @cached_property
     def max_degree(self) -> int:
@@ -84,15 +106,12 @@ class Network:
 
     @property
     def edge_count(self) -> int:
-        return int(self.degree.sum()) // 2
+        return self.indices.size // 2
 
     @property
     def edge_density(self) -> float:
-        """Share of unordered pairs that are edges, 2E / (N (N - 1));
-        0 below two units."""
-        if self.n < 2:
-            return 0.0
-        return 2.0 * self.edge_count / (self.n * (self.n - 1))
+        """Share of unordered pairs that are edges, 2E / (N (N - 1)); 0 below two units."""
+        return 2.0 * self.edge_count / (self.n * (self.n - 1)) if self.n > 1 else 0.0
 
 
 def erdos_renyi(n: int, density: float, seed: int) -> Network:
@@ -110,23 +129,12 @@ def erdos_renyi(n: int, density: float, seed: int) -> Network:
     n_pairs = n * (n - 1) // 2
     n_edges = int(np.floor(density * n_pairs + 0.5))
     if n_edges == 0:
-        warnings.warn(
-            f"degenerate density: {density} yields zero edges on {n} units",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"degenerate density: {density} yields zero edges on {n} units",
+                      UserWarning, stacklevel=2)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(n_pairs, size=n_edges, replace=False)
     iu, ju = np.triu_indices(n, k=1)
-    a = np.zeros((n, n), dtype=np.int8)
-    a[iu[chosen], ju[chosen]] = 1
-    a[ju[chosen], iu[chosen]] = 1
-    return Network(n=n, adjacency=a)
-
-
-def degree_stats(net: Network) -> tuple[int, int]:
-    """Return (max degree, min degree) of the network."""
-    return net.max_degree, net.min_degree
+    return Network.from_edges(n, np.stack([iu[chosen], ju[chosen]], axis=1))
 
 
 @dataclass(frozen=True)
@@ -197,8 +205,8 @@ def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
     """Pairwise similarity matrix for the given covariates and kernel.
 
     The result is exactly symmetric with nonnegative entries. The diagonal
-    is computed but never enters any downstream quantity because the
-    adjacency matrix has zero diagonal.
+    is computed but never enters any downstream quantity because networks
+    have no self-links.
     """
     x = check_covariates(x)
     n = x.shape[0]
@@ -260,29 +268,23 @@ def load_network(path, n: int | None = None) -> Network:
     as one plus the largest index seen. A file with no edges is rejected.
     """
     edges = []
-    max_idx = -1
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i,j', got {line!r}")
-            i, j = int(parts[0]), int(parts[1])
+            try:
+                i, j = map(int, line.split(","))
+            except ValueError:  # not two fields, or not integers
+                raise ValueError(f"{path}:{lineno}: expected 'i,j', got {line!r}") from None
             if i == j:
                 raise ValueError(f"{path}:{lineno}: self-links not allowed")
             if i < 0 or j < 0:
                 raise ValueError(f"{path}:{lineno}: negative unit index")
             edges.append((i, j))
-            max_idx = max(max_idx, i, j)
     if not edges:
         raise ValueError(f"{path}: no edges")
-    if n is None:
-        n = max_idx + 1
-    elif max_idx >= n:
-        raise ValueError(f"edge index {max_idx} out of range for n={n}")
-    return Network.from_edges(n, edges)
+    return Network.from_edges(max(map(max, edges)) + 1 if n is None else n, edges)
 
 
 def load_covariates(path) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from netalloc.cli import main
+from netalloc.cli import entry, main
 
 
 @pytest.fixture
@@ -271,6 +272,25 @@ class TestAllocate:
         assert result.exit_code == 1
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == f"{tmp_path / 'net.txt'}: no edges"
+
+    def test_malformed_edge_line_is_located(self, runner, tmp_path, monkeypatch, capsys):
+        cfg = make_toy_files(tmp_path)
+        (tmp_path / "net.txt").write_text("0,1\n1,x\n")
+        result = runner.invoke(
+            main, ["allocate", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        message = f"{tmp_path / 'net.txt'}:2: expected 'i,j', got '1,x'"
+        assert str(result.exception) == message
+        assert not (tmp_path / "allocation.json").exists()
+        # The installed command prints it and exits 1.
+        monkeypatch.setattr(sys, "argv", ["netalloc", "allocate", "--config", str(cfg),
+                                          "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_files_error(self, runner, tmp_path):
         result = runner.invoke(main, ["allocate", "--out", str(tmp_path)])

@@ -207,3 +207,29 @@ class TestMcmcWelfare:
         with pytest.raises(ValueError, match="steps_per_sweep must be at least 1"):
             mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=20, burn_in=5, seed=0,
                          steps_per_sweep=steps)
+
+
+def per_row_chain_data(instance, d):
+    """Neighbours and weights of a dense w2 as ChainModel built them when
+    networks were stored as dense matrices: one ``flatnonzero`` per row."""
+    w2 = weights(instance, d).w2
+    adj = instance.net.adjacency
+    neighbors = [np.flatnonzero(adj[i]) for i in range(instance.n)]
+    return neighbors, [2.0 * w2[i, nb] for i, nb in zip(range(instance.n), neighbors)]
+
+
+class TestChainModel:
+    @pytest.mark.parametrize("n,density,seed", [(30, 0.3, 4), (25, 0.6, 1), (12, 0.1, 7)])
+    def test_dense_rows_match_per_row_builder_bit_for_bit(self, rng, n, density, seed):
+        # absdiff on binary covariates zeroes about half the couplings; the
+        # sampler still lists those neighbours, with weight 0.
+        inst = protocol_instance(n, density=density, seed=seed)
+        assert isinstance(inst.coupling, np.ndarray)
+        d = rng.integers(0, 2, size=n)
+        model = ChainModel(inst, d)
+        neighbors, neighbor_w = per_row_chain_data(inst, d)
+        assert len(model.neighbors) == len(model.neighbor_w) == n
+        for got, want in zip(model.neighbors, neighbors):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(model.neighbor_w, neighbor_w):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Network construction, generation, loading, and similarity kernels."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from netalloc import (
     Network,
     SimilarityKernel,
-    degree_stats,
     erdos_renyi,
     load_covariates,
     load_network,
@@ -20,7 +21,7 @@ class TestErdosRenyi:
     def test_density_one_is_complete_graph(self):
         net = erdos_renyi(5, 1.0, seed=3)
         assert net.edge_count == 10
-        assert degree_stats(net) == (4, 4)
+        assert (net.max_degree, net.min_degree) == (4, 4)
 
     def test_edge_count_matches_rounded_density(self):
         # 0.3 * 105 = 31.5 rounds up to 32.
@@ -78,15 +79,15 @@ class TestErdosRenyi:
 class TestDegreeStats:
     def test_empty_graph(self):
         net = Network.from_edges(4, [])
-        assert degree_stats(net) == (0, 0)
+        assert (net.max_degree, net.min_degree) == (0, 0)
 
     def test_star(self):
         net = Network.from_edges(5, [(0, i) for i in range(1, 5)])
-        assert degree_stats(net) == (4, 1)
+        assert (net.max_degree, net.min_degree) == (4, 1)
 
     def test_complete(self):
         net = erdos_renyi(5, 1.0, seed=0)
-        assert degree_stats(net) == (4, 4)
+        assert (net.max_degree, net.min_degree) == (4, 4)
 
 
 class TestNetworkValidation:
@@ -94,18 +95,18 @@ class TestNetworkValidation:
         a = np.zeros((3, 3), dtype=np.int8)
         a[0, 1] = 1
         with pytest.raises(ValueError, match="symmetric"):
-            Network(3, a)
+            Network.from_adjacency(a)
 
     def test_rejects_self_links(self):
         a = np.eye(3, dtype=np.int8)
         with pytest.raises(ValueError, match="self-links"):
-            Network(3, a)
+            Network.from_adjacency(a)
 
     def test_rejects_nonbinary(self):
         a = np.zeros((2, 2), dtype=np.int8)
         a[0, 1] = a[1, 0] = 2
         with pytest.raises(ValueError, match="0 or 1"):
-            Network(2, a)
+            Network.from_adjacency(a)
 
 
 class TestFromEdges:
@@ -134,6 +135,100 @@ class TestFromEdges:
     def test_rejects_non_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             Network.from_edges(4, [(0, 1, 2)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1.9, 2)], r"edge \(1.9,2.0\) is not a pair of integers"),
+            ([(0.5, 2)], r"edge \(0.5,2.0\) is not a pair of integers"),
+            ([(0, 1), (1, 2.5), (0, 9)], r"edge \(1.0,2.5\) is not a pair of integers"),
+            ([(0, 1), (np.nan, 2)], r"edge \(nan,2.0\) is not a pair of integers"),
+            ([(0, 1), (0, np.inf)], r"edge \(0.0,inf\) is not a pair of integers"),
+        ],
+    )
+    def test_rejects_non_integer_pairs(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Network.from_edges(3, edges)
+
+    def test_rejects_non_numeric_entries(self):
+        with pytest.raises(ValueError, match="pairs of integers"):
+            Network.from_edges(3, [("0", "1")])
+
+    def test_integer_valued_floats_are_integers(self):
+        got = Network.from_edges(3, np.array([[0.0, 2.0], [2.0, 1.0]]))
+        assert np.array_equal(got.adjacency, Network.from_edges(3, [(0, 2), (1, 2)]).adjacency)
+
+
+def dense_scatter_erdos_renyi(n, density, seed):
+    """Adjacency of erdos_renyi(n, density, seed) as it was built when
+    networks were stored as dense matrices: a scatter of the chosen pairs."""
+    n_pairs = n * (n - 1) // 2
+    n_edges = int(np.floor(density * n_pairs + 0.5))
+    chosen = np.random.default_rng(seed).choice(n_pairs, size=n_edges, replace=False)
+    iu, ju = np.triu_indices(n, k=1)
+    a = np.zeros((n, n), dtype=np.int8)
+    a[iu[chosen], ju[chosen]] = 1
+    a[ju[chosen], iu[chosen]] = 1
+    return a
+
+
+class TestNeighbourLists:
+    @given(st.integers(2, 40), st.floats(0.01, 1.0), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_erdos_renyi_matches_dense_scatter(self, n, density, seed):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            net = erdos_renyi(n, density, seed=seed)
+        want = dense_scatter_erdos_renyi(n, density, seed)
+        assert net.adjacency.dtype == np.int8
+        assert np.array_equal(net.adjacency, want)
+        assert np.array_equal(net.degree, want.sum(axis=1))
+        for i in range(n):
+            assert np.array_equal(net.indices[net.indptr[i]:net.indptr[i + 1]],
+                                  np.flatnonzero(want[i]))
+
+    @given(st.integers(1, 25), st.floats(0.0, 1.0), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_from_adjacency_round_trips(self, n, p, seed):
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
+        a = (upper | upper.T).astype(np.int8)
+        net = Network.from_adjacency(a)
+        assert net.n == n and net.edge_count == int(upper.sum())
+        assert np.array_equal(net.adjacency, a)
+        assert np.array_equal(net.rows, np.nonzero(a)[0])
+        assert np.array_equal(net.indices, np.nonzero(a)[1])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_from_adjacency_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="adjacency must be square"):
+            Network.from_adjacency(np.zeros(shape, dtype=np.int8))
+
+    def test_lists_are_sorted_and_deduplicated(self):
+        net = Network.from_edges(4, [(3, 0), (0, 3), (2, 0), (0, 1), (1, 0)])
+        assert net.indptr.tolist() == [0, 3, 4, 5, 6]
+        assert net.indices.tolist() == [1, 2, 3, 0, 0, 0]
+        assert net.indptr.dtype == net.indices.dtype == np.int64
+
+    def test_arrays_are_read_only(self):
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        for array in (net.indptr, net.indices, net.adjacency):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert net.indices.tolist() == [1, 0, 2, 1]
+
+    def test_caller_arrays_stay_writable(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+        net = Network(2, indptr, indices)
+        indptr[0] = 0
+        assert net.edge_count == 1 and net.adjacency.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_empty_graph(self, n):
+        net = Network.from_edges(n, [])
+        assert net.indptr.tolist() == [0] * (n + 1) and net.indices.size == 0
+        assert net.edge_count == 0 and net.adjacency.shape == (n, n)
 
 
 class TestSimilarity:
@@ -210,6 +305,13 @@ class TestFileLoading:
         path.write_text("0,5\n")
         with pytest.raises(ValueError, match="out of range"):
             load_network(path, n=3)
+
+    @pytest.mark.parametrize("bad", ["1,x", "1.5,2", "1,2,3", "7"])
+    def test_malformed_line_is_located(self, tmp_path, bad):
+        path = tmp_path / "net.txt"
+        path.write_text(f"# i,j\n0,1\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 'i,j', got '{bad}'")):
+            load_network(path)
 
     def test_covariates_csv(self, tmp_path):
         path = tmp_path / "cov.csv"

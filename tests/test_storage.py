@@ -6,13 +6,18 @@ the two. Also covers the storage rule itself, ``m_bounds`` without the
 dense similarity matrix, and the memory of a large sparse run.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import netalloc
 from netalloc import (
     Network,
     SimilarityKernel,
@@ -237,16 +242,17 @@ class TestInvariance:
 
 
 def test_large_ring_stays_below_one_dense_matrix():
-    # One N x N float64 array at N = 3000 is 72 MB. The int8 adjacency
-    # (9 MB) is built before tracing starts.
+    # One N x N float64 array at N = 3000 is 72 MB, and the int8 adjacency
+    # is 9 MB. The network is built while tracing, and only as neighbour
+    # lists.
     n = 3000
-    net = ring(n)
     x = np.random.default_rng(0).integers(0, 3, size=(n, 2)).astype(float)
     theta = ThetaParams.from_set(1, a_n=0.2)
     d = np.zeros(n, dtype=np.int8)
     d[::7] = 1
     tracemalloc.start()
     try:
+        net = ring(n)
         inst = make_instance(net, x, theta, kernel=SimilarityKernel.inverse_distance())
         assert instance_certified(inst)
         w = weights(inst, d)
@@ -257,7 +263,64 @@ def test_large_ring_stays_below_one_dense_matrix():
         tracemalloc.stop()
     assert sol.converged
     assert sparse.issparse(inst.coupling) and "m" not in inst.__dict__
+    assert "adjacency" not in net.__dict__
     assert peak < 72e6 / 8
+
+
+def test_ring_of_50000_units_stays_small():
+    # At N = 50,000 the int8 adjacency alone would take 2.5 GB and one
+    # N x N float64 array 20 GB.
+    n = 50_000
+    x = np.random.default_rng(0).integers(0, 3, size=(n, 2)).astype(float)
+    theta = ThetaParams.from_set(1, a_n=0.2)
+    d = np.zeros(n, dtype=np.int8)
+    d[::7] = 1
+    tracemalloc.start()
+    try:
+        net = ring(n)
+        inst = make_instance(net, x, theta, kernel=SimilarityKernel.inverse_distance())
+        assert instance_certified(inst)
+        w = weights(inst, d)
+        mcmc_welfare(d, inst, sweeps=2, burn_in=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sparse.issparse(w.w2) and w.w2.nnz == 2 * n
+    assert "adjacency" not in net.__dict__ and "m" not in inst.__dict__
+    assert peak < 64e6
+
+
+def test_coupling_leaves_the_network_intact(rng):
+    # The CSR coupling drops zero-similarity edges in place; the network's
+    # own lists must keep them.
+    n = 60
+    net = ring(n)
+    indptr, indices = net.indptr.copy(), net.indices.copy()
+    x = rng.integers(0, 2, size=(n, 1)).astype(float)
+    inst = make_instance(net, x, ThetaParams.from_set(1), kernel=SimilarityKernel.abs_diff())
+    assert inst.coupling.nnz < net.indices.size
+    assert np.array_equal(net.indptr, indptr) and np.array_equal(net.indices, indices)
+
+
+def test_dense_runs_never_import_scipy_sparse():
+    # A dense coupling is told from a CSR one by isinstance(a, np.ndarray),
+    # so dense runs need not load scipy.sparse.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from netalloc import ThetaParams, approx_welfare, greedy, mcmc_welfare\n"
+        "from netalloc.experiments import simulation_instance\n"
+        "inst = simulation_instance(40, 0.3, ThetaParams.from_set(1, a_n=1 / 40), seed=0)\n"
+        "alloc, _ = greedy(inst, 4, seed=0)\n"
+        "approx_welfare(alloc.d, inst, seed=0)\n"
+        "mcmc_welfare(alloc.d, inst, sweeps=50, burn_in=10, seed=0)\n"
+        "assert isinstance(inst.coupling, np.ndarray)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    root = str(Path(netalloc.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": root}, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_large_ring_greedy_stays_below_one_dense_matrix():

@@ -26,6 +26,8 @@ from .meanfield import (
 from .model import Allocation, Instance, derive_seed, feasible_allocations
 
 log = logging.getLogger(__name__)
+# Most allocations bfva evaluates; above it, bfva raises EnumerationCapError.
+BFVA_MAX_ALLOCATIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,6 @@ def bfva(
     kappa: int,
     settings: SolverSettings | None = None,
     seed: int = 0,
-    max_allocations: int = 200_000,
 ) -> tuple[Allocation, float]:
     """Exhaustive mean-field welfare maximization over feasible allocations.
 
@@ -137,7 +138,7 @@ def bfva(
     batched chunks.
     """
     settings = settings or SolverSettings()
-    allocations = feasible_allocations(instance.n, kappa, max_count=max_allocations)
+    allocations = feasible_allocations(instance.n, kappa, max_count=BFVA_MAX_ALLOCATIONS)
     count = allocations.shape[0]
     if instance_certified(instance):
         values = np.empty(count)

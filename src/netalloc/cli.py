@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 validation failure, 1 runtime error.
 
 from __future__ import annotations
 
-import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -30,51 +30,60 @@ from .experiments import (
     write_simulate_csv,
 )
 
+# Every flag, by the parameter it fills; apart from config_path, out and mode,
+# that is the config key it overrides.
+OPTIONS = {
+    "config_path": click.option("--config", "config_path", type=click.Path(exists=True)),
+    "sizes": click.option("--n", "sizes", type=int, multiple=True),
+    "densities": click.option("--density", "densities", type=float, multiple=True),
+    "param_sets": click.option("--param-set", "param_sets", type=click.Choice(["1", "2"]),
+                               multiple=True, callback=lambda c, p, v: tuple(map(int, v))),
+    "kappa": click.option("--kappa", type=int),
+    "kappa_frac": click.option("--kappa-frac", type=float),
+    "replications": click.option("--reps", "replications", type=int),
+    "seed": click.option("--seed", type=int),
+    "out": click.option("--out", type=click.Path(), default="."),
+    "evaluators": click.option("--evaluator", "evaluators", multiple=True,
+                               type=click.Choice(list(EVALUATORS))),
+    "mode": click.option("--mode", type=click.Choice(["gauss-seidel", "jacobi"])),
+    "workers": click.option("--workers", type=int),
+    "methods": click.option("--method", "methods", type=click.Choice(METHODS), multiple=True),
+    "method": click.option("--method", type=click.Choice(list(ALLOCATORS))),
+    "network_file": click.option("--network", "network_file", type=click.Path(exists=True)),
+    "covariates_file": click.option("--covariates", "covariates_file",
+                                    type=click.Path(exists=True)),
+    "mcmc_check": click.option("--mcmc-check", is_flag=True, default=None),
+}
+_SWEEP = ("config_path", "sizes", "densities", "param_sets", "kappa", "kappa_frac",
+          "replications", "seed", "out", "evaluators", "mode")
+_FILES = ("config_path", "out", "network_file", "covariates_file")
+# The flags each command reads.
+COMMAND_OPTIONS = {
+    "simulate": (*_SWEEP, "workers", "methods"),
+    "validate": _SWEEP,
+    "allocate": (*_FILES, "kappa", "kappa_frac", "seed", "mode", "method", "mcmc_check"),
+    "bounds": _FILES,
+}
 
-def _load_config(config_path, **overrides) -> ExperimentConfig:
-    if config_path:
-        cfg = ExperimentConfig.from_file(config_path)
-    else:
-        cfg = ExperimentConfig()
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
 
-
-def _common_options(fn):
-    decorators = [
-        click.option("--config", "config_path", type=click.Path(exists=True)),
-        click.option("--n", "sizes", type=int, multiple=True),
-        click.option("--density", "densities", type=float, multiple=True),
-        click.option("--param-set", "param_sets", type=click.Choice(["1", "2"]), multiple=True),
-        click.option("--kappa", type=int),
-        click.option("--kappa-frac", type=float),
-        click.option("--reps", "replications", type=int),
-        click.option("--seed", type=int),
-        click.option("--out", type=click.Path(), default="."),
-        click.option("--evaluator", "evaluators", type=click.Choice(list(EVALUATORS)), multiple=True),
-        click.option("--mode", type=click.Choice(["gauss-seidel", "jacobi"])),
-        click.option("--workers", type=int),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
+def _options(fn):
+    """Attach the flags that COMMAND_OPTIONS lists for the command ``fn``."""
+    for name in reversed(COMMAND_OPTIONS[fn.__name__]):
+        fn = OPTIONS[name](fn)
     return fn
 
 
-def _build_config(config_path, out, mode, **kw):
-    overrides = {}
-    for key in ("sizes", "densities", "evaluators"):
-        if kw.get(key):
-            overrides[key] = tuple(kw[key])
-        kw.pop(key, None)
-    if kw.get("param_sets"):
-        overrides["param_sets"] = tuple(int(s) for s in kw["param_sets"])
-    kw.pop("param_sets", None)
-    overrides.update({k: v for k, v in kw.items() if v is not None})
-    cfg = _load_config(config_path, **overrides)
+def _build_config(config_path=None, out=".", mode=None, **flags):
+    """The config file's settings with the given flags laid over them, read
+    once by ``ExperimentConfig.from_dict``; and the output directory."""
+    raw = {}
+    if config_path:
+        with open(config_path) as fh:
+            raw = json.load(fh)
+    raw.update({k: v for k, v in flags.items() if v not in (None, ())})
     if mode:
-        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, mode=mode))
+        raw["solver"] = {**raw.get("solver", {}), "mode": mode}
+    cfg = ExperimentConfig.from_dict(raw)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
@@ -86,14 +95,10 @@ def main():
 
 
 @main.command()
-@_common_options
-@click.option("--method", "methods", multiple=True,
-              type=click.Choice(METHODS))
-def simulate(config_path, out, mode, methods, **kw):
+@_options
+def simulate(**flags):
     """Run a benchmark sweep and write welfare_table.csv."""
-    cfg, out_dir = _build_config(config_path, out, mode, **kw)
-    if methods:
-        cfg = dataclasses.replace(cfg, methods=tuple(methods))
+    cfg, out_dir = _build_config(**flags)
     rows = run_simulate(cfg)
     target = out_dir / "welfare_table.csv"
     write_simulate_csv(target, rows)
@@ -101,31 +106,25 @@ def simulate(config_path, out, mode, methods, **kw):
 
 
 @main.command()
-@_common_options
-def validate(config_path, out, mode, **kw):
+@_options
+def validate(**flags):
     """Cross-check approximations; exits 2 when any check fails."""
-    cfg, out_dir = _build_config(config_path, out, mode, **kw)
+    cfg, out_dir = _build_config(**flags)
     report, ok = run_validate(cfg)
     target = out_dir / "validation_report.json"
     write_json(target, report)
     summary = report["summary"]
-    click.echo(
-        f"wrote {target} ({summary['checks']} checks, {summary['failed']} failed)"
-    )
+    click.echo(f"wrote {target} ({summary['checks']} checks, {summary['failed']} failed)")
     if not ok:
         sys.exit(2)
 
 
 @main.command()
-@_common_options
-@click.option("--network", "network_file", type=click.Path(exists=True))
-@click.option("--covariates", "covariates_file", type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(list(ALLOCATORS)))
-@click.option("--mcmc-check", is_flag=True, default=None)
-def allocate(config_path, out, mode, **kw):
+@_options
+def allocate(**flags):
     """Compute an allocation for user data; writes allocation.json and
     bounds_report.json."""
-    cfg, out_dir = _build_config(config_path, out, mode, **kw)
+    cfg, out_dir = _build_config(**flags)
     result = run_allocate(cfg)
     alloc_path = out_dir / "allocation.json"
     bounds_path = out_dir / "bounds_report.json"
@@ -136,12 +135,10 @@ def allocate(config_path, out, mode, **kw):
 
 
 @main.command()
-@_common_options
-@click.option("--network", "network_file", type=click.Path(exists=True))
-@click.option("--covariates", "covariates_file", type=click.Path(exists=True))
-def bounds(config_path, out, mode, **kw):
+@_options
+def bounds(**flags):
     """Emit the guarantee report for a file-based instance."""
-    cfg, out_dir = _build_config(config_path, out, mode, **kw)
+    cfg, out_dir = _build_config(**flags)
     report = run_bounds(cfg)
     target = out_dir / "bounds_report.json"
     write_json(target, report)

@@ -16,6 +16,9 @@ from scipy.special import expit
 from .exact import _configs, enumerate_gibbs
 from .model import Instance, allocation_vector, sigmoid, weights
 
+# Batches of the batch-means standard error of mcmc_welfare.
+MCMC_BATCHES = 50
+
 
 class ChainModel:
     """Precomputed per-unit update data for fast single-site sweeps.
@@ -53,7 +56,6 @@ def mcmc_welfare(
     burn_in: int = 5_000,
     seed: int | None = None,
     steps_per_sweep: int | None = None,
-    batches: int = 50,
 ) -> tuple[float, float]:
     """Per-person welfare estimated by time-averaging the simulated chain.
 
@@ -80,7 +82,7 @@ def mcmc_welfare(
         if sweep_idx >= burn_in:
             kept[sweep_idx - burn_in] = y.mean()
     estimate = float(kept.mean())
-    n_batches = min(batches, kept.size)
+    n_batches = min(MCMC_BATCHES, kept.size)
     usable = kept[: kept.size - kept.size % n_batches]
     batch_means = usable.reshape(n_batches, -1).mean(axis=1)
     stderr = float(batch_means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else 0.0

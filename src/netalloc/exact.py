@@ -175,16 +175,17 @@ def brute_force_optimal(
     instance: Instance,
     kappa: int,
     max_units: int = 15,
-    max_allocations: int = 2_000_000,
 ) -> tuple[Allocation, float]:
     """Exact argmax of equilibrium welfare over allocations of size <= kappa.
 
     Welfare ties are broken toward the lexicographically smallest treated
-    index set, so the result is deterministic.
+    index set, so the result is deterministic. Capacities with more than
+    2,000,000 feasible allocations (the default cap of
+    ``feasible_allocations``) raise ``EnumerationCapError``.
     """
     n = instance.n
     _check_size(n, max_units)
-    allocations = feasible_allocations(n, kappa, max_count=max_allocations)
+    allocations = feasible_allocations(n, kappa)
     values = welfare_of_allocations(instance, allocations, max_units=max_units)
     best = _argmax_lexicographic(values, allocations)
     return Allocation.from_vector(allocations[best]), float(values[best])

@@ -155,7 +155,8 @@ class Tolerances:
 
 @dataclass
 class ExperimentConfig:
-    """Settings for a run; unknown config keys are rejected to catch typos."""
+    """Settings for a run, each checked when the config is built (unknown
+    keys too, to catch typos); ``similarity_kernel`` is ``kernel`` parsed."""
 
     param_sets: tuple = (1,)
     densities: tuple = (0.3,)
@@ -176,7 +177,6 @@ class ExperimentConfig:
     sampler: SamplerSettings = field(default_factory=SamplerSettings)
     tolerances: Tolerances = field(default_factory=Tolerances)
     workers: int = 1
-    out: str | None = None
     network_file: str | None = None
     covariates_file: str | None = None
     method: str = "greedy"
@@ -200,6 +200,13 @@ class ExperimentConfig:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if not 0 <= self.kappa_frac <= 1:
             raise ValueError(f"kappa_frac must lie in [0, 1], got {self.kappa_frac}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.random_draws is not None and self.random_draws < 1:
+            raise ValueError(f"random_draws must be at least 1, got {self.random_draws}")
+        if self.exact_cap < 0:
+            raise ValueError(f"exact_cap must be nonnegative, got {self.exact_cap}")
+        self.similarity_kernel = SimilarityKernel.parse(self.kernel)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -221,11 +228,6 @@ class ExperimentConfig:
                 raw[key] = tuple(raw[key])
         kwargs.update(raw)
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def resolved_theta(self, set_id: int, n: int, generated: bool) -> ThetaParams:
         """Parameters for one cell, applying the spillover-scaling default:
@@ -309,7 +311,7 @@ def _replication_task(payload) -> dict:
     key = _cell_key(set_id, density, n)
     theta = cfg.resolved_theta(set_id, n, generated=True)
     seed = functools.partial(derive_seed, cfg.seed, *key, rep)  # seed(tag)
-    instance = simulation_instance(n, density, theta, seed=seed(0))
+    instance = simulation_instance(n, density, theta, seed(0), cfg.similarity_kernel)
     kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
 
     def per_person(call):
@@ -416,7 +418,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
     for set_id, density, n, rep in grid:
         seed = functools.partial(derive_seed, cfg.seed, *_cell_key(set_id, density, n), rep)
         theta = cfg.resolved_theta(set_id, n, generated=True)
-        instance = simulation_instance(n, density, theta, seed=seed(0))
+        instance = simulation_instance(n, density, theta, seed(0), cfg.similarity_kernel)
         kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
         checks = {}
         entries.append({
@@ -496,7 +498,7 @@ def load_instance(cfg: ExperimentConfig) -> Instance:
     if cfg.theta is None:
         raise ValueError("allocate/bounds runs need explicit theta parameters")
     theta = cfg.resolved_theta(set_id=1, n=net.n, generated=False)
-    return make_instance(net, x, theta, kernel=SimilarityKernel.parse(cfg.kernel))
+    return make_instance(net, x, theta, kernel=cfg.similarity_kernel)
 
 
 def run_allocate(cfg: ExperimentConfig) -> dict:

@@ -262,8 +262,10 @@ class Instance:
     """A full problem instance: network, covariates, parameters, similarity.
 
     The similarity comes from exactly one of ``kernel`` (evaluated on the
-    covariates) and ``similarity`` (an explicit N x N matrix). All fields
-    are immutable after construction; derived arrays are cached.
+    covariates) and ``similarity`` (an explicit symmetric, nonnegative
+    N x N matrix). Covariates are checked with ``check_covariates`` and
+    stored as a float (N, K) array, the similarity as a float array. All
+    fields are immutable after construction; derived arrays are cached.
     """
 
     net: Network
@@ -273,6 +275,7 @@ class Instance:
     similarity: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "x", check_covariates(self.x))
         if self.x.shape[0] != self.net.n:
             raise ValueError(
                 f"covariate rows ({self.x.shape[0]}) do not match "
@@ -280,10 +283,15 @@ class Instance:
             )
         if (self.kernel is None) == (self.similarity is None):
             raise ValueError("give exactly one of kernel and similarity")
-        if self.similarity is not None and self.similarity.shape != (
-            self.net.n, self.net.n
-        ):
-            raise ValueError("similarity matrix shape does not match network")
+        if self.similarity is not None:
+            m = np.asarray(self.similarity, dtype=float)
+            object.__setattr__(self, "similarity", m)
+            if m.shape != (self.net.n, self.net.n):
+                raise ValueError("similarity matrix shape does not match network")
+            if not np.array_equal(m, m.T):
+                raise ValueError("similarity matrix must be symmetric")
+            if (m < 0).any():
+                raise ValueError("similarity entries must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -373,17 +381,8 @@ def make_instance(
     the L1-distance similarity. A kernel is evaluated lazily: on the edges
     for a sparse coupling, on all pairs only when ``Instance.m`` is read.
     """
-    x = check_covariates(x)
     if m is None:
         kernel = kernel or SimilarityKernel.abs_diff()
-    elif kernel is not None:
-        raise ValueError("pass either kernel or m, not both")
-    else:
-        m = np.asarray(m, dtype=float)
-        if not np.array_equal(m, m.T):
-            raise ValueError("similarity matrix must be symmetric")
-        if (m < 0).any():
-            raise ValueError("similarity entries must be nonnegative")
     instance = Instance(net=net, x=x, theta=theta, kernel=kernel, similarity=m)
     if instance.spillover_scale > 10.0:
         log.info(

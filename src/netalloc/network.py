@@ -132,9 +132,14 @@ def erdos_renyi(n: int, density: float, seed: int) -> Network:
         warnings.warn(f"degenerate density: {density} yields zero edges on {n} units",
                       UserWarning, stacklevel=2)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(n_pairs, size=n_edges, replace=False)
-    iu, ju = np.triu_indices(n, k=1)
-    return Network.from_edges(n, np.stack([iu[chosen], ju[chosen]], axis=1))
+    code = rng.choice(n_pairs, size=n_edges, replace=False)
+    # Code c is pair c in np.triu_indices(n, k=1) order. Row i starts at code
+    # i (b - i) / 2 with b = 2n - 1; the quadratic root is within one of i.
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8.0 * code)) / 2).astype(np.int64)
+    i += (i + 1) * (b - i - 1) // 2 <= code
+    i -= i * (b - i) // 2 > code
+    return Network.from_edges(n, np.stack([i, code - i * (b - i) // 2 + i + 1], axis=1))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from netalloc.cli import entry, main
+from netalloc.cli import COMMAND_OPTIONS, OPTIONS, entry, main
 
 
 @pytest.fixture
@@ -356,6 +356,94 @@ class TestBounds:
         )
 
 
+class TestFlags:
+    FLAGS = {
+        "simulate": ["--config", "--n", "--density", "--param-set", "--kappa",
+                     "--kappa-frac", "--reps", "--seed", "--out", "--evaluator", "--mode",
+                     "--workers", "--method"],
+        "validate": ["--config", "--n", "--density", "--param-set", "--kappa",
+                     "--kappa-frac", "--reps", "--seed", "--out", "--evaluator", "--mode"],
+        "allocate": ["--config", "--out", "--network", "--covariates", "--kappa",
+                     "--kappa-frac", "--seed", "--mode", "--method", "--mcmc-check"],
+        "bounds": ["--config", "--out", "--network", "--covariates"],
+    }
+    # Flags every command took before each listed only the flags it reads.
+    REMOVED = {
+        "validate": [["--workers", "4"]],
+        "allocate": [["--n", "40"], ["--density", "0.9"], ["--param-set", "2"],
+                     ["--reps", "3"], ["--evaluator", "exact"], ["--workers", "4"]],
+        "bounds": [["--n", "3"], ["--density", "0.9"], ["--param-set", "2"],
+                   ["--kappa", "99"], ["--kappa-frac", "0.5"], ["--reps", "7"],
+                   ["--seed", "5"], ["--evaluator", "mcmc"], ["--mode", "jacobi"],
+                   ["--workers", "9"]],
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_each_command_takes_its_table_flags(self, command):
+        params = main.commands[command].params
+        assert [p.name for p in params] == list(COMMAND_OPTIONS[command])
+        assert set(COMMAND_OPTIONS[command]) <= set(OPTIONS)
+        assert [opt for p in params for opt in p.opts] == self.FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for c, flags in REMOVED.items() for f in flags]
+    )
+    def test_unread_flags_are_rejected(self, runner, tmp_path, command, flag):
+        cfg = make_toy_files(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out), *flag])
+        assert result.exit_code != 0
+        assert "No such option" in result.output and flag[0] in result.output
+        assert not out.exists()
+
+    def test_out_is_not_a_config_key(self, runner, tmp_path):
+        cfg = make_toy_files(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["out"] = str(tmp_path / "elsewhere")
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert str(result.exception) == "unknown config keys: ['out']"
+        assert not (tmp_path / "elsewhere").exists() and not (tmp_path / "o").exists()
+
+    def test_mode_flag_keeps_the_other_solver_keys(self, tmp_path):
+        from netalloc.cli import _build_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"solver": {"rho": 1e-8, "mode": "gauss-seidel"}}))
+        cfg, _ = _build_config(str(cfg_path), str(tmp_path), "jacobi", sizes=(7,))
+        assert (cfg.solver.mode, cfg.solver.rho, cfg.sizes) == ("jacobi", 1e-8, (7,))
+
+
+class TestKernel:
+    ARGS = ["simulate", "--n", "6", "--reps", "2", "--seed", "3", "--method", "greedy",
+            "--evaluator", "va"]
+
+    def test_simulate_reads_the_kernel(self, runner, tmp_path):
+        tables = []
+        for kernel in ("absdiff", "invdist"):
+            cfg = tmp_path / f"{kernel}.json"
+            cfg.write_text(json.dumps({"kernel": kernel}))
+            out = tmp_path / kernel
+            result = runner.invoke(main, [*self.ARGS, "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            tables.append((out / "welfare_table.csv").read_bytes())
+        result = runner.invoke(main, [*self.ARGS, "--out", str(tmp_path / "default")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "default" / "welfare_table.csv").read_bytes() == tables[0]
+        assert tables[1] != tables[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_bad_kernel_fails_before_any_output(self, runner, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": "gaussian", "sizes": [5], "replications": 1}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "unknown kernel kind 'gaussian'" in str(result.exception)
+        assert not out.exists()
+
+
 class TestConfigParsing:
     def test_unknown_keys_rejected(self, tmp_path):
         from netalloc.experiments import ExperimentConfig
@@ -388,6 +476,30 @@ class TestConfigParsing:
 
         with pytest.raises(ValueError, match="allocation method|sweeps > burn_in"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"workers": 0}, "workers must be at least 1, got 0"),
+            ({"workers": -3}, "workers must be at least 1, got -3"),
+            ({"random_draws": 0}, "random_draws must be at least 1, got 0"),
+            ({"exact_cap": -1}, "exact_cap must be nonnegative, got -1"),
+        ],
+    )
+    def test_settings_that_would_break_the_run_are_named(self, raw, message):
+        from netalloc.experiments import ExperimentConfig
+
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(raw)
+
+    def test_zero_workers_flag_is_an_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["simulate", "--n", "5", "--reps", "1", "--workers", "0",
+                   "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1
+        assert "workers must be at least 1" in str(result.exception)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("steps", [0, -2])
     def test_steps_per_sweep_below_one_rejected(self, steps):

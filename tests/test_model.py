@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from netalloc import (
     Allocation,
+    Instance,
     Network,
     SimilarityKernel,
     ThetaParams,
@@ -274,6 +275,42 @@ class TestInputContract:
         x = np.array([[1.0], [bad], [0.0]])
         with pytest.raises(ValueError, match="covariates must be finite"):
             make_instance(net, x, SET1)
+
+    # Instance built directly runs the checks make_instance used to run.
+    @pytest.mark.parametrize(
+        "similarity,message",
+        [
+            ([[0, 1, 5], [2, 0, 1], [5, 1, 0]], "similarity matrix must be symmetric"),
+            ([[0, -1, 0], [-1, 0, 1], [0, 1, 0]], "similarity entries must be nonnegative"),
+        ],
+    )
+    def test_instance_rejects_bad_similarity(self, similarity, message):
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        x = np.zeros((3, 1))
+        with pytest.raises(ValueError, match=message):
+            Instance(net, x, SET1, similarity=similarity)
+        with pytest.raises(ValueError, match=message):
+            make_instance(net, x, SET1, m=similarity)
+
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            ([[1.0], [np.nan], [0.0]], "covariates must be finite"),
+            ([[1.0], [-2.0], [0.0]], "covariates must be nonnegative"),
+            (np.zeros((3, 1, 1)), "covariates must be 2-dimensional"),
+        ],
+    )
+    def test_instance_rejects_bad_covariates(self, x, message):
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=message):
+            Instance(net, x, SET1, kernel=SimilarityKernel.abs_diff())
+
+    def test_instance_stores_float_arrays(self):
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        inst = Instance(net, [1, 0, 2], SET1, similarity=[[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert inst.x.dtype == float and inst.x.shape == (3, 1)
+        assert inst.similarity.dtype == float
+        assert np.array_equal(inst.coupling, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 class TestSharedHelpers:

@@ -1,6 +1,8 @@
 """Network construction, generation, loading, and similarity kernels."""
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ from netalloc import (
     load_network,
     similarity_matrix,
 )
+
+
+def triu_draw(n, density, seed):
+    """Frozen copy of the erdos_renyi draw that looked the chosen pair codes
+    up in the full list of unordered pairs, ``np.triu_indices(n, k=1)``."""
+    n_pairs = n * (n - 1) // 2
+    chosen = np.random.default_rng(seed).choice(
+        n_pairs, size=int(np.floor(density * n_pairs + 0.5)), replace=False
+    )
+    iu, ju = np.triu_indices(n, k=1)
+    return Network.from_edges(n, np.stack([iu[chosen], ju[chosen]], axis=1))
 
 
 class TestErdosRenyi:
@@ -74,6 +87,34 @@ class TestErdosRenyi:
         assert np.array_equal(a, a.T)
         assert (np.diag(a) == 0).all()
         assert net.edge_count == int(np.floor(density * (n * (n - 1) // 2) + 0.5))
+
+    @given(st.integers(2, 90), st.floats(0.01, 1.0), st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_codes_decode_as_triu_indices(self, n, density, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = erdos_renyi(n, density, seed=seed)
+        want = triu_draw(n, density, seed)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("n", [500, 1999, 3000])
+    def test_large_graphs_match_triu_draw(self, n):
+        got, want = erdos_renyi(n, 0.01, seed=5), triu_draw(n, 0.01, 5)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    def test_sparse_draw_builds_no_pair_list(self):
+        # np.triu_indices(3000) alone holds two int64 arrays of 4.5M entries
+        # (72 MB); the 9,000 edges need well under 1 MB.
+        tracemalloc.start()
+        try:
+            net = erdos_renyi(3000, 0.002, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.edge_count == 8997
+        assert peak < 8e6
 
 
 class TestDegreeStats:

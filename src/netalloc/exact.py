@@ -113,22 +113,6 @@ def exact_welfare(d, instance: Instance, max_units: int = MAX_EXACT_UNITS) -> fl
     return dist.welfare
 
 
-@lru_cache(maxsize=4)
-def _pair_tables(n: int):
-    """Stacked configuration/pair table and choice counts for size n.
-
-    The table concatenates the configuration matrix with one column per
-    unordered pair (i, j), i < j, holding y_i * y_j, so the energy of every
-    configuration under any symmetric zero-diagonal quadratic form is a
-    single matrix product against stacked linear and doubled pair weights.
-    """
-    y = _configs(n, 0, 1 << n)
-    iu, ju = np.triu_indices(n, k=1)
-    table = np.concatenate([y, y[:, iu] * y[:, ju]], axis=1)
-    s = y.sum(axis=1)
-    return table, s, iu, ju
-
-
 def welfare_of_allocations(
     instance: Instance,
     allocations: np.ndarray,
@@ -137,10 +121,12 @@ def welfare_of_allocations(
 ) -> np.ndarray:
     """Exact welfare for a batch of allocations (rows of a 0/1 matrix).
 
-    The energies of all configurations for a block of allocations come from
-    one matrix product of the configuration/pair table against
-    per-allocation weight vectors, which keeps hundred-network sweeps
-    tractable.
+    The table holds the 2^N configurations followed by one column y_i * y_j
+    per coupled pair i < j, the pairs where m_ij * G_ij is nonzero: no other
+    pair enters the energy. The energies of all configurations for a block
+    of allocations are then one matrix product of the table against
+    per-allocation linear and doubled pair weights, which keeps
+    hundred-network sweeps tractable.
     """
     n = instance.n
     _check_size(n, max_units)
@@ -150,7 +136,10 @@ def welfare_of_allocations(
     n_alloc = allocations.shape[0]
     th = instance.theta
     sm = to_dense(instance.coupling)
-    table, s, iu, ju = _pair_tables(n)
+    iu, ju = np.nonzero(np.triu(sm, k=1))  # row-major, as np.triu_indices
+    y = _configs(n, 0, 1 << n)
+    table = np.concatenate([y, y[:, iu] * y[:, ju]], axis=1)
+    s = y.sum(axis=1)
     base = th.theta0 + instance.x_effect2
     smp = sm[iu, ju]
     out = np.empty(n_alloc)

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from . import allocate as alloc
 from . import bounds as bnd
 from . import dynamics, exact, meanfield
 from .model import (
+    PARAM_SETS,
     Allocation,
     EnumerationCapError,
     Instance,
@@ -153,6 +155,35 @@ class Tolerances:
     pinsker_slack: float = 1e-9
 
 
+# The type of each scalar setting and of the items of each list setting.
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("replications", "seed", "kappa", "random_draws", "exact_cap", "workers"),
+        numbers.Integral,
+    ),
+    **dict.fromkeys(("kappa_frac", "a_n"), numbers.Real),
+    **dict.fromkeys(("kernel", "method", "network_file", "covariates_file"), str),
+    **dict.fromkeys(("sparse", "mcmc_check"), bool),
+    "theta": dict,
+}
+_ITEM_TYPES = {
+    "param_sets": numbers.Integral,
+    "densities": numbers.Real,
+    "sizes": numbers.Integral,
+    "methods": str,
+    "evaluators": str,
+}
+_TYPE_NAMES = {
+    numbers.Integral: "an integer", numbers.Real: "a number", str: "a string",
+    bool: "a boolean", dict: "a mapping",
+}
+
+
+def _check_type(name: str, value, kind: type):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Settings for a run, each checked when the config is built (unknown
@@ -183,6 +214,18 @@ class ExperimentConfig:
     mcmc_check: bool = False
 
     def __post_init__(self):
+        self._check_types()
+        bad = {n for n in self.sizes if n < 2}
+        if bad:
+            raise ValueError(f"sizes must be at least 2, got {sorted(bad)}")
+        bad = {x for x in self.densities if not 0 < x <= 1}
+        if bad:
+            raise ValueError(f"densities must lie in (0, 1], got {sorted(bad)}")
+        bad = set(self.param_sets) - set(PARAM_SETS)
+        if bad:
+            raise ValueError(
+                f"unknown param_sets: {sorted(bad)}; choose from {sorted(PARAM_SETS)}"
+            )
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
@@ -206,7 +249,29 @@ class ExperimentConfig:
             raise ValueError(f"random_draws must be at least 1, got {self.random_draws}")
         if self.exact_cap < 0:
             raise ValueError(f"exact_cap must be nonnegative, got {self.exact_cap}")
-        self.similarity_kernel = SimilarityKernel.parse(self.kernel)
+        if self.exact_cap > exact.MAX_EXACT_UNITS:
+            raise ValueError(
+                f"exact_cap must be at most {exact.MAX_EXACT_UNITS}, got {self.exact_cap}"
+            )
+        try:
+            self.similarity_kernel = SimilarityKernel.parse(self.kernel)
+        except ValueError as exc:
+            raise ValueError(f"kernel {self.kernel!r}: {exc}") from None
+
+    def _check_types(self):
+        """Reject a setting of the wrong type by name; list settings become
+        tuples. None is accepted where it is the default, and a bool is not
+        a number."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in _ITEM_TYPES:
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{f.name} must be a list, got {value!r}")
+                setattr(self, f.name, tuple(value))
+                for item in value:
+                    _check_type(f"{f.name} entries", item, _ITEM_TYPES[f.name])
+            elif f.name in _FIELD_TYPES and not (value is None and f.default is None):
+                _check_type(f.name, value, _FIELD_TYPES[f.name])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -223,9 +288,6 @@ class ExperimentConfig:
         unknown = set(raw) - names
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("param_sets", "densities", "sizes", "methods", "evaluators"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         kwargs.update(raw)
         return cls(**kwargs)
 

@@ -484,6 +484,25 @@ class TestConfigParsing:
             ({"workers": -3}, "workers must be at least 1, got -3"),
             ({"random_draws": 0}, "random_draws must be at least 1, got 0"),
             ({"exact_cap": -1}, "exact_cap must be nonnegative, got -1"),
+            ({"exact_cap": 21}, "exact_cap must be at most 20, got 21"),
+            ({"exact_cap": 30}, "exact_cap must be at most 20, got 30"),
+            ({"sizes": [5, 1]}, r"sizes must be at least 2, got \[1\]"),
+            ({"densities": [0.3, 1.5]}, r"densities must lie in \(0, 1\], got \[1.5\]"),
+            ({"densities": [0]}, r"densities must lie in \(0, 1\], got \[0\]"),
+            ({"param_sets": [3]}, r"unknown param_sets: \[3\]"),
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"replications": "3"}, "replications must be an integer, got '3'"),
+            ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+            ({"exact_cap": True}, "exact_cap must be an integer, got True"),
+            ({"kappa_frac": "0.3"}, "kappa_frac must be a number, got '0.3'"),
+            ({"kernel": 5}, "kernel must be a string, got 5"),
+            ({"kernel": "constant:abc"}, "kernel 'constant:abc': could not convert"),
+            ({"mcmc_check": 1}, "mcmc_check must be a boolean, got 1"),
+            ({"theta": [1, 2]}, r"theta must be a mapping, got \[1, 2\]"),
+            ({"sizes": 15}, "sizes must be a list, got 15"),
+            ({"methods": "greedy"}, "methods must be a list, got 'greedy'"),
+            ({"sizes": [5, "7"]}, "sizes entries must be an integer, got '7'"),
+            ({"densities": [None]}, "densities entries must be a number, got None"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -491,6 +510,31 @@ class TestConfigParsing:
 
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
+
+    def test_accepted_types(self):
+        from netalloc.exact import MAX_EXACT_UNITS
+        from netalloc.experiments import ExperimentConfig
+
+        cfg = ExperimentConfig.from_dict(
+            {"sizes": [2, np.int64(9)], "densities": [1, 0.25], "param_sets": [2],
+             "exact_cap": MAX_EXACT_UNITS, "kappa": None, "a_n": 1, "seed": np.int32(4)}
+        )
+        assert cfg.sizes == (2, 9) and cfg.densities == (1, 0.25)
+        assert cfg.exact_cap == MAX_EXACT_UNITS
+        assert ExperimentConfig(sizes=[5], methods=["none"]).sizes == (5,)
+
+    @pytest.mark.parametrize("raw", [{"densities": [0.3, 1.5]}, {"sizes": [1]},
+                                     {"param_sets": [3]}, {"seed": "x"}])
+    def test_bad_config_file_fails_before_the_output_directory(self, runner, tmp_path, raw):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["simulate", "--config", str(cfg), "--reps", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert next(iter(raw)) in str(result.exception)
+        assert not out.exists()
 
     def test_zero_workers_flag_is_an_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import logsumexp
 
 import netalloc.exact as ex
 from netalloc import (
     Network,
+    SimilarityKernel,
     ThetaParams,
     WeightSystem,
     brute_force_optimal,
@@ -23,7 +25,8 @@ from netalloc import (
 )
 from netalloc.exact import ExactSizeError
 from netalloc.experiments import simulation_instance
-from tests.conftest import random_instance
+from netalloc.model import to_dense
+from tests.conftest import random_instance, random_theta
 
 
 def reference_enumeration(inst, d):
@@ -171,6 +174,52 @@ class TestExactWelfare:
         default = welfare_of_allocations(inst, allocations)
         small = welfare_of_allocations(inst, allocations, chunk=7)
         assert np.abs(small - default).max() <= 1e-12
+
+
+class TestCoupledPairTable:
+    """``welfare_of_allocations`` carries one table column per coupled pair,
+    however many pairs that is, and must agree with the per-allocation
+    enumeration."""
+
+    @staticmethod
+    def _check(inst, rng):
+        n = inst.n
+        allocations = np.vstack(
+            [np.zeros(n), np.ones(n), rng.integers(0, 2, size=(30, n))]
+        ).astype(int)
+        batch = welfare_of_allocations(inst, allocations)
+        single = np.array([exact_welfare(d, inst) for d in allocations])
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+    def test_no_edges(self, rng):
+        x = rng.integers(0, 2, size=(8, 1)).astype(float)
+        inst = make_instance(Network.from_edges(8, []), x, random_theta(rng, a_n=1 / 8))
+        assert not to_dense(inst.coupling).any()
+        self._check(inst, rng)
+
+    def test_equal_covariates_under_absdiff(self, rng):
+        net = Network.from_adjacency(np.ones((8, 8)) - np.eye(8))
+        inst = make_instance(net, np.ones((8, 2)), random_theta(rng, a_n=1 / 8),
+                             kernel=SimilarityKernel.abs_diff())
+        assert not to_dense(inst.coupling).any()
+        self._check(inst, rng)
+
+    def test_every_pair_coupled(self, rng):
+        n = 9
+        net = Network.from_adjacency(np.ones((n, n)) - np.eye(n))
+        inst = make_instance(net, rng.random((n, 1)), random_theta(rng, a_n=1 / n),
+                             kernel=SimilarityKernel.constant(0.7))
+        assert np.count_nonzero(np.triu(to_dense(inst.coupling), k=1)) == n * (n - 1) // 2
+        self._check(inst, rng)
+
+    def test_csr_coupling(self, rng):
+        net = Network.from_edges(12, [(0, 1), (1, 2), (5, 9)])
+        x = rng.integers(0, 3, size=(12, 1)).astype(float)
+        x[[0, 1, 2, 5, 9]] = [[0.0], [1.0], [3.0], [2.0], [0.0]]  # every edge coupled
+        inst = make_instance(net, x, random_theta(rng, a_n=0.5))
+        assert sparse.issparse(inst.coupling)
+        assert inst.coupling.nnz == 6
+        self._check(inst, rng)
 
 
 class TestBruteForce:

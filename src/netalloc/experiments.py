@@ -20,6 +20,8 @@ import json
 import math
 import multiprocessing
 import numbers
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -68,15 +70,14 @@ def _mcmc(d, instance, cfg, seed) -> tuple[float, float]:
     return est * instance.n, se * instance.n
 
 
-# name -> fn(d, instance, cfg, seed) -> total welfare of allocation d.
+# name -> (seed base, fn). fn(d, instance, cfg, seed) is the total welfare
+# of allocation d; within a simulate replication, the evaluator of the rule
+# with seed tag t draws its seed from tag base + t.
 EVALUATORS = {
-    "exact": _exact,
-    "va": _va,
-    "mcmc": lambda d, instance, cfg, seed: _mcmc(d, instance, cfg, seed)[0],
+    "exact": (0, _exact),
+    "va": (10, _va),
+    "mcmc": (20, lambda d, instance, cfg, seed: _mcmc(d, instance, cfg, seed)[0]),
 }
-# Within a simulate replication, evaluator ev of the rule with seed tag t
-# draws its seed from tag _EVALUATOR_SEED_BASE[ev] + t.
-_EVALUATOR_SEED_BASE = {"exact": 0, "va": 10, "mcmc": 20}
 
 
 def _none(instance, kappa, cfg, seed):
@@ -155,45 +156,57 @@ class Tolerances:
     pinsker_slack: float = 1e-9
 
 
-# The type of each scalar setting and of the items of each list setting.
-_FIELD_TYPES = {
-    **dict.fromkeys(
-        ("replications", "seed", "kappa", "random_draws", "exact_cap", "workers"),
-        numbers.Integral,
-    ),
-    **dict.fromkeys(("kappa_frac", "a_n"), numbers.Real),
-    **dict.fromkeys(("kernel", "method", "network_file", "covariates_file"), str),
-    **dict.fromkeys(("sparse", "mcmc_check"), bool),
-    "theta": dict,
-}
-_ITEM_TYPES = {
-    "param_sets": numbers.Integral,
-    "densities": numbers.Real,
-    "sizes": numbers.Integral,
-    "methods": str,
-    "evaluators": str,
-}
-_TYPE_NAMES = {
-    numbers.Integral: "an integer", numbers.Real: "a number", str: "a string",
-    bool: "a boolean", dict: "a mapping",
+# What a scalar annotation accepts, and how a message names it.
+_KINDS = {
+    int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+    str: (str, "a string"), bool: (bool, "a boolean"), dict: (dict, "a mapping"),
 }
 
 
-def _check_type(name: str, value, kind: type):
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+def _checked(name: str, value, kind):
+    """``value`` of setting ``name`` checked against its annotation ``kind``
+    (a bool is not a number); a list becomes a tuple, and a mapping for a
+    settings dataclass is read into one."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _checked(name, value, args[0])
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(_checked(f"{name} entries", v, args[0]) for v in value)
+    if dataclasses.is_dataclass(kind):
+        return value if isinstance(value, kind) else _read_settings(kind, value, name)
+    accepted, what = _KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _read_settings(cls, raw, section: str | None = None):
+    """The settings dataclass ``cls`` built from the mapping ``raw``, with
+    unknown keys and values that do not match their annotation rejected;
+    messages name the nested ``section`` the settings come from."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section or 'config'} must be a mapping, got {raw!r}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    prefix = f"{section}." if section else ""
+    return cls(**{k: _checked(prefix + k, v, hints[k]) for k, v in raw.items()})
 
 
 @dataclass
 class ExperimentConfig:
     """Settings for a run, each checked when the config is built (unknown
-    keys too, to catch typos); ``similarity_kernel`` is ``kernel`` parsed."""
+    keys too, to catch typos); ``similarity_kernel`` is ``kernel`` parsed,
+    and ``theta_params`` is ``theta`` parsed when it is given."""
 
-    param_sets: tuple = (1,)
-    densities: tuple = (0.3,)
-    sizes: tuple = (15,)
-    methods: tuple = ("greedy", "random", "none")
-    evaluators: tuple = ("va",)
+    param_sets: tuple[int, ...] = (1,)
+    densities: tuple[float, ...] = (0.3,)
+    sizes: tuple[int, ...] = (15,)
+    methods: tuple[str, ...] = ("greedy", "random", "none")
+    evaluators: tuple[str, ...] = ("va",)
     replications: int = 100
     seed: int = 0
     kappa: int | None = None
@@ -214,7 +227,9 @@ class ExperimentConfig:
     mcmc_check: bool = False
 
     def __post_init__(self):
-        self._check_types()
+        hints = typing.get_type_hints(ExperimentConfig)
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _checked(f.name, getattr(self, f.name), hints[f.name]))
         bad = {n for n in self.sizes if n < 2}
         if bad:
             raise ValueError(f"sizes must be at least 2, got {sorted(bad)}")
@@ -253,50 +268,24 @@ class ExperimentConfig:
             raise ValueError(
                 f"exact_cap must be at most {exact.MAX_EXACT_UNITS}, got {self.exact_cap}"
             )
+        if self.a_n is not None and not 0 < self.a_n < math.inf:
+            raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
+        self.theta_params = None if self.theta is None else ThetaParams.from_dict(self.theta)
         try:
             self.similarity_kernel = SimilarityKernel.parse(self.kernel)
         except ValueError as exc:
             raise ValueError(f"kernel {self.kernel!r}: {exc}") from None
 
-    def _check_types(self):
-        """Reject a setting of the wrong type by name; list settings become
-        tuples. None is accepted where it is the default, and a bool is not
-        a number."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name in _ITEM_TYPES:
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"{f.name} must be a list, got {value!r}")
-                setattr(self, f.name, tuple(value))
-                for item in value:
-                    _check_type(f"{f.name} entries", item, _ITEM_TYPES[f.name])
-            elif f.name in _FIELD_TYPES and not (value is None and f.default is None):
-                _check_type(f.name, value, _FIELD_TYPES[f.name])
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        kwargs = {}
-        for sub_name, sub_cls in (
-            ("solver", meanfield.SolverSettings),
-            ("sampler", SamplerSettings),
-            ("tolerances", Tolerances),
-        ):
-            if sub_name in raw:
-                kwargs[sub_name] = sub_cls(**raw.pop(sub_name))
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - names
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs.update(raw)
-        return cls(**kwargs)
+        return _read_settings(cls, raw)
 
     def resolved_theta(self, set_id: int, n: int, generated: bool) -> ThetaParams:
         """Parameters for one cell, applying the spillover-scaling default:
         1/N for generated (dense) networks, 1 for declared-sparse data."""
         sparse = (not generated) if self.sparse is None else self.sparse
         if self.theta is not None:
-            theta = ThetaParams.from_dict(self.theta)
+            theta = self.theta_params
             if "a_n" not in self.theta and self.a_n is None:
                 theta = theta.replace_a_n(default_a_n(n, sparse))
         else:
@@ -385,7 +374,7 @@ def _replication_task(payload) -> dict:
     def evaluator(ev: str, tag: int):
         """Evaluator ev as a function of the allocation alone."""
         s = seed(tag)
-        return lambda d: EVALUATORS[ev](d, instance, cfg, s)
+        return lambda d: EVALUATORS[ev][1](d, instance, cfg, s)
 
     out = {}
     for method in cfg.methods:
@@ -404,7 +393,7 @@ def _replication_task(payload) -> dict:
             out[method] = dict.fromkeys(cfg.evaluators, _reason(exc))
             continue
         out[method] = {
-            ev: per_person(lambda: evaluator(ev, _EVALUATOR_SEED_BASE[ev] + tag)(d))
+            ev: per_person(lambda: evaluator(ev, EVALUATORS[ev][0] + tag)(d))
             for ev in cfg.evaluators
         }
     return out
@@ -498,7 +487,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
         }
         if "mcmc" in cfg.evaluators:
             for name, d in rules.items():
-                sampled = EVALUATORS["mcmc"](d, instance, cfg, seed(3))
+                sampled = EVALUATORS["mcmc"][1](d, instance, cfg, seed(3))
                 gap = abs(solutions[name].welfare - sampled) / n
                 checks[f"va_vs_mcmc_{name}"] = {
                     "value": gap,
@@ -576,7 +565,7 @@ def run_allocate(cfg: ExperimentConfig) -> dict:
     _, rule = ALLOCATORS[cfg.method]
     allocation, welfare, steps = rule(instance, kappa, cfg, derive_seed(cfg.seed, 1))
     if welfare is None:
-        welfare = EVALUATORS["va"](allocation.d, instance, cfg, derive_seed(cfg.seed, 2))
+        welfare = EVALUATORS["va"][1](allocation.d, instance, cfg, derive_seed(cfg.seed, 2))
     record = {
         "n": n,
         "kappa": kappa,

@@ -138,9 +138,12 @@ class ThetaParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThetaParams":
-        kwargs = {f"theta{k}": d[f"theta{k}"] for k in range(7)}
-        kwargs["a_n"] = float(d.get("a_n", 1.0))
-        return cls(**kwargs)
+        names = [f"theta{k}" for k in range(7)]
+        missing = [k for k in names if k not in d]
+        unknown = sorted(set(d) - {*names, "a_n"})
+        if missing or unknown:
+            raise ValueError(f"theta keys missing: {missing}, unknown: {unknown}")
+        return cls(**{**d, "a_n": float(d.get("a_n", 1.0))})
 
     def to_dict(self) -> dict:
         out = {}

@@ -11,6 +11,10 @@ from click.testing import CliRunner
 from netalloc.cli import COMMAND_OPTIONS, OPTIONS, entry, main
 
 
+# A complete theta mapping for config tests.
+THETA = {f"theta{k}": 0.1 for k in range(7)}
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -503,6 +507,19 @@ class TestConfigParsing:
             ({"methods": "greedy"}, "methods must be a list, got 'greedy'"),
             ({"sizes": [5, "7"]}, "sizes entries must be an integer, got '7'"),
             ({"densities": [None]}, "densities entries must be a number, got None"),
+            ({"solver": {"max_iter": "5"}}, "solver.max_iter must be an integer, got '5'"),
+            ({"solver": {"bogus": 1}}, r"unknown solver keys: \['bogus'\]"),
+            ({"solver": 5}, "solver must be a mapping, got 5"),
+            ({"solver": {"restarts": "3"}}, "solver.restarts must be an integer, got '3'"),
+            ({"sampler": {"sweeps": 60.5, "burn_in": 20}},
+             "sampler.sweeps must be an integer, got 60.5"),
+            ({"tolerances": {"va_mcmc": "x"}}, "tolerances.va_mcmc must be a number, got 'x'"),
+            ({"solver": {"rho": True}}, "solver.rho must be a number, got True"),
+            ({"theta": {"theta0": -2.0}},
+             r"theta keys missing: \['theta1', 'theta2', 'theta3', 'theta4', 'theta5', 'theta6'\]"),
+            ({"theta": {**THETA, "bogus": 3}}, r"theta keys missing: \[\], unknown: \['bogus'\]"),
+            ({"a_n": -1}, "a_n must be positive and finite, got -1"),
+            ({"a_n": float("nan")}, "a_n must be positive and finite, got nan"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -522,9 +539,19 @@ class TestConfigParsing:
         assert cfg.sizes == (2, 9) and cfg.densities == (1, 0.25)
         assert cfg.exact_cap == MAX_EXACT_UNITS
         assert ExperimentConfig(sizes=[5], methods=["none"]).sizes == (5,)
+        cfg = ExperimentConfig.from_dict(
+            {"solver": {"max_iter": np.int64(5), "rho": 1}, "tolerances": {"va_mcmc": 1},
+             "sampler": {"steps_per_sweep": None}, "theta": {**THETA, "a_n": 2}}
+        )
+        assert cfg.solver.max_iter == 5 and cfg.solver.rho == 1
+        assert cfg.tolerances.va_mcmc == 1 and cfg.sampler.steps_per_sweep is None
+        assert cfg.theta_params.a_n == 2.0
 
     @pytest.mark.parametrize("raw", [{"densities": [0.3, 1.5]}, {"sizes": [1]},
-                                     {"param_sets": [3]}, {"seed": "x"}])
+                                     {"param_sets": [3]}, {"seed": "x"},
+                                     {"solver": {"restarts": "3"}},
+                                     {"sampler": {"sweeps": 60.5, "burn_in": 20}},
+                                     {"theta": {"theta0": -2.0}}, {"a_n": -1}])
     def test_bad_config_file_fails_before_the_output_directory(self, runner, tmp_path, raw):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))

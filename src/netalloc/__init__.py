@@ -8,7 +8,7 @@ single-site simulation on large ones, optimizes allocations greedily under
 a capacity constraint, and reports closed-form performance guarantees.
 """
 
-from .allocate import GreedyStep, bfva, greedy, no_treatment, random_allocation_welfare
+from .allocate import GreedyStep, bfva, greedy, random_allocation_welfare
 from .bounds import (
     BoundsReport,
     asymptotic_kl_constants,
@@ -101,7 +101,6 @@ __all__ = [
     "load_network",
     "make_instance",
     "mcmc_welfare",
-    "no_treatment",
     "potential",
     "random_allocation_welfare",
     "regret_upper_bound",

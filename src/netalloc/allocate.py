@@ -3,8 +3,8 @@
 The workhorse is the greedy rule: repeatedly treat the unit whose
 treatment raises the mean-field welfare the most until the capacity binds.
 Exhaustive maximization of the mean-field welfare over every feasible
-allocation is available for small networks, together with random and
-no-treatment baselines.
+allocation is available for small networks, together with a random
+baseline.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ class GreedyStep:
     delta: float
     nonconverged: tuple = ()
     screened: int = 0
-
-
-def no_treatment(instance: Instance) -> Allocation:
-    """The all-zeros baseline allocation."""
-    return Allocation.zeros(instance.n)
 
 
 def greedy(

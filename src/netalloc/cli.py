@@ -80,9 +80,10 @@ def _build_config(config_path=None, out=".", mode=None, **flags):
     if config_path:
         with open(config_path) as fh:
             raw = json.load(fh)
-    raw.update({k: v for k, v in flags.items() if v not in (None, ())})
-    if mode:
-        raw["solver"] = {**raw.get("solver", {}), "mode": mode}
+    if isinstance(raw, dict):  # the reader names a config that is not a mapping
+        raw.update({k: v for k, v in flags.items() if v not in (None, ())})
+        if mode and isinstance(raw.get("solver", {}), dict):
+            raw["solver"] = {**raw.get("solver", {}), "mode": mode}
     cfg = ExperimentConfig.from_dict(raw)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

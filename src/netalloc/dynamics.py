@@ -11,10 +11,9 @@ distribution.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
-from .exact import _configs, enumerate_gibbs
-from .model import Instance, allocation_vector, sigmoid, weights
+from .model import Instance, sigmoid, weights
 
 # Batches of the batch-means standard error of mcmc_welfare.
 MCMC_BATCHES = 50
@@ -89,40 +88,40 @@ def mcmc_welfare(
     return estimate, stderr
 
 
-def single_site_kernel(instance: Instance, d=None, max_units: int = 12) -> np.ndarray:
-    """Full 2^N x 2^N transition matrix of the single-site chain.
-
-    Row order matches the configuration codes of the exact enumeration:
-    configuration c has y_i = (c >> i) & 1.
-    """
+def _chain(instance: Instance, d, max_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrix of the single-site chain and the energy of each
+    configuration, both over the 2^N configurations in code order:
+    configuration c has y_i = (c >> i) & 1."""
     n = instance.n
     if n > max_units:
         raise ValueError(f"kernel assembly infeasible for {n} units (cap {max_units})")
     if d is None:
         d = np.zeros(n, dtype=np.int8)
-    w = weights(instance, allocation_vector(d, n)).dense()
-    y = _configs(n, 0, 1 << n)
+    w = weights(instance, d).dense()
     total = 1 << n
+    codes = np.arange(total)
+    y = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
     # Choice probabilities p[c, i] do not depend on y_i because w2 has a
     # zero diagonal.
     p1 = expit(w.w1 + 2.0 * (y @ w.w2))
-    codes = np.arange(total)
     kernel = np.zeros((total, total))
     for i in range(n):
         up = codes | (1 << i)
         down = codes & ~(1 << i)
         np.add.at(kernel, (codes, up), p1[:, i] / n)
         np.add.at(kernel, (codes, down), (1.0 - p1[:, i]) / n)
-    return kernel
+    return kernel, y @ w.w1 + ((y @ w.w2) * y).sum(axis=1)
+
+
+def single_site_kernel(instance: Instance, d=None, max_units: int = 12) -> np.ndarray:
+    """Full 2^N x 2^N transition matrix of the single-site chain; row c is
+    the configuration with y_i = (c >> i) & 1."""
+    return _chain(instance, d, max_units)[0]
 
 
 def stationarity_check(instance: Instance, d=None, max_units: int = 12) -> float:
     """L1 distance between the Gibbs distribution and its one-step image
     under the single-site kernel. Zero (to rounding) certifies stationarity."""
-    n = instance.n
-    if d is None:
-        d = np.zeros(n, dtype=np.int8)
-    kernel = single_site_kernel(instance, d, max_units=max_units)
-    dist = enumerate_gibbs(weights(instance, d), max_units=max_units, with_probs=True)
-    pi = dist.probs
+    kernel, e = _chain(instance, d, max_units)
+    pi = np.exp(e - logsumexp(e))
     return float(np.abs(pi @ kernel - pi).sum())

@@ -1,19 +1,20 @@
 """Exact Gibbs-distribution computations for small networks.
 
-Enumerates all 2^N binary configurations to obtain the stationary outcome
-distribution, exact equilibrium welfare, exact KL divergences against
-independent-Bernoulli approximations, and exact optimal allocations under
-a capacity constraint. These routines are the ground-truth oracle that
-every approximation in the package is validated against.
+The stationary law p(y) ~ exp(w1'y + y'w2y) has a pair term only where
+m_ij * G_ij is nonzero. One routine, ``_eliminate``, sums the units out in
+min-fill order over that coupled-pair graph (bucket elimination), in
+O(N 2^(w+1)) work per allocation for elimination width w. From it come
+log Z and the choice marginals, exact welfare of one or a batch of
+allocations, exact KL divergences against independent-Bernoulli laws, and
+the exact optimal allocation under a capacity: the ground truth every
+approximation in the package is validated against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .meanfield import variational_objective
 from .model import (
@@ -25,43 +26,31 @@ from .model import (
     weights,
 )
 
-# Above this many units the 2^N enumeration is refused outright.
+# Above this many units exact computation is refused outright.
 MAX_EXACT_UNITS = 20
-# Configurations are listed in blocks of this many codes, so every N <= 15
-# is one cached block and larger N stream in bounded memory.
-_BLOCK = 1 << 15
+# brute_force_optimal ties: rounding moves a welfare by up to ~1e-13, and
+# distinct allocations of the benchmark instances differ by 1e-9 or more.
+_TIE = 1e-10
+# Table entries (allocations x 2^scope x statistic length) of the largest
+# factor of one allocation block: the size of a (2^15, 256) energy block.
+_BUDGET = 1 << 23
 
 
 class ExactSizeError(ValueError):
-    """Raised when a network is too large for exact enumeration."""
+    """Raised when a network is too large for exact computation."""
 
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Stationary distribution computed by full enumeration.
-
-    ``probs`` follows binary-code order: configuration index c has
-    y_i = (c >> i) & 1. It is populated only on request.
-    """
+    """Normalizing constant and choice marginals of the stationary law."""
 
     log_partition: float
     marginals: np.ndarray
     weights: WeightSystem
-    probs: np.ndarray | None = None
 
     @property
     def welfare(self) -> float:
         return float(self.marginals.sum())
-
-
-@lru_cache(maxsize=8)
-def _configs(n: int, start: int, stop: int) -> np.ndarray:
-    """Configurations with codes start..stop-1 as a float matrix, one row per
-    code: row r has y_i = ((start + r) >> i) & 1."""
-    codes = np.arange(start, stop, dtype=np.uint32)
-    y = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-    y.flags.writeable = False  # the cache hands the same block to every caller
-    return y
 
 
 def _check_size(n: int, cap: int):
@@ -71,93 +60,127 @@ def _check_size(n: int, cap: int):
         )
 
 
-def _energies(y: np.ndarray, w: WeightSystem) -> np.ndarray:
-    return y @ w.w1 + ((y @ w.w2) * y).sum(axis=1)
+def _min_fill_order(n: int, iu, ju) -> list[tuple[int, list[int]]]:
+    """(unit, its neighbours) per min-fill elimination step over the graph with
+    edges (iu[k], ju[k]): the unit whose neighbours have the fewest unlinked
+    pairs goes next (then fewest neighbours, lowest index); they get linked."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in zip(iu.tolist(), ju.tolist()):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    order, left = [], set(range(n))
+    while left:
+        # A neighbour a of u misses len(nbrs[u] - nbrs[a]) - 1 others.
+        v = min(left, key=lambda u: (
+            sum(len(nbrs[u] - nbrs[a]) - 1 for a in nbrs[u]), len(nbrs[u]), u))
+        for a in nbrs[v]:
+            nbrs[a] = (nbrs[a] | nbrs[v]) - {a, v}
+        order.append((v, sorted(nbrs[v])))
+        left.remove(v)
+    return order
 
 
-def enumerate_gibbs(
-    w: WeightSystem,
-    max_units: int = MAX_EXACT_UNITS,
-    with_probs: bool = False,
-) -> ExactDistribution:
-    """Exact stationary distribution for a weight system.
+def _sum_out(v: int, rest: list[int], mine: list, stat: np.ndarray) -> tuple:
+    """The factor over ``rest`` left by summing unit v out of the factors
+    ``mine`` (every factor that holds v): log-weights by ``logaddexp`` over
+    y_v, statistics averaged under the conditional law of y_v, with v's own
+    row of ``stat`` added where y_v = 1."""
+    scope = sorted([v, *rest])
+    logw, parts = 0.0, []
+    for units, table, part in mine:
+        missing = [1 + k for k, u in enumerate(scope) if u not in units]
+        logw = logw + np.expand_dims(table, missing)
+        if part is not None:
+            parts.append(np.expand_dims(part, missing))
+    axis = (slice(None),) * (1 + scope.index(v))
+    new = np.logaddexp(logw[axis + (0,)], logw[axis + (1,)])
+    p1 = np.exp(logw[axis + (1,)] - new)[..., None]
+    st = np.broadcast_to(sum(parts[1:], parts[0]) if parts else 0.0, logw.shape + stat.shape[1:])
+    st0, st1 = st[axis + (0,)], st[axis + (1,)]
+    # E[statistic | rest] = st0 + P(y_v = 1 | rest) (st1 + stat_v - st0)
+    out = st1 + stat[v]
+    out -= st0
+    out *= p1
+    out += st0
+    return tuple(rest), new, out
 
-    Normalization is log-sum-exp stabilized; marginals are exact sums of
-    configuration probabilities. A sparse w2 is densified first.
+
+def _eliminate(w1, iu, ju, pair_w, stat):
+    """log Z, shape (B,), and E[y @ stat], shape (B, L), of the laws
+    p(y) ~ exp(w1[b] @ y + sum_k pair_w[b, k] y[iu[k]] y[ju[k]]), one per row b.
+
+    A factor is (sorted units, log-weight table with an axis of length 2 per
+    unit after the row axis, expected statistic of the units summed into it
+    or None, with length-1 axes for units it does not depend on). Rows run
+    in blocks whose largest factor stays within ``_BUDGET`` entries.
     """
-    n = w.n
-    _check_size(n, max_units)
-    w = w.dense()
-    # Two passes over the configuration blocks: energies, then marginals.
-    total = 1 << n
-    blocks = [(start, min(start + _BLOCK, total)) for start in range(0, total, _BLOCK)]
-    e = np.empty(total)
-    for start, stop in blocks:
-        e[start:stop] = _energies(_configs(n, start, stop), w)
-    log_z = float(logsumexp(e))
-    p = np.exp(e - log_z)
-    marginals = np.zeros(n)
-    for start, stop in blocks:
-        marginals += p[start:stop] @ _configs(n, start, stop)
-    return ExactDistribution(
-        log_partition=log_z,
-        marginals=marginals,
-        weights=w,
-        probs=p if with_probs else None,
-    )
+    (n_rows, n), n_stat = w1.shape, stat.shape[1]
+    order = _min_fill_order(n, iu, ju)
+    widest = max((len(rest) for _, rest in order), default=0) + 1
+    block = max(1, _BUDGET // ((1 << widest) * n_stat))
+    log_z, mean = np.empty(n_rows), np.empty((n_rows, n_stat))
+    for start in range(0, n_rows, block):
+        rows = slice(start, start + block)
+        b = w1[rows].shape[0]
+        unary, pairs = np.zeros((n, b, 2)), np.zeros((len(iu), b, 2, 2))
+        unary[..., 1], pairs[..., 1, 1] = w1[rows].T, pair_w[rows].T
+        factors = [((i,), t, None) for i, t in enumerate(unary)]
+        factors += [((i, j), t, None) for i, j, t in zip(iu.tolist(), ju.tolist(), pairs)]
+        for v, rest in order:
+            mine = [f for f in factors if v in f[0]]
+            factors = [f for f in factors if v not in f[0]]
+            factors.append(_sum_out(v, rest, mine, stat))
+        # Every unit is summed out: one scalar factor per connected component.
+        log_z[rows] = sum(f[1] for f in factors)
+        mean[rows] = sum(f[2] for f in factors)
+    return log_z, mean
+
+
+def _moments(w: WeightSystem, stat: np.ndarray) -> tuple[float, np.ndarray]:
+    """log Z and the expectation of y @ stat under one weight system."""
+    w2 = to_dense(w.w2)
+    iu, ju = np.nonzero(np.triu(w2, k=1))
+    log_z, mean = _eliminate(w.w1[None], iu, ju, 2.0 * w2[iu, ju][None], stat)
+    return float(log_z[0]), mean[0]
+
+
+def enumerate_gibbs(w: WeightSystem, max_units: int = MAX_EXACT_UNITS) -> ExactDistribution:
+    """Exact stationary distribution for a weight system: log Z and the
+    choice marginals. The result carries the system with a dense w2."""
+    _check_size(w.n, max_units)
+    log_z, marginals = _moments(w, np.eye(w.n))
+    return ExactDistribution(log_partition=log_z, marginals=marginals, weights=w.dense())
 
 
 def exact_welfare(d, instance: Instance, max_units: int = MAX_EXACT_UNITS) -> float:
     """Equilibrium welfare, the sum of exact stationary choice marginals."""
-    dist = enumerate_gibbs(weights(instance, d), max_units=max_units)
-    return dist.welfare
+    _check_size(instance.n, max_units)
+    return float(_moments(weights(instance, d), np.ones((instance.n, 1)))[1][0])
 
 
 def welfare_of_allocations(
     instance: Instance,
     allocations: np.ndarray,
     max_units: int = 15,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Exact welfare for a batch of allocations (rows of a 0/1 matrix).
 
-    The table holds the 2^N configurations followed by one column y_i * y_j
-    per coupled pair i < j, the pairs where m_ij * G_ij is nonzero: no other
-    pair enters the energy. The energies of all configurations for a block
-    of allocations are then one matrix product of the table against
-    per-allocation linear and doubled pair weights, which keeps
-    hundred-network sweeps tractable.
+    Only the coupled pairs i < j, where m_ij * G_ij is nonzero, enter the
+    energy, so every allocation shares one elimination order; the
+    allocations ride along as the leading axis of every factor.
     """
     n = instance.n
     _check_size(n, max_units)
-    allocations = np.asarray(allocations, dtype=float)
-    if allocations.ndim == 1:
-        allocations = allocations[None, :]
-    n_alloc = allocations.shape[0]
+    allocations = np.atleast_2d(np.asarray(allocations, dtype=float))
     th = instance.theta
     sm = to_dense(instance.coupling)
-    iu, ju = np.nonzero(np.triu(sm, k=1))  # row-major, as np.triu_indices
-    y = _configs(n, 0, 1 << n)
-    table = np.concatenate([y, y[:, iu] * y[:, ju]], axis=1)
-    s = y.sum(axis=1)
-    base = th.theta0 + instance.x_effect2
-    smp = sm[iu, ju]
-    out = np.empty(n_alloc)
-    for start in range(0, n_alloc, chunk):
-        dt = allocations[start : start + chunk].T  # (n, block)
-        coef = np.empty((n + iu.size, dt.shape[1]))
-        coef[:n] = (
-            base[:, None]
-            + (th.theta1 + instance.x_effect3)[:, None] * dt
-            + th.a_n * th.theta4 * (sm @ dt)
-        )
-        # Doubled upper-triangle weights reproduce the full quadratic form.
-        coef[n:] = th.a_n * smp[:, None] * (th.theta5 + th.theta6 * dt[iu] * dt[ju])
-        e = table @ coef
-        e -= e.max(axis=0)
-        np.exp(e, out=e)
-        out[start : start + chunk] = (s @ e) / e.sum(axis=0)
-    return out
+    iu, ju = np.nonzero(np.triu(sm, k=1))
+    w1 = (th.theta0 + instance.x_effect2 + (th.theta1 + instance.x_effect3) * allocations
+          + th.a_n * th.theta4 * (allocations @ sm))
+    dd = allocations[:, iu] * allocations[:, ju]
+    pair_w = th.a_n * sm[iu, ju] * (th.theta5 + th.theta6 * dd)
+    _, mean = _eliminate(w1, iu, ju, pair_w, np.ones((n, 1)))
+    return mean[:, 0]
 
 
 def brute_force_optimal(
@@ -167,28 +190,26 @@ def brute_force_optimal(
 ) -> tuple[Allocation, float]:
     """Exact argmax of equilibrium welfare over allocations of size <= kappa.
 
-    Welfare ties are broken toward the lexicographically smallest treated
-    index set, so the result is deterministic. Capacities with more than
-    2,000,000 feasible allocations (the default cap of
-    ``feasible_allocations``) raise ``EnumerationCapError``.
+    Welfare values within 1e-10 (``_TIE``) of the best count as tied, and
+    the tie goes to the lexicographically smallest treated index set, so
+    mirror-image allocations, equal but for rounding, give one answer.
+    Capacities with more than 2,000,000 feasible allocations (the default
+    cap of ``feasible_allocations``) raise ``EnumerationCapError``.
     """
     n = instance.n
     _check_size(n, max_units)
     allocations = feasible_allocations(n, kappa)
     values = welfare_of_allocations(instance, allocations, max_units=max_units)
-    best = _argmax_lexicographic(values, allocations)
+    best = _argmax_lexicographic(values, allocations, tie=_TIE)
     return Allocation.from_vector(allocations[best]), float(values[best])
 
 
-def _argmax_lexicographic(values: np.ndarray, allocations: np.ndarray) -> int:
-    """Index of the maximal value; exact ties resolve to the row whose
-    treated index tuple is lexicographically smallest."""
-    top = values.max()
-    tied = np.flatnonzero(values == top)
-    if tied.size == 1:
-        return int(tied[0])
-    keys = [tuple(np.flatnonzero(allocations[i])) for i in tied]
-    return int(tied[int(np.argmin(np.array(keys, dtype=object)))])
+def _argmax_lexicographic(values: np.ndarray, allocations: np.ndarray, tie: float = 0.0) -> int:
+    """Index of the maximal value; values within ``tie`` of the maximum
+    resolve to the row whose treated index tuple is lexicographically
+    smallest."""
+    tied = np.flatnonzero(values >= values.max() - tie)
+    return int(min(tied, key=lambda i: tuple(np.flatnonzero(allocations[i]))))
 
 
 def exact_kl(mu: np.ndarray, dist: ExactDistribution) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -125,7 +126,10 @@ class ThetaParams:
         for k in range(7):
             name = f"theta{k}"
             v = getattr(self, name)
-            if not np.isfinite(np.asarray(v, dtype=float)).all():
+            entries = np.ravel(np.asarray(v, dtype=object))
+            if not all(isinstance(u, numbers.Real) and not isinstance(u, bool) for u in entries):
+                raise ValueError(f"{name} must be a number or a list of numbers, got {v!r}")
+            if not np.isfinite(entries.astype(float)).all():
                 raise ValueError(f"{name} must be finite, got {v!r}")
             if np.ndim(v) > 0:
                 object.__setattr__(self, name, tuple(float(u) for u in v))
@@ -178,13 +182,6 @@ class Allocation:
         if not np.isin(d, (0, 1)).all():
             raise ValueError("allocation entries must be 0 or 1")
         return cls(d=d, treated=tuple(int(i) for i in np.flatnonzero(d)))
-
-    @classmethod
-    def from_treated(cls, n: int, treated) -> "Allocation":
-        d = np.zeros(n, dtype=np.int8)
-        idx = list(treated)
-        d[idx] = 1
-        return cls(d=d, treated=tuple(sorted(int(i) for i in idx)))
 
     @classmethod
     def zeros(cls, n: int) -> "Allocation":

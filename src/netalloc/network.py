@@ -38,18 +38,6 @@ class Network:
             object.__setattr__(self, name, a)
 
     @classmethod
-    def from_adjacency(cls, adjacency) -> "Network":
-        """Network of a square, symmetric 0/1 matrix; ``from_edges`` rejects self-links."""
-        a = np.asarray(adjacency, dtype=np.int8)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        return cls.from_edges(a.shape[0], np.argwhere(a))
-
-    @classmethod
     def from_edges(cls, n: int, edges) -> "Network":
         """Build a network from an iterable of integer (i, j) pairs.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netalloc import (
+    Allocation,
     Network,
     SolverSettings,
     ThetaParams,
@@ -12,7 +13,6 @@ from netalloc import (
     brute_force_optimal,
     greedy,
     make_instance,
-    no_treatment,
     random_allocation_welfare,
 )
 from tests.conftest import protocol_instance, random_instance
@@ -94,7 +94,7 @@ class TestGreedy:
         theta = ThetaParams.from_set(1, a_n=0.2)
         inst = make_instance(net, x, theta)
         swap = np.array([1, 0, 2, 3, 4])
-        net_s = Network.from_adjacency(inst.net.adjacency[np.ix_(swap, swap)])
+        net_s = Network.from_edges(5, np.argwhere(inst.net.adjacency[np.ix_(swap, swap)]))
         inst_s = make_instance(net_s, x[swap], theta, m=inst.m[np.ix_(swap, swap)])
         g, _ = greedy(inst, 2, SETTINGS, seed=0)
         g_s, _ = greedy(inst_s, 2, SETTINGS, seed=0)
@@ -131,7 +131,7 @@ class TestRandomAllocation:
     def test_zero_capacity_equals_none(self, rng):
         inst = protocol_instance(8, seed=10)
         evaluator = lambda d: approx_welfare(d, inst, SETTINGS, seed=1)
-        none_w = evaluator(no_treatment(inst).d)
+        none_w = evaluator(Allocation.zeros(inst.n).d)
         rand_w = random_allocation_welfare(inst, 0, draws=5, seed=3, evaluator=evaluator)
         assert rand_w == pytest.approx(none_w, abs=1e-10)
 
@@ -163,7 +163,7 @@ class TestOrdering:
         inst = protocol_instance(30, seed=8)
         kappa = 9
         evaluator = lambda d: approx_welfare(d, inst, SETTINGS, seed=2)
-        none_w = evaluator(no_treatment(inst).d)
+        none_w = evaluator(Allocation.zeros(inst.n).d)
         rand_w = random_allocation_welfare(inst, kappa, draws=20, seed=5, evaluator=evaluator)
         g, _ = greedy(inst, kappa, SETTINGS, seed=0)
         greedy_w = evaluator(g.d)

@@ -563,6 +563,21 @@ class TestConfigParsing:
         assert next(iter(raw)) in str(result.exception)
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, flags, message", [
+        ({"solver": 5}, ["--mode", "jacobi"], "solver must be a mapping, got 5"),
+        ([1], [], "config must be a mapping, got [1]"),
+    ])
+    def test_config_that_is_not_a_mapping_is_named(self, runner, tmp_path, raw, flags, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["simulate", "--config", str(cfg), "--reps", "1", *flags, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert message in str(result.exception)
+        assert not out.exists()
+
     def test_zero_workers_flag_is_an_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["simulate", "--n", "5", "--reps", "1", "--workers", "0",

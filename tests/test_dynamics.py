@@ -18,6 +18,7 @@ from netalloc import (
 )
 from netalloc.dynamics import _redraw
 from tests.conftest import protocol_instance, random_instance
+from tests.test_exact import _dense_enumeration
 
 
 def _step(y, model, rng):
@@ -99,7 +100,7 @@ class TestKernel:
             inst = random_instance(rng, n, density=0.6)
             d = rng.integers(0, 2, n)
             kernel = single_site_kernel(inst, d)
-            pi = enumerate_gibbs(weights(inst, d), with_probs=True).probs
+            pi = _dense_enumeration(weights(inst, d))[2]
             for code in range(1 << n):
                 for i in range(n):
                     other = code ^ (1 << i)

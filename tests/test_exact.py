@@ -23,7 +23,7 @@ from netalloc import (
     weights,
     welfare_of_allocations,
 )
-from netalloc.exact import ExactSizeError
+from netalloc.exact import MAX_EXACT_UNITS, ExactSizeError
 from netalloc.experiments import simulation_instance
 from netalloc.model import to_dense
 from tests.conftest import random_instance, random_theta
@@ -47,18 +47,21 @@ def reference_enumeration(inst, d):
 class TestEnumerateGibbs:
     def test_single_unit_balanced(self):
         w = WeightSystem(w1=np.zeros(1), w2=np.zeros((1, 1)))
-        dist = enumerate_gibbs(w, with_probs=True)
+        dist = enumerate_gibbs(w)
         assert dist.marginals[0] == pytest.approx(0.5)
-        np.testing.assert_allclose(dist.probs, [0.5, 0.5])
+        assert dist.log_partition == pytest.approx(math.log(2.0), abs=1e-15)
+        np.testing.assert_allclose(_dense_enumeration(w)[2], [0.5, 0.5])
 
     def test_two_unit_closed_form(self):
         # With no linear terms and coupling a on the off-diagonal, the
         # four configuration weights are 1, 1, 1, e^{2a}.
         a = 0.8
         w2 = np.array([[0.0, a], [a, 0.0]])
-        dist = enumerate_gibbs(WeightSystem(np.zeros(2), w2), with_probs=True)
+        w = WeightSystem(np.zeros(2), w2)
+        dist = enumerate_gibbs(w)
         p11 = math.exp(2 * a) / (3 + math.exp(2 * a))
-        assert dist.probs[3] == pytest.approx(p11, abs=1e-14)
+        assert _dense_enumeration(w)[2][3] == pytest.approx(p11, abs=1e-14)
+        assert dist.log_partition == pytest.approx(math.log(3 + math.exp(2 * a)), abs=1e-14)
         assert dist.marginals[0] == pytest.approx(
             (1 + math.exp(2 * a)) / (3 + math.exp(2 * a)), abs=1e-14
         )
@@ -67,10 +70,11 @@ class TestEnumerateGibbs:
         for _ in range(10):
             inst = random_instance(rng, int(rng.integers(2, 9)))
             d = rng.integers(0, 2, inst.n)
-            dist = enumerate_gibbs(weights(inst, d), with_probs=True)
-            assert abs(dist.probs.sum() - 1.0) <= 1e-12
+            w = weights(inst, d)
+            probs = _dense_enumeration(w)[2]
+            assert abs(probs.sum() - 1.0) <= 1e-12
             np.testing.assert_allclose(
-                dist.marginals, dist.probs @ _configs(inst.n), atol=1e-12
+                enumerate_gibbs(w).marginals, probs @ _configs(inst.n), atol=1e-12
             )
 
     def test_matches_reference_enumeration(self, rng):
@@ -83,24 +87,58 @@ class TestEnumerateGibbs:
             np.testing.assert_allclose(dist.marginals, marginals, atol=1e-11)
 
     def test_block_count_invariance(self, rng, monkeypatch):
-        inst = random_instance(rng, 6)
-        w = weights(inst, rng.integers(0, 2, 6))
-        one = enumerate_gibbs(w, with_probs=True)
-        monkeypatch.setattr(ex, "_BLOCK", 4)  # 16 blocks of 4 configurations
-        several = enumerate_gibbs(w, with_probs=True)
-        assert abs(several.log_partition - one.log_partition) <= 1e-12
-        assert np.abs(several.marginals - one.marginals).max() <= 1e-12
-        assert np.abs(several.probs - one.probs).max() <= 1e-12
+        # Allocations are eliminated in blocks sized from the widest factor;
+        # every allocation is computed on its own, so any block size gives
+        # the same bits.
+        inst = random_instance(rng, 9, density=0.5)
+        allocations = rng.integers(0, 2, size=(300, 9))
+        w = weights(inst, allocations[0])
+        one = welfare_of_allocations(inst, allocations), enumerate_gibbs(w)
+        monkeypatch.setattr(ex, "_BUDGET", 1 << 7)  # 16 allocations a block here
+        several = welfare_of_allocations(inst, allocations), enumerate_gibbs(w)
+        assert several[0].tobytes() == one[0].tobytes()
+        assert several[1].log_partition == one[1].log_partition
+        assert several[1].marginals.tobytes() == one[1].marginals.tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 9, 12, 15])
     def test_bit_identical_to_dense_enumeration(self, n):
+        # Agreement to 1e-12: elimination sums in another order than the
+        # listing, so the last bits differ.
         inst = simulation_instance(n, 0.5, ThetaParams.from_set(1, a_n=1 / n), seed=n)
         w = weights(inst, np.random.default_rng(n).integers(0, 2, n))
-        log_z, marginals, probs = _dense_enumeration(w)
-        dist = enumerate_gibbs(w, with_probs=True)
-        assert dist.log_partition == log_z
-        assert dist.marginals.tobytes() == marginals.tobytes()
-        assert dist.probs.tobytes() == probs.tobytes()
+        log_z, marginals, _ = _dense_enumeration(w)
+        dist = enumerate_gibbs(w)
+        assert abs(dist.log_partition - log_z) <= 1e-12
+        assert np.abs(dist.marginals - marginals).max() <= 1e-12
+
+    def test_ring_of_max_units(self, rng):
+        n = MAX_EXACT_UNITS
+        net = Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        inst = make_instance(net, rng.random((n, 1)), random_theta(rng, a_n=0.5),
+                             kernel=SimilarityKernel.constant(0.7))
+        w = weights(inst, rng.integers(0, 2, n))
+        log_z, marginals, _ = _dense_enumeration(w)
+        dist = enumerate_gibbs(w)
+        assert abs(dist.log_partition - log_z) <= 1e-12
+        assert np.abs(dist.marginals - marginals).max() <= 1e-12
+
+    def test_disconnected_components(self, rng):
+        # Two triangles, a path, and isolated units: one factor is left per
+        # component, and log Z and the welfare add up over them.
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8)]
+        net = Network.from_edges(11, edges)
+        inst = make_instance(net, rng.random((11, 1)), random_theta(rng, a_n=0.5),
+                             kernel=SimilarityKernel.constant(0.7))
+        allocations = rng.integers(0, 2, size=(20, 11))
+        for d in allocations[:5]:
+            log_z, marginals, _ = _dense_enumeration(weights(inst, d))
+            dist = enumerate_gibbs(weights(inst, d))
+            assert abs(dist.log_partition - log_z) <= 1e-12
+            assert np.abs(dist.marginals - marginals).max() <= 1e-12
+        listed = [_dense_enumeration(weights(inst, d))[1].sum() for d in allocations]
+        np.testing.assert_allclose(
+            welfare_of_allocations(inst, allocations), listed, rtol=0, atol=1e-12
+        )
 
     def test_size_cap(self):
         w = WeightSystem(np.zeros(25), np.zeros((25, 25)))
@@ -108,20 +146,22 @@ class TestEnumerateGibbs:
             enumerate_gibbs(w)
 
 
-def _configs(n):
-    codes = np.arange(1 << n)
+def _configs(n, start=0, stop=None):
+    """Configurations with codes start..stop-1: row r has y_i = ((start + r) >> i) & 1."""
+    codes = np.arange(start, 1 << n if stop is None else stop)
     return ((codes[:, None] >> np.arange(n)) & 1).astype(float)
 
 
 def _dense_enumeration(w):
-    """One-table reference for ``enumerate_gibbs``, which must match it bit
-    for bit while all configurations fit in one block (N <= 15)."""
-    codes = np.arange(1 << w.n, dtype=np.uint32)
-    y = ((codes[:, None] >> np.arange(w.n, dtype=np.uint32)) & 1).astype(float)
-    e = y @ w.w1 + ((y @ w.w2) * y).sum(axis=1)
+    """Reference listing of all 2^N configurations, in blocks of 2^16 codes:
+    log Z, the marginals, and the probability of each code."""
+    n, w2 = w.n, to_dense(w.w2)
+    blocks = [(s, min(s + (1 << 16), 1 << n)) for s in range(0, 1 << n, 1 << 16)]
+    e = np.concatenate([y @ w.w1 + ((y @ w2) * y).sum(axis=1)
+                        for y in (_configs(n, *b) for b in blocks)])
     log_z = float(logsumexp(e))
     p = np.exp(e - log_z)
-    return log_z, p @ y, p
+    return log_z, sum(p[slice(*b)] @ _configs(n, *b) for b in blocks), p
 
 
 class TestExactWelfare:
@@ -168,18 +208,10 @@ class TestExactWelfare:
         single = np.array([exact_welfare(d, inst) for d in allocations])
         np.testing.assert_allclose(batch, single, atol=1e-9)
 
-    def test_invariant_under_chunk_size(self, rng):
-        inst = random_instance(rng, 9, density=0.5)
-        allocations = rng.integers(0, 2, size=(300, 9))
-        default = welfare_of_allocations(inst, allocations)
-        small = welfare_of_allocations(inst, allocations, chunk=7)
-        assert np.abs(small - default).max() <= 1e-12
-
 
 class TestCoupledPairTable:
-    """``welfare_of_allocations`` carries one table column per coupled pair,
-    however many pairs that is, and must agree with the per-allocation
-    enumeration."""
+    """``welfare_of_allocations`` eliminates over the coupled pairs, however
+    many there are, and must agree with the per-allocation computation."""
 
     @staticmethod
     def _check(inst, rng):
@@ -198,7 +230,7 @@ class TestCoupledPairTable:
         self._check(inst, rng)
 
     def test_equal_covariates_under_absdiff(self, rng):
-        net = Network.from_adjacency(np.ones((8, 8)) - np.eye(8))
+        net = Network.from_edges(8, list(itertools.combinations(range(8), 2)))
         inst = make_instance(net, np.ones((8, 2)), random_theta(rng, a_n=1 / 8),
                              kernel=SimilarityKernel.abs_diff())
         assert not to_dense(inst.coupling).any()
@@ -206,7 +238,7 @@ class TestCoupledPairTable:
 
     def test_every_pair_coupled(self, rng):
         n = 9
-        net = Network.from_adjacency(np.ones((n, n)) - np.eye(n))
+        net = Network.from_edges(n, list(itertools.combinations(range(n), 2)))
         inst = make_instance(net, rng.random((n, 1)), random_theta(rng, a_n=1 / n),
                              kernel=SimilarityKernel.constant(0.7))
         assert np.count_nonzero(np.triu(to_dense(inst.coupling), k=1)) == n * (n - 1) // 2
@@ -250,7 +282,7 @@ class TestBruteForce:
         # Permuting unit labels permutes the optimal treated set.
         inst = random_instance(rng, 6, density=0.5, positivity=True)
         perm = np.array([3, 0, 5, 1, 4, 2])
-        net_p = Network.from_adjacency(inst.net.adjacency[np.ix_(perm, perm)])
+        net_p = Network.from_edges(6, np.argwhere(inst.net.adjacency[np.ix_(perm, perm)]))
         inst_p = make_instance(
             net_p, inst.x[perm], inst.theta, m=inst.m[np.ix_(perm, perm)]
         )
@@ -263,6 +295,22 @@ class TestBruteForce:
         d = np.zeros(6, dtype=int)
         d[list(mapped)] = 1
         assert exact_welfare(d, inst_p) >= v_p - 1e-9
+
+    @pytest.mark.parametrize("n, a_n, c, kappa, want", [
+        (2, 0.1, 0.7, 1, (0,)),         # one linked pair
+        (4, 0.3, 1.0, 1, (1,)),         # the middle pair of a path
+        (3, 1.0, 1.0, 2, (0, 1)),       # an end and the middle of a path
+    ])
+    def test_rounding_ties_go_to_the_smallest_treated_set(self, n, a_n, c, kappa, want):
+        # The welfare of mirror-image allocations of a path is equal in exact
+        # arithmetic but not after rounding.
+        net = Network.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        inst = make_instance(net, np.ones((n, 1)), ThetaParams.from_set(1, a_n=a_n),
+                             kernel=SimilarityKernel.constant(c))
+        allocation, value = brute_force_optimal(inst, kappa)
+        assert allocation.treated == want
+        assert value == pytest.approx(welfare_of_allocations(inst, np.flip(allocation.d)),
+                                      abs=1e-10)
 
     def test_size_errors(self, rng):
         inst = random_instance(rng, 6)
@@ -294,14 +342,15 @@ class TestExactKL:
         # KL computed from the definition over all configurations.
         inst = random_instance(rng, 5, density=0.6)
         d = rng.integers(0, 2, 5)
-        dist = enumerate_gibbs(weights(inst, d), with_probs=True)
+        w = weights(inst, d)
+        dist, probs = enumerate_gibbs(w), _dense_enumeration(w)[2]
         mu = rng.uniform(0.1, 0.9, 5)
         direct = 0.0
         for code, y in enumerate(itertools.product((0, 1), repeat=5)):
             # Configuration codes use bit i for unit i.
             idx = sum(b << i for i, b in enumerate(y))
             q = np.prod([mu[i] if y[i] else 1 - mu[i] for i in range(5)])
-            direct += q * (math.log(q) - math.log(dist.probs[idx]))
+            direct += q * (math.log(q) - math.log(probs[idx]))
         assert exact_kl(mu, dist) == pytest.approx(direct, abs=1e-10)
 
     def test_domain_errors(self, rng):

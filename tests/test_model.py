@@ -223,7 +223,7 @@ class TestConditionalChoice:
 
 class TestAllocationType:
     def test_from_treated_and_count(self):
-        a = Allocation.from_treated(5, [3, 1])
+        a = Allocation.from_vector([0, 1, 0, 1, 0])
         assert a.treated == (1, 3)
         assert a.count == 2
         assert a.d.tolist() == [0, 1, 0, 1, 0]
@@ -263,6 +263,20 @@ class TestInputContract:
     def test_theta_rejects_non_finite_tuple_entry(self):
         with pytest.raises(ValueError, match="theta3 must be finite"):
             ThetaParams(-2.0, 0.5, (0.1, 0.2), (0.6, np.nan), 0.7, 0.8, 0.9)
+
+    @pytest.mark.parametrize("k, bad", [(0, True), (0, "x"), (4, None), (6, {"a": 1}),
+                                        (2, (0.1, False)), (3, (0.6, "y")),
+                                        (3, (0.6, [0.1]))])
+    def test_theta_rejects_non_numbers(self, k, bad):
+        vals = list(ThetaParams.from_set(1).to_dict().values())[:7]
+        vals[k] = bad
+        with pytest.raises(ValueError, match=f"theta{k} must be a number or a list of numbers"):
+            ThetaParams(*vals)
+
+    def test_theta_accepts_numpy_numbers(self):
+        theta = ThetaParams(np.float64(-2.0), np.int64(1), [0.1, np.float32(0.2)],
+                            np.array([0.6, 0.7]), 0.7, 0.8, 0.9)
+        assert theta.theta2 == (0.1, pytest.approx(0.2)) and theta.theta3 == (0.6, 0.7)
 
     @pytest.mark.parametrize("a_n", [np.inf, np.nan, -1.0])
     def test_theta_rejects_bad_scaling(self, a_n):

@@ -208,6 +208,17 @@ class TestExactWelfare:
         single = np.array([exact_welfare(d, inst) for d in allocations])
         np.testing.assert_allclose(batch, single, atol=1e-9)
 
+    def test_invariant_under_chunk_size(self, rng, monkeypatch):
+        # Shrink the factor budget so the allocations run 7 to a block.
+        inst = random_instance(rng, 9, density=0.5)
+        allocations = rng.integers(0, 2, size=(300, 9))
+        default = welfare_of_allocations(inst, allocations)
+        iu, ju = np.nonzero(np.triu(to_dense(inst.coupling), k=1))
+        widest = max((len(rest) for _, rest in ex._min_fill_order(9, iu, ju)), default=0) + 1
+        monkeypatch.setattr(ex, "_BUDGET", 7 << widest)
+        small = welfare_of_allocations(inst, allocations)
+        assert np.abs(small - default).max() <= 1e-12
+
 
 class TestCoupledPairTable:
     """``welfare_of_allocations`` eliminates over the coupled pairs, however

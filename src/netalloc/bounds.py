@@ -45,12 +45,6 @@ class BoundsReport:
         return asdict(self)
 
 
-def _theta_scalars(theta):
-    t3 = theta.theta3
-    t3_ok = all(v >= 0 for v in t3) if isinstance(t3, tuple) else t3 >= 0
-    return t3_ok
-
-
 def positivity_profile_holds(theta) -> bool:
     """Nonnegative treatment and spillover effects with strictly positive
     direct and externality coefficients, the sufficient condition for the
@@ -58,7 +52,7 @@ def positivity_profile_holds(theta) -> bool:
     return (
         theta.theta1 > 0
         and theta.theta4 > 0
-        and _theta_scalars(theta)
+        and all(v >= 0 for v in np.atleast_1d(theta.theta3))
         and theta.theta5 >= 0
         and theta.theta6 >= 0
     )

@@ -214,7 +214,6 @@ class ExperimentConfig:
     theta: dict | None = None
     a_n: float | None = None
     kernel: str = "absdiff"
-    sparse: bool | None = None
     random_draws: int | None = None
     exact_cap: int = 15
     solver: meanfield.SolverSettings = field(default_factory=meanfield.SolverSettings)
@@ -282,14 +281,13 @@ class ExperimentConfig:
 
     def resolved_theta(self, set_id: int, n: int, generated: bool) -> ThetaParams:
         """Parameters for one cell, applying the spillover-scaling default:
-        1/N for generated (dense) networks, 1 for declared-sparse data."""
-        sparse = (not generated) if self.sparse is None else self.sparse
+        1/N for generated (dense) networks, 1 for file-loaded (sparse) data."""
         if self.theta is not None:
             theta = self.theta_params
             if "a_n" not in self.theta and self.a_n is None:
-                theta = theta.replace_a_n(default_a_n(n, sparse))
+                theta = theta.replace_a_n(default_a_n(n, not generated))
         else:
-            theta = ThetaParams.from_set(set_id, a_n=default_a_n(n, sparse))
+            theta = ThetaParams.from_set(set_id, a_n=default_a_n(n, not generated))
         if self.a_n is not None:
             theta = theta.replace_a_n(self.a_n)
         return theta

@@ -259,39 +259,28 @@ class WeightSystem:
 
 @dataclass(frozen=True)
 class Instance:
-    """A full problem instance: network, covariates, parameters, similarity.
+    """A full problem instance: network, covariates, parameters, kernel.
 
-    The similarity comes from exactly one of ``kernel`` (evaluated on the
-    covariates) and ``similarity`` (an explicit symmetric, nonnegative
-    N x N matrix). Covariates are checked with ``check_covariates`` and
-    stored as a float (N, K) array, the similarity as a float array. All
-    fields are immutable after construction; derived arrays are cached.
+    The similarity m(X_i, X_j) is ``kernel`` evaluated on the covariates.
+    Covariates are checked with ``check_covariates`` and stored as a float
+    (N, K) array. All fields are immutable after construction; derived
+    arrays are cached.
     """
 
     net: Network
     x: np.ndarray
     theta: ThetaParams
-    kernel: SimilarityKernel | None = None
-    similarity: np.ndarray | None = None
+    kernel: SimilarityKernel
 
     def __post_init__(self):
+        if not isinstance(self.kernel, SimilarityKernel):
+            raise TypeError(f"kernel must be a SimilarityKernel, got {self.kernel!r}")
         object.__setattr__(self, "x", check_covariates(self.x))
         if self.x.shape[0] != self.net.n:
             raise ValueError(
                 f"covariate rows ({self.x.shape[0]}) do not match "
                 f"network size ({self.net.n})"
             )
-        if (self.kernel is None) == (self.similarity is None):
-            raise ValueError("give exactly one of kernel and similarity")
-        if self.similarity is not None:
-            m = np.asarray(self.similarity, dtype=float)
-            object.__setattr__(self, "similarity", m)
-            if m.shape != (self.net.n, self.net.n):
-                raise ValueError("similarity matrix shape does not match network")
-            if not np.array_equal(m, m.T):
-                raise ValueError("similarity matrix must be symmetric")
-            if (m < 0).any():
-                raise ValueError("similarity entries must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -300,8 +289,6 @@ class Instance:
     @cached_property
     def m(self) -> np.ndarray:
         """Dense all-pairs similarity matrix, built on first access."""
-        if self.similarity is not None:
-            return self.similarity
         return similarity_matrix(self.x, self.kernel)
 
     @cached_property
@@ -320,10 +307,7 @@ class Instance:
         from scipy import sparse  # loaded only once a network is sparse
 
         rows, cols = net.rows, net.indices
-        if self.similarity is not None:
-            values = self.similarity[rows, cols]
-        else:
-            values = pair_similarity(self.x, self.kernel, rows, cols)
+        values = pair_similarity(self.x, self.kernel, rows, cols)
         # Copies, since eliminate_zeros compacts the index arrays in place.
         out = sparse.csr_array((values, cols.copy(), net.indptr.copy()), shape=(net.n, net.n))
         out.eliminate_zeros()
@@ -341,17 +325,9 @@ class Instance:
 
     @cached_property
     def m_bounds(self) -> tuple[float, float]:
-        """(lower, upper) similarity bounds over distinct pairs.
-
-        From the kernel this is computed in row blocks, without the dense
-        similarity matrix."""
-        if self.similarity is None:
-            return similarity_bounds(self.x, self.kernel)
-        if self.n < 2:
-            return 0.0, 0.0
-        mask = ~np.eye(self.n, dtype=bool)
-        vals = self.similarity[mask]
-        return float(vals.min()), float(vals.max())
+        """(lower, upper) similarity bounds over distinct pairs, computed in
+        row blocks without the dense similarity matrix."""
+        return similarity_bounds(self.x, self.kernel)
 
     @property
     def m_lower(self) -> float:
@@ -373,17 +349,14 @@ def make_instance(
     x,
     theta: ThetaParams,
     kernel: SimilarityKernel | None = None,
-    m: np.ndarray | None = None,
 ) -> Instance:
-    """Assemble an Instance from a similarity kernel or an explicit matrix.
+    """Assemble an Instance, logging a large spillover scale.
 
-    Exactly one of ``kernel`` and ``m`` may be given; the default kernel is
-    the L1-distance similarity. A kernel is evaluated lazily: on the edges
-    for a sparse coupling, on all pairs only when ``Instance.m`` is read.
+    The default kernel is the L1-distance similarity. The kernel is
+    evaluated lazily: on the edges for a sparse coupling, on all pairs only
+    when ``Instance.m`` is read.
     """
-    if m is None:
-        kernel = kernel or SimilarityKernel.abs_diff()
-    instance = Instance(net=net, x=x, theta=theta, kernel=kernel, similarity=m)
+    instance = Instance(net=net, x=x, theta=theta, kernel=kernel or SimilarityKernel.abs_diff())
     if instance.spillover_scale > 10.0:
         log.info(
             "spillover scale a_n * max_degree = %.3g is large; consider a "

@@ -6,6 +6,7 @@ import pytest
 from netalloc import (
     Allocation,
     Network,
+    SimilarityKernel,
     SolverSettings,
     ThetaParams,
     approx_welfare,
@@ -76,7 +77,7 @@ class TestGreedy:
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         x = np.array([[1.0], [1.0], [1.0]])
         theta = ThetaParams(-2.0, 0.5, 0.1, 0.6, 0.7, 0.8, 0.9, a_n=0.5)
-        inst = make_instance(net, x, theta, m=np.ones((3, 3)))
+        inst = make_instance(net, x, theta, kernel=SimilarityKernel.constant(1.0))
         g, _ = greedy(inst, 1, SETTINGS)
         b, _ = brute_force_optimal(inst, 1)
         assert g.treated == b.treated == (1,)
@@ -95,7 +96,7 @@ class TestGreedy:
         inst = make_instance(net, x, theta)
         swap = np.array([1, 0, 2, 3, 4])
         net_s = Network.from_edges(5, np.argwhere(inst.net.adjacency[np.ix_(swap, swap)]))
-        inst_s = make_instance(net_s, x[swap], theta, m=inst.m[np.ix_(swap, swap)])
+        inst_s = make_instance(net_s, x[swap], theta, kernel=inst.kernel)
         g, _ = greedy(inst, 2, SETTINGS, seed=0)
         g_s, _ = greedy(inst_s, 2, SETTINGS, seed=0)
         w = approx_welfare(g.d, inst, SETTINGS, seed=0)

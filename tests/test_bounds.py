@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 from netalloc import (
+    SimilarityKernel,
     SolverSettings,
     ThetaParams,
     asymptotic_kl_constants,
@@ -68,7 +69,7 @@ class TestMargin:
         net = erdos_renyi(6, 1.0, seed=0)
         x = np.zeros((6, 1))
         theta = ThetaParams(0.0, 0.5, 0.3, 0.0, 0.4, 0.0, 0.0, a_n=0.1)
-        inst = make_instance(net, x, theta, m=np.ones((6, 6)))
+        inst = make_instance(net, x, theta, kernel=SimilarityKernel.constant(1.0))
         scale = 0.1 * 0.4 * 5 * 1.0 + 0.5
         branch2 = expit(0.5 + 0.1 * 0.4 * 5) * (1 - expit(0.5 + 0.1 * 0.4 * 5))
         expected = min(0.25, float(branch2)) * scale / 6
@@ -93,6 +94,14 @@ class TestMargin:
         report = bounds_report(inst)
         assert not report.positivity_holds
         assert report.guarantee_factor == 0.0
+
+    @pytest.mark.parametrize("theta3, holds", [
+        (0.6, True), (0.0, True), (-0.1, False),
+        ((0.6, 0.0), True), ((0.6, -0.1), False),
+    ])
+    def test_positivity_reads_every_theta3_entry(self, theta3, holds):
+        theta = ThetaParams(-2.0, 0.5, 0.1, theta3, 0.7, 0.8, 0.9)
+        assert positivity_profile_holds(theta) is holds
 
     def test_sample_size_condition(self, rng):
         inst = protocol_instance(10, seed=0)
@@ -162,7 +171,8 @@ class TestKlUpperBound:
         for n in (100, 1000):
             ring = Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
             theta = ThetaParams.from_set(1, a_n=1.0)
-            inst = make_instance(ring, np.zeros((n, 1)), theta, m=np.ones((n, n)))
+            inst = make_instance(ring, np.zeros((n, 1)), theta,
+                                 kernel=SimilarityKernel.constant(1.0))
             values[n] = kl_upper_bound(inst)
         ratio = values[1000] / values[100]
         assert 9.0 <= ratio <= 11.0

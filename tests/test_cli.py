@@ -166,13 +166,13 @@ class TestAllocate:
         assert record["n"] == 3
         assert record["kappa"] == 1
         # Middle unit of the path dominates; verified exhaustively below.
-        from netalloc import ThetaParams, brute_force_optimal, make_instance
+        from netalloc import SimilarityKernel, ThetaParams, brute_force_optimal, make_instance
         from netalloc.network import load_covariates, load_network
 
         net = load_network(tmp_path / "net.txt")
         x = load_covariates(tmp_path / "cov.csv")
         theta = ThetaParams(-2.0, 0.5, 0.1, 0.6, 0.7, 0.8, 0.9, a_n=0.5)
-        inst = make_instance(net, x, theta, m=np.ones((3, 3)) * 1.0)
+        inst = make_instance(net, x, theta, kernel=SimilarityKernel.constant(1.0))
         best, _ = brute_force_optimal(inst, 1)
         assert tuple(record["treated"]) == best.treated == (1,)
         assert {"round", "unit", "delta", "nonconverged"} == set(record["trace"][0])
@@ -449,11 +449,12 @@ class TestKernel:
 
 
 class TestConfigParsing:
-    def test_unknown_keys_rejected(self, tmp_path):
+    @pytest.mark.parametrize("raw", [{"sizs": [5]}, {"sparse": True}], ids=["sizs", "sparse"])
+    def test_unknown_keys_rejected(self, raw):
         from netalloc.experiments import ExperimentConfig
 
         with pytest.raises(ValueError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"sizs": [5]})
+            ExperimentConfig.from_dict(raw)
 
     def test_solver_subconfig(self):
         from netalloc.experiments import ExperimentConfig

@@ -101,7 +101,7 @@ class TestEnumerateGibbs:
         assert several[1].marginals.tobytes() == one[1].marginals.tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 9, 12, 15])
-    def test_bit_identical_to_dense_enumeration(self, n):
+    def test_matches_dense_enumeration(self, n):
         # Agreement to 1e-12: elimination sums in another order than the
         # listing, so the last bits differ.
         inst = simulation_instance(n, 0.5, ThetaParams.from_set(1, a_n=1 / n), seed=n)
@@ -294,9 +294,7 @@ class TestBruteForce:
         inst = random_instance(rng, 6, density=0.5, positivity=True)
         perm = np.array([3, 0, 5, 1, 4, 2])
         net_p = Network.from_edges(6, np.argwhere(inst.net.adjacency[np.ix_(perm, perm)]))
-        inst_p = make_instance(
-            net_p, inst.x[perm], inst.theta, m=inst.m[np.ix_(perm, perm)]
-        )
+        inst_p = make_instance(net_p, inst.x[perm], inst.theta, kernel=inst.kernel)
         a, v = brute_force_optimal(inst, 2)
         a_p, v_p = brute_force_optimal(inst_p, 2)
         assert v == pytest.approx(v_p, abs=1e-9)

@@ -290,21 +290,11 @@ class TestInputContract:
         with pytest.raises(ValueError, match="covariates must be finite"):
             make_instance(net, x, SET1)
 
-    # Instance built directly runs the checks make_instance used to run.
-    @pytest.mark.parametrize(
-        "similarity,message",
-        [
-            ([[0, 1, 5], [2, 0, 1], [5, 1, 0]], "similarity matrix must be symmetric"),
-            ([[0, -1, 0], [-1, 0, 1], [0, 1, 0]], "similarity entries must be nonnegative"),
-        ],
-    )
-    def test_instance_rejects_bad_similarity(self, similarity, message):
+    @pytest.mark.parametrize("kernel", ["invdist", None])
+    def test_instance_rejects_non_kernel(self, kernel):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
-        x = np.zeros((3, 1))
-        with pytest.raises(ValueError, match=message):
-            Instance(net, x, SET1, similarity=similarity)
-        with pytest.raises(ValueError, match=message):
-            make_instance(net, x, SET1, m=similarity)
+        with pytest.raises(TypeError, match=f"kernel must be a SimilarityKernel, got {kernel!r}"):
+            Instance(net, np.zeros((3, 1)), SET1, kernel=kernel)
 
     @pytest.mark.parametrize(
         "x,message",
@@ -321,9 +311,9 @@ class TestInputContract:
 
     def test_instance_stores_float_arrays(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
-        inst = Instance(net, [1, 0, 2], SET1, similarity=[[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        inst = Instance(net, [1, 0, 2], SET1, kernel=SimilarityKernel.constant(1.0))
         assert inst.x.dtype == float and inst.x.shape == (3, 1)
-        assert inst.similarity.dtype == float
+        assert inst.m.dtype == float
         assert np.array_equal(inst.coupling, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 

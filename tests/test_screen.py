@@ -161,7 +161,7 @@ def test_certificate_boundary_solves_every_candidate():
     n = 5
     net = Network.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     theta = ThetaParams(-1.0, 0.5, 0.1, 0.2, 0.7, 1.0, -1.0, a_n=0.5)
-    inst = make_instance(net, np.zeros((n, 1)), theta, m=np.ones((n, n)))
+    inst = make_instance(net, np.zeros((n, 1)), theta, kernel=SimilarityKernel.constant(1.0))
     assert instance_certified(inst)
     d = np.zeros(n, dtype=np.int8)
     mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=0).mu[:, 0]

@@ -100,17 +100,6 @@ class TestStorageRule:
         if kernel.kind == "absdiff":
             assert csr.nnz < 2 * net.edge_count
 
-    def test_explicit_similarity_on_sparse_network(self, rng):
-        n = 80
-        m = rng.uniform(size=(n, n))
-        m = m + m.T
-        m[0, 1] = m[1, 0] = 0.0
-        net = ring(n)
-        inst = make_instance(net, np.zeros((n, 1)), ThetaParams.from_set(1), m=m)
-        assert sparse.issparse(inst.coupling)
-        assert np.array_equal(inst.coupling.toarray(), m * net.adjacency)
-        assert inst.coupling.nnz == 2 * n - 2
-
 
 class TestMBounds:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
@@ -136,18 +125,6 @@ class TestMBounds:
         else:
             off = inst.m[~np.eye(n, dtype=bool)]
             assert got == (off.min(), off.max())
-
-    @pytest.mark.parametrize("n", [1, 2, 50])
-    def test_explicit_matrix(self, rng, n):
-        m = rng.uniform(size=(n, n))
-        m = m + m.T
-        inst = make_instance(Network.from_edges(n, []), np.zeros((n, 1)),
-                             ThetaParams.from_set(1), m=m)
-        if n < 2:
-            assert inst.m_bounds == (0.0, 0.0)
-        else:
-            off = m[~np.eye(n, dtype=bool)]
-            assert inst.m_bounds == (off.min(), off.max())
 
     def test_bounds_span_blocks(self, rng, monkeypatch):
         from netalloc import network

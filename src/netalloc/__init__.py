@@ -18,7 +18,7 @@ from .bounds import (
     kl_upper_bound,
     regret_upper_bound,
 )
-from .dynamics import ChainModel, mcmc_welfare, single_site_kernel, stationarity_check
+from .dynamics import mcmc_welfare, single_site_kernel, stationarity_check
 from .exact import (
     ExactDistribution,
     ExactSizeError,
@@ -66,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "BoundsReport",
-    "ChainModel",
     "ExactDistribution",
     "ExactSizeError",
     "GreedyStep",

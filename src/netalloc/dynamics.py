@@ -13,39 +13,18 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .model import Instance, sigmoid, weights
+from .model import Instance, WeightSystem, sigmoid, weights
 
 # Batches of the batch-means standard error of mcmc_welfare.
 MCMC_BATCHES = 50
 
 
-class ChainModel:
-    """Precomputed per-unit update data for fast single-site sweeps.
-
-    Row i is the ``indptr`` slice i of (columns, values): the network's
-    neighbour lists for a dense w2, the stored entries for a CSR w2.
-    """
-
-    def __init__(self, instance: Instance, d):
-        w = weights(instance, d)
-        self.n = instance.n
-        self.w1 = w.w1
-        if isinstance(w.w2, np.ndarray):
-            net = instance.net
-            ptr, cols, vals = net.indptr, net.indices, 2.0 * w.w2[net.rows, net.indices]
-        else:
-            ptr, cols, vals = w.w2.indptr, w.w2.indices, 2.0 * w.w2.data
-        spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
-        self.neighbors = [cols[s] for s in spans]
-        self.neighbor_w = [vals[s] for s in spans]
-
-
-def _redraw(y: np.ndarray, model: ChainModel, sites, draws) -> None:
+def _redraw(y: np.ndarray, w: WeightSystem, sites, draws) -> None:
     """Redraw unit sites[k] of y in place from its logit conditional with
     uniform draws[k], for k in order: one step of the process per site."""
-    w1, neighbors, neighbor_w = model.w1, model.neighbors, model.neighbor_w
+    w1, (cols, vals) = w.w1, w.rows
     for i, u in zip(sites, draws):
-        y[i] = u < sigmoid(w1[i] + float(neighbor_w[i] @ y[neighbors[i]]))
+        y[i] = u < sigmoid(w1[i] + float(vals[i] @ y[cols[i]]))
 
 
 def mcmc_welfare(
@@ -69,15 +48,15 @@ def mcmc_welfare(
         raise ValueError("burn_in must be nonnegative")
     if steps_per_sweep is not None and steps_per_sweep < 1:
         raise ValueError(f"steps_per_sweep must be at least 1, got {steps_per_sweep}")
-    model = ChainModel(instance, d)
-    n = model.n
+    w = weights(instance, d)
+    n = w.n
     per_sweep = n if steps_per_sweep is None else int(steps_per_sweep)
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n).astype(np.int8)
     kept = np.empty(sweeps - burn_in)
     for sweep_idx in range(sweeps):
         sites = rng.integers(0, n, size=per_sweep)
-        _redraw(y, model, sites, rng.random(per_sweep))
+        _redraw(y, w, sites, rng.random(per_sweep))
         if sweep_idx >= burn_in:
             kept[sweep_idx - burn_in] = y.mean()
     estimate = float(kept.mean())

@@ -10,10 +10,10 @@ The iteration sweeps units in index order updating in place by default
 that coordinate, so the objective never decreases). A simultaneous-update
 mode is available for literal replication of the published iteration. The
 contraction certificate bounds the sup-norm Lipschitz constant of the
-first-order-condition map by one: when the bound is strict the map is a
-contraction and both modes reach the unique maximizer; at equality the map
-is only shown to be non-expansive. Under the certificate, greedy screens
-its candidates with the linear-response scores of ``_linear_response``.
+first-order-condition map strictly below one, so the map is a contraction
+and both modes reach the unique maximizer. Under the certificate, greedy
+screens its candidates with the linear-response scores of
+``_linear_response``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class MeanFieldSolution:
     iterations: int
     converged: bool
     foc_residual: float
-    contraction_certified: bool = False
 
     @property
     def welfare(self) -> float:
@@ -105,16 +104,14 @@ def foc_residual(mu, w: WeightSystem) -> float:
 def contraction_certificate(
     theta: ThetaParams, m_upper: float, max_degree: int
 ) -> bool:
-    """True when a_n * m_upper * (|theta5| + |theta6|) * max_degree <= 4.
+    """True when a_n * m_upper * (|theta5| + |theta6|) * max_degree < 4.
 
     A quarter of the left side bounds the sup-norm Lipschitz constant of the
     first-order-condition map. Below 4 the map is a contraction, so the
     iteration converges to the unique maximizer from any initialization.
-    At exactly 4 the bound is 1, which makes the map only non-expansive;
-    the boundary still counts as certified.
     """
     magnitude = theta.a_n * m_upper * (abs(theta.theta5) + abs(theta.theta6))
-    return magnitude * max_degree <= 4.0
+    return magnitude * max_degree < 4.0
 
 
 def instance_certified(instance: Instance) -> bool:
@@ -124,18 +121,10 @@ def instance_certified(instance: Instance) -> bool:
 
 
 def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem, clamp: float) -> np.ndarray:
-    w1, w2 = w.w1, w.w2
+    w1, (cols, vals) = w.w1, w.rows
     lo, hi = clamp, 1.0 - clamp
-    if not isinstance(w2, np.ndarray):
-        # CSR rows through their indptr slices; ``w2[i]`` costs ~30 us.
-        ptr, cols, vals = w2.indptr, w2.indices, w2.data
-        for i in range(mu.shape[0]):
-            a, b = ptr[i], ptr[i + 1]
-            v = sigmoid(w1[i] + 2.0 * float(vals[a:b] @ mu[cols[a:b]]))
-            mu[i] = min(max(v, lo), hi)
-        return mu
     for i in range(mu.shape[0]):
-        v = sigmoid(w1[i] + 2.0 * float(w2[i] @ mu))
+        v = sigmoid(w1[i] + float(vals[i] @ mu[cols[i]]))
         mu[i] = min(max(v, lo), hi)
     return mu
 
@@ -149,7 +138,6 @@ def fixed_point_solve(
     settings: SolverSettings | None = None,
     seed: int | None = None,
     init: np.ndarray | None = None,
-    certified: bool = False,
 ) -> MeanFieldSolution:
     """Iterate the first-order-condition map to a fixed point.
 
@@ -169,7 +157,6 @@ def fixed_point_solve(
     obj = variational_objective(mu, w, settings.clamp)
     converged = False
     iterations = 0
-    residual = foc_residual(mu, w)
     for iterations in range(1, settings.max_iter + 1):
         mu = sweep(mu, w, settings.clamp)
         new_obj = variational_objective(mu, w, settings.clamp)
@@ -185,7 +172,6 @@ def fixed_point_solve(
         iterations=iterations,
         converged=converged,
         foc_residual=residual,
-        contraction_certified=certified,
     )
 
 
@@ -205,13 +191,12 @@ def solve_allocation(
     """
     settings = settings or SolverSettings()
     w = weights(instance, d)
-    certified = instance_certified(instance)
-    if certified or init is not None or settings.restarts <= 1:
-        return fixed_point_solve(w, settings, seed=seed, init=init, certified=certified)
+    if instance_certified(instance) or init is not None or settings.restarts <= 1:
+        return fixed_point_solve(w, settings, seed=seed, init=init)
     seeds = np.random.SeedSequence(seed).generate_state(settings.restarts)
     best = None
     for s in seeds:
-        sol = fixed_point_solve(w, settings, seed=int(s), certified=certified)
+        sol = fixed_point_solve(w, settings, seed=int(s))
         if best is None or sol.objective > best.objective:
             best = sol
     return best
@@ -222,10 +207,9 @@ def approx_welfare(
     instance: Instance,
     settings: SolverSettings | None = None,
     seed: int | None = None,
-    init: np.ndarray | None = None,
 ) -> float:
     """Approximated equilibrium welfare, the sum of mean-field marginals."""
-    return solve_allocation(instance, d, settings, seed=seed, init=init).welfare
+    return solve_allocation(instance, d, settings, seed=seed).welfare
 
 
 def _product(sm, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -394,7 +378,7 @@ def _linear_response(
     D = mu (1 - mu), and M x = a (theta5 sm x + theta6 d o sm (d o x)), the
     coupling term of the first-order argument at the incumbent d. The
     first-order-condition map mu -> sigma(w1 + M mu) is R/4-Lipschitz in
-    the sup norm, and R <= 4 under the contraction certificate.
+    the sup norm, and R < 4 under the contraction certificate.
 
     Score. Treating unit k adds b_kk = theta1 + x3_k + a theta6 (sm (d o mu))_k
     to its own argument and b_ik = a sm_ik (theta4 + theta6 d_i mu'_k) to

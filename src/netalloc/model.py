@@ -66,16 +66,6 @@ def to_dense(a):
     return a if isinstance(a, np.ndarray) else a.toarray()
 
 
-def row_entries(a, i: int):
-    """Row i of a dense or CSR matrix as (values, columns): the row times a
-    vector v is ``values @ v[columns]``. A CSR row is read through its
-    ``indptr`` slice; indexing ``a[i]`` would build a row object (~30 us)."""
-    if isinstance(a, np.ndarray):
-        return a[i], slice(None)
-    lo, hi = a.indptr[i], a.indptr[i + 1]
-    return a.data[lo:hi], a.indices[lo:hi]
-
-
 def logistic_slope(x):
     """Derivative of the logistic function, logistic(x) * (1 - logistic(x))."""
     p = expit(x)
@@ -121,8 +111,11 @@ class ThetaParams:
     a_n: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.a_n, numbers.Real) or isinstance(self.a_n, bool):
+            raise ValueError(f"a_n must be a number, got {self.a_n!r}")
         if not 0 < self.a_n < math.inf:
             raise ValueError("a_n must be positive and finite")
+        object.__setattr__(self, "a_n", float(self.a_n))
         for k in range(7):
             name = f"theta{k}"
             v = getattr(self, name)
@@ -147,7 +140,7 @@ class ThetaParams:
         unknown = sorted(set(d) - {*names, "a_n"})
         if missing or unknown:
             raise ValueError(f"theta keys missing: {missing}, unknown: {unknown}")
-        return cls(**{**d, "a_n": float(d.get("a_n", 1.0))})
+        return cls(**d)
 
     def to_dict(self) -> dict:
         out = {}
@@ -255,6 +248,18 @@ class WeightSystem:
     def dense(self) -> "WeightSystem":
         """This system with a dense w2, the form the exact oracle uses."""
         return WeightSystem(w1=self.w1, w2=to_dense(self.w2))
+
+    @cached_property
+    def rows(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-unit rows (cols, vals) of 2 w2, for loops that update one unit
+        at a time: cols[i] lists the j with w2_ij != 0 in ascending order and
+        vals[i] the weights 2 w2_ij, so unit i's logit argument is
+        ``w1[i] + vals[i] @ y[cols[i]]``. Either storage gives the same rows."""
+        r, c = self.w2.nonzero()
+        v = 2.0 * self.w2[r, c]
+        ptr = np.searchsorted(r, np.arange(self.n + 1))
+        spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
+        return [c[s] for s in spans], [v[s] for s in spans]
 
 
 @dataclass(frozen=True)
@@ -407,7 +412,12 @@ def utility(i: int, y, instance: Instance, d) -> float:
     if y[i] == 0:
         return 0.0
     th = instance.theta
-    sm_row, cols = row_entries(instance.coupling, i)
+    sm = instance.coupling
+    if isinstance(sm, np.ndarray):
+        sm_row, cols = sm[i], slice(None)
+    else:  # the indptr slice; ``sm[i]`` would build a row object (~30 us)
+        span = slice(sm.indptr[i], sm.indptr[i + 1])
+        sm_row, cols = sm.data[span], sm.indices[span]
     linear = (
         th.theta0
         + th.theta1 * d[i]
@@ -432,9 +442,8 @@ def potential(y, instance: Instance, d) -> float:
 
 def choice_argument(i: int, y, w: WeightSystem) -> float:
     """Log-odds of unit i choosing 1 given everyone else's choices."""
-    y = np.asarray(y, dtype=float)
-    row, cols = row_entries(w.w2, i)
-    return float(w.w1[i] + 2.0 * (row @ y[cols]))
+    cols, vals = w.rows
+    return float(w.w1[i] + vals[i] @ np.asarray(y, dtype=float)[cols[i]])
 
 
 def conditional_choice_prob(i: int, y, instance: Instance, d) -> float:

@@ -11,6 +11,7 @@ which is what lets ``Instance.coupling`` store sparse networks in CSR form.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,19 +138,27 @@ class SimilarityKernel:
     Variants:
       * ``absdiff``  - L1 distance between covariate rows
       * ``invdist``  - 1 / (1 + L1 distance)
-      * ``constant`` - a fixed positive value for every pair
+      * ``constant`` - a fixed positive, finite ``value`` for every pair
+
+    Only ``constant`` takes a value.
     """
 
     kind: str
-    value: float = 1.0
+    value: float | None = None
 
     _KINDS = ("absdiff", "invdist", "constant")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "constant" and not self.value > 0:
-            raise ValueError("constant kernel value must be positive")
+        if self.kind != "constant" and self.value is not None:
+            raise ValueError(f"kernel {self.kind!r} takes no value, got {self.value!r}")
+        if self.kind == "constant" and not (
+            isinstance(self.value, numbers.Real) and 0 < self.value < np.inf
+        ):
+            raise ValueError(
+                f"constant kernel value must be positive and finite, got {self.value!r}"
+            )
 
     @classmethod
     def abs_diff(cls) -> "SimilarityKernel":

@@ -521,6 +521,11 @@ class TestConfigParsing:
             ({"theta": {**THETA, "bogus": 3}}, r"theta keys missing: \[\], unknown: \['bogus'\]"),
             ({"a_n": -1}, "a_n must be positive and finite, got -1"),
             ({"a_n": float("nan")}, "a_n must be positive and finite, got nan"),
+            ({"kernel": "constant:inf"},
+             "kernel 'constant:inf': constant kernel value must be positive and finite"),
+            ({"kernel": "absdiff:3"}, "kernel 'absdiff:3': kernel 'absdiff' takes no value"),
+            ({"theta": {**THETA, "a_n": True}}, "a_n must be a number, got True"),
+            ({"theta": {**THETA, "a_n": "0.5"}}, "a_n must be a number, got '0.5'"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -546,7 +551,7 @@ class TestConfigParsing:
         )
         assert cfg.solver.max_iter == 5 and cfg.solver.rho == 1
         assert cfg.tolerances.va_mcmc == 1 and cfg.sampler.steps_per_sweep is None
-        assert cfg.theta_params.a_n == 2.0
+        assert type(cfg.theta_params.a_n) is float and cfg.theta_params.a_n == 2.0
 
     @pytest.mark.parametrize("raw", [{"densities": [0.3, 1.5]}, {"sizes": [1]},
                                      {"param_sets": [3]}, {"seed": "x"},

@@ -1,11 +1,13 @@
 """Simulation chain: kernel correctness, stationarity, welfare estimates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import expit
 
 from netalloc import (
-    ChainModel,
     Network,
     ThetaParams,
     conditional_choice_prob,
@@ -19,34 +21,35 @@ from netalloc import (
 from netalloc.dynamics import _redraw
 from tests.conftest import protocol_instance, random_instance
 from tests.test_exact import _dense_enumeration
+from tests.test_storage import csr_twin
 
 
-def _step(y, model, rng):
+def _step(y, w, rng):
     """One step of the process: redraw one uniformly chosen unit of y."""
-    _redraw(y, model, rng.integers(0, model.n, size=1), rng.random(1))
+    _redraw(y, w, rng.integers(0, w.n, size=1), rng.random(1))
 
 
 class TestStep:
     def test_changes_at_most_one_coordinate(self, rng):
         inst = random_instance(rng, 8, density=0.5)
-        model = ChainModel(inst, rng.integers(0, 2, 8))
+        w = weights(inst, rng.integers(0, 2, 8))
         chain_rng = np.random.default_rng(0)
         y = chain_rng.integers(0, 2, size=8).astype(np.int8)
         for _ in range(200):
             before = y.copy()
-            _step(y, model, chain_rng)
+            _step(y, w, chain_rng)
             assert (before != y).sum() <= 1
 
     def test_single_unit_marginal(self):
         net = Network.from_edges(1, [])
         inst = make_instance(net, np.array([[1.0]]), ThetaParams(-0.5, 0, 0, 0, 0, 0, 0))
-        model = ChainModel(inst, np.zeros(1, dtype=int))
+        w = weights(inst, np.zeros(1, dtype=int))
         chain_rng = np.random.default_rng(42)
         y = chain_rng.integers(0, 2, size=1).astype(np.int8)
         hits = 0
         n_steps = 20000
         for _ in range(n_steps):
-            _step(y, model, chain_rng)
+            _step(y, w, chain_rng)
             hits += int(y[0])
         target = float(expit(-0.5))
         se = np.sqrt(target * (1 - target) / n_steps) * 3  # ignores autocorrelation
@@ -57,14 +60,14 @@ class TestStep:
         # single-site kernel probabilities.
         inst = random_instance(rng, 2, density=1.0)
         d = np.array([1, 0])
-        model = ChainModel(inst, d)
+        w = weights(inst, d)
         start = np.array([1, 0], dtype=np.int8)
         counts = {}
         trials = 100_000
         master = np.random.default_rng(7)
         for _ in range(trials):
             y = start.copy()
-            _step(y, model, np.random.default_rng(int(master.integers(2**63))))
+            _step(y, w, np.random.default_rng(int(master.integers(2**63))))
             key = tuple(y)
             counts[key] = counts.get(key, 0) + 1
         # Kernel row for configuration (1, 0): code = 1.
@@ -158,14 +161,14 @@ class TestMcmcWelfare:
         # 0.02 of the enumerated stationary marginals.
         inst = protocol_instance(5, seed=29)
         d = np.array([0, 1, 0, 0, 1])
-        model = ChainModel(inst, d)
+        w = weights(inst, d)
         chain_rng = np.random.default_rng(13)
         y = chain_rng.integers(0, 2, size=5).astype(np.int8)
         total_steps = 1_000_000
         burn = 50_000
         counts = np.zeros(5)
         for t in range(total_steps):
-            _step(y, model, chain_rng)
+            _step(y, w, chain_rng)
             if t >= burn:
                 counts += y
         empirical = counts / (total_steps - burn)
@@ -210,27 +213,37 @@ class TestMcmcWelfare:
                          steps_per_sweep=steps)
 
 
-def per_row_chain_data(instance, d):
-    """Neighbours and weights of a dense w2 as ChainModel built them when
-    networks were stored as dense matrices: one ``flatnonzero`` per row."""
-    w2 = weights(instance, d).w2
-    adj = instance.net.adjacency
-    neighbors = [np.flatnonzero(adj[i]) for i in range(instance.n)]
-    return neighbors, [2.0 * w2[i, nb] for i, nb in zip(range(instance.n), neighbors)]
+ROW_CASES = [(30, 0.3, 4), (25, 0.6, 1), (12, 0.1, 7)]
 
 
-class TestChainModel:
-    @pytest.mark.parametrize("n,density,seed", [(30, 0.3, 4), (25, 0.6, 1), (12, 0.1, 7)])
-    def test_dense_rows_match_per_row_builder_bit_for_bit(self, rng, n, density, seed):
-        # absdiff on binary covariates zeroes about half the couplings; the
-        # sampler still lists those neighbours, with weight 0.
+class TestRows:
+    @pytest.mark.parametrize("n,density,seed", ROW_CASES)
+    def test_dense_rows_equal_csr_rows_bit_for_bit(self, rng, n, density, seed):
         inst = protocol_instance(n, density=density, seed=seed)
-        assert isinstance(inst.coupling, np.ndarray)
         d = rng.integers(0, 2, size=n)
-        model = ChainModel(inst, d)
-        neighbors, neighbor_w = per_row_chain_data(inst, d)
-        assert len(model.neighbors) == len(model.neighbor_w) == n
-        for got, want in zip(model.neighbors, neighbors):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        for got, want in zip(model.neighbor_w, neighbor_w):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        dense, csr = weights(inst, d), weights(csr_twin(inst), d)
+        assert isinstance(dense.w2, np.ndarray) and sparse.issparse(csr.w2)
+        (cols_d, vals_d), (cols_s, vals_s) = dense.rows, csr.rows
+        assert len(cols_d) == len(vals_d) == len(cols_s) == len(vals_s) == n
+        for a, b in zip(cols_d, cols_s):
+            assert np.array_equal(a, b)
+        for a, b in zip(vals_d, vals_s):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n,density,seed", ROW_CASES)
+    def test_rows_list_exactly_the_nonzero_weights(self, rng, n, density, seed):
+        # absdiff on binary covariates zeroes about half the couplings, and
+        # theta5 = 0 zeroes every pair with an untreated end, which a CSR w2
+        # stores as explicit zeros. The rows leave all of them out.
+        inst = protocol_instance(n, density=density, seed=seed)
+        d = rng.integers(0, 2, size=n)
+        no_theta5 = replace(inst, theta=replace(inst.theta, theta5=0.0))
+        for case in (inst, csr_twin(inst), no_theta5, csr_twin(no_theta5)):
+            w = weights(case, d)
+            w2 = w.dense().w2
+            cols, vals = w.rows
+            for i in range(n):
+                want = np.flatnonzero(w2[i])
+                assert np.array_equal(cols[i], want)
+                assert vals[i].tobytes() == (2.0 * w2[i, want]).tobytes()
+            assert sum(map(len, cols)) < inst.net.indices.size

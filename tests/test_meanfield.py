@@ -261,14 +261,15 @@ class TestCertificate:
         # 1.0 * 1.0 * (7 + 7) * 10 = 140 > 4.
         assert not contraction_certificate(theta, m_upper=1.0, max_degree=10)
 
-    def test_boundary_is_certified(self):
+    def test_boundary_is_not_certified(self):
         # 0.5 * 1.0 * (1 + 1) * 4 == 4 exactly: the Lipschitz bound is 1, so
-        # the map is only non-expansive there, and the boundary counts as
-        # certified. One more neighbor breaks the certificate.
+        # the map is only non-expansive there, which does not give a unique
+        # fixed point. One neighbor fewer, or a slightly smaller similarity,
+        # restores the certificate.
         theta = ThetaParams(-1.0, 0.5, 0.1, 0.2, 0.7, 1.0, -1.0, a_n=0.5)
-        assert contraction_certificate(theta, m_upper=1.0, max_degree=4)
-        assert not contraction_certificate(theta, m_upper=1.0, max_degree=5)
-        assert not contraction_certificate(theta, m_upper=1.0 + 1e-12, max_degree=4)
+        assert not contraction_certificate(theta, m_upper=1.0, max_degree=4)
+        assert contraction_certificate(theta, m_upper=1.0, max_degree=3)
+        assert contraction_certificate(theta, m_upper=1.0 - 1e-12, max_degree=4)
 
     def test_scaled_benchmark_profile_certified(self):
         for n in (2, 10, 50, 500):

@@ -1,6 +1,7 @@
 """Utilities, the potential function, and the weight system."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,15 @@ class TestInputContract:
     @pytest.mark.parametrize("a_n", [np.inf, np.nan, -1.0])
     def test_theta_rejects_bad_scaling(self, a_n):
         with pytest.raises(ValueError, match="a_n must be positive and finite"):
+            ThetaParams.from_set(1, a_n=a_n)
+
+    @pytest.mark.parametrize("a_n", [True, "0.5", None, [0.5]])
+    def test_theta_rejects_non_number_scaling(self, a_n):
+        # a_n used to be coerced with float(), so True read as 1.0.
+        theta = ThetaParams.from_set(1).to_dict()
+        with pytest.raises(ValueError, match=f"a_n must be a number, got {re.escape(repr(a_n))}"):
+            ThetaParams.from_dict({**theta, "a_n": a_n})
+        with pytest.raises(ValueError, match="a_n must be a number"):
             ThetaParams.from_set(1, a_n=a_n)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

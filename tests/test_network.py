@@ -300,6 +300,20 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             SimilarityKernel.parse("fancy")
 
+    @pytest.mark.parametrize("spec", ["constant:inf", "constant:nan", "constant:0",
+                                      "constant:-1", "constant"])
+    def test_constant_needs_a_positive_finite_value(self, spec):
+        # An infinite constant made the coupling inf/NaN, and every
+        # Gauss-Seidel solve then ran to max_iter.
+        with pytest.raises(ValueError, match="constant kernel value must be positive and finite"):
+            SimilarityKernel.parse(spec)
+
+    @pytest.mark.parametrize("spec", ["absdiff:3", "invdist:2", "invdist:1"])
+    def test_distance_kernels_take_no_value(self, spec):
+        # The value used to be accepted and ignored.
+        with pytest.raises(ValueError, match="takes no value"):
+            SimilarityKernel.parse(spec)
+
 
 class TestFileLoading:
     def test_edge_list_roundtrip_with_dedup(self, tmp_path):

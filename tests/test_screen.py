@@ -157,12 +157,13 @@ def test_nonconverged_incumbent_solves_every_candidate(caplog):
 
 def test_certificate_boundary_solves_every_candidate():
     # Complete graph on 5 units, unit similarity: a_n (|theta5| + |theta6|)
-    # times the row sum is exactly 4, so the bound's 4 - R is zero.
+    # times the row sum is exactly 4. The boundary is not certified, so
+    # greedy solves every candidate; the bound's 4 - R is zero there too.
     n = 5
     net = Network.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     theta = ThetaParams(-1.0, 0.5, 0.1, 0.2, 0.7, 1.0, -1.0, a_n=0.5)
     inst = make_instance(net, np.zeros((n, 1)), theta, kernel=SimilarityKernel.constant(1.0))
-    assert instance_certified(inst)
+    assert not instance_certified(inst)
     d = np.zeros(n, dtype=np.int8)
     mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=0).mu[:, 0]
     assert _linear_response(inst, d, mu, TIGHT, *_coupling_constants(inst.coupling)) is None

@@ -45,7 +45,6 @@ from .model import (
     ThetaParams,
     WeightSystem,
     conditional_choice_prob,
-    default_a_n,
     feasible_allocations,
     make_instance,
     potential,
@@ -85,7 +84,6 @@ __all__ = [
     "conditional_choice_prob",
     "contraction_certificate",
     "curvature_margin",
-    "default_a_n",
     "enumerate_gibbs",
     "erdos_renyi",
     "exact_kl",

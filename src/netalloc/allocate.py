@@ -167,6 +167,8 @@ def random_allocation_welfare(
     treated units, under a caller-supplied welfare evaluator d -> float."""
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    if not 0 <= kappa <= instance.n:
+        raise ValueError("kappa must be between 0 and n")
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(draws):

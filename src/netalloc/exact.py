@@ -21,6 +21,7 @@ from .model import (
     Allocation,
     Instance,
     WeightSystem,
+    allocation_vector,
     feasible_allocations,
     to_dense,
     weights,
@@ -171,7 +172,7 @@ def welfare_of_allocations(
     """
     n = instance.n
     _check_size(n, max_units)
-    allocations = np.atleast_2d(np.asarray(allocations, dtype=float))
+    allocations = allocation_vector(allocations, n, block=True).astype(float)
     th = instance.theta
     sm = to_dense(instance.coupling)
     iu, ju = np.nonzero(np.triu(sm, k=1))

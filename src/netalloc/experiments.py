@@ -36,7 +36,6 @@ from .model import (
     EnumerationCapError,
     Instance,
     ThetaParams,
-    default_a_n,
     derive_seed,
     make_instance,
     weights,
@@ -255,6 +254,11 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.kappa is not None and self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        # Generated networks have the swept sizes; a network file's size is
+        # known only when it is loaded, and the allocation rule checks it.
+        smallest = min(self.sizes, default=math.inf)
+        if self.kappa is not None and self.network_file is None and self.kappa > smallest:
+            raise ValueError(f"kappa must be between 0 and n, got {self.kappa} for n = {smallest}")
         if not 0 <= self.kappa_frac <= 1:
             raise ValueError(f"kappa_frac must lie in [0, 1], got {self.kappa_frac}")
         if self.workers < 1:
@@ -280,17 +284,15 @@ class ExperimentConfig:
         return _read_settings(cls, raw)
 
     def resolved_theta(self, set_id: int, n: int, generated: bool) -> ThetaParams:
-        """Parameters for one cell, applying the spillover-scaling default:
-        1/N for generated (dense) networks, 1 for file-loaded (sparse) data."""
-        if self.theta is not None:
-            theta = self.theta_params
-            if "a_n" not in self.theta and self.a_n is None:
-                theta = theta.replace_a_n(default_a_n(n, not generated))
-        else:
-            theta = ThetaParams.from_set(set_id, a_n=default_a_n(n, not generated))
+        """Parameters for one cell. a_n is the config's ``a_n``, else the one
+        in ``theta``, else the spillover-scaling default: 1/N for generated
+        (dense) networks, 1 for file-loaded (sparse) data."""
+        theta = self.theta_params or ThetaParams.from_set(set_id)
         if self.a_n is not None:
-            theta = theta.replace_a_n(self.a_n)
-        return theta
+            return dataclasses.replace(theta, a_n=self.a_n)
+        if "a_n" in (self.theta or {}):
+            return theta
+        return dataclasses.replace(theta, a_n=1.0 / n if generated else 1.0)
 
     def draws_for(self, n: int) -> int:
         if self.random_draws is not None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .model import Instance, ThetaParams, WeightSystem, sigmoid, to_dense, weights
+from .model import Instance, ThetaParams, WeightSystem, allocation_vector, sigmoid, to_dense, weights
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -34,8 +34,9 @@ JACOBI = "jacobi"
 class SolverSettings:
     """Fixed-point solver controls.
 
-    rho is the objective-increment stopping threshold; foc_tol bounds the
-    residual of the first-order conditions at termination. restarts only
+    rho is the objective-increment stopping threshold of per-allocation
+    solves (``fixed_point_solve``); ``batch_fixed_point`` stops on foc_tol,
+    the residual of the first-order conditions, alone. restarts only
     applies when the contraction certificate fails for the instance.
     """
 
@@ -230,7 +231,6 @@ class BatchSolution:
     """Mean-field fixed points for a batch of allocations, one per column."""
 
     mu: np.ndarray  # (n, batch)
-    objectives: np.ndarray
     welfare: np.ndarray
     converged: np.ndarray
     iterations: int
@@ -247,24 +247,31 @@ def batch_fixed_point(
 
     Runs the simultaneous-update iteration on an (n, batch) matrix of
     marginals, which turns a candidate sweep into a handful of coupling
-    products (dense BLAS, or CSR for a sparse coupling). Intended for
-    certified instances, where the fixed point is unique and independent of
-    the update schedule; callers should fall back to per-allocation solves
+    products (dense BLAS, or CSR for a sparse coupling). ``allocations`` is
+    one allocation or a (batch, n) block of them. Intended for certified
+    instances, where the fixed point is unique and independent of the
+    update schedule; callers should fall back to per-allocation solves
     when the certificate fails.
 
+    A column has converged once one more step moves it by at most foc_tol
+    in the sup norm, and the call returns when every column has, or at
+    max_iter. Under the certificate the first-order map is an
+    (R/4)-contraction, R < 4 (see ``_linear_response``), so a converged
+    column lies within (foc_tol + clamp) / (1 - R/4) of the unique fixed
+    point; no objective is needed, and ``settings.rho`` is not read.
+
     Each iteration does two coupling products, ``sm @ mu`` and
-    ``sm @ (d * mu)``, for the iterate it evaluates. They give its
-    objective, its first-order residual and the next iterate, which the
-    following iteration evaluates, so a call does ``3 + 2 * iterations``
-    products, all through ``_product``. Every (n, batch) array lives in one
-    of seven buffers allocated up front: the allocations, w1, the current
-    and the next iterate, the two products and one scratch array. (A CSR
-    product returns a fresh array that replaces its product buffer.)
+    ``sm @ (d * mu)``, for the iterate it checks, and takes the next
+    iterate from them, so a call does ``3 + 2 * iterations`` products, all
+    through ``_product``. Every (n, batch) array lives in one of seven
+    buffers allocated up front: the allocations, w1, the current and the
+    next iterate, the two products and one scratch array. (A CSR product
+    returns a fresh array that replaces its product buffer.)
     """
     settings = settings or SolverSettings()
     th = instance.theta
     sm = instance.coupling
-    dt = np.asarray(allocations, dtype=float).T.copy()  # (n, batch)
+    dt = allocation_vector(allocations, instance.n, block=True).T.astype(float, order="C")
     n, batch = dt.shape
     base = th.theta0 + instance.x_effect2
     w1 = (
@@ -281,37 +288,18 @@ def batch_fixed_point(
     lo, hi = settings.clamp, 1.0 - settings.clamp
     cur = np.clip(mu, lo, hi, out=mu)
     nxt = np.empty_like(cur)
-    p1 = np.empty_like(cur)  # sm @ cur
-    p2 = np.empty_like(cur)  # sm @ (dt * cur)
+    p1 = np.empty_like(cur)  # sm @ mu
+    p2 = np.empty_like(cur)  # sm @ (dt * mu)
     tmp = np.empty_like(cur)
-    scale = 0.5 * th.a_n
 
-    def evaluate(mu, free):
-        """Objective of ``mu``; leaves its two products in p1 and p2.
-
-        ``free`` is a buffer the caller does not need; it is overwritten.
-        Here and in ``step`` the order of the elementwise operations fixes
-        every rounding; tests pin the output bit for bit to a reference.
-        """
+    def step(mu, out):
+        """The iterate after ``mu``, into ``out``. The order of the
+        elementwise operations fixes every rounding; tests pin the output
+        bit for bit to a reference."""
         nonlocal p1, p2
         np.multiply(dt, mu, out=tmp)
         p2 = _product(sm, tmp, p2)
         p1 = _product(sm, mu, p1)
-        quad6 = np.multiply(tmp, p2, out=tmp).sum(axis=0)
-        quad5 = np.multiply(mu, p1, out=tmp).sum(axis=0)
-        energy = np.multiply(w1, mu, out=tmp).sum(axis=0) + scale * (
-            th.theta5 * quad5 + th.theta6 * quad6
-        )
-        np.subtract(1.0, mu, out=free)
-        np.log(free, out=tmp)
-        np.multiply(free, tmp, out=free)
-        np.log(mu, out=tmp)
-        np.multiply(mu, tmp, out=tmp)
-        negent = np.add(tmp, free, out=tmp).sum(axis=0)
-        return energy - negent
-
-    def step(out):
-        """Next iterate from p1 and p2 (both overwritten) into ``out``."""
         np.multiply(p1, th.theta5, out=p1)
         np.multiply(dt, th.theta6, out=tmp)
         np.multiply(tmp, p2, out=p2)
@@ -321,25 +309,16 @@ def batch_fixed_point(
         expit(out, out=out)
         np.clip(out, lo, hi, out=out)
 
-    obj = evaluate(cur, nxt)
-    step(nxt)
-    done = np.zeros(batch, dtype=bool)
-    iterations = 0
+    step(cur, nxt)
     for iterations in range(1, settings.max_iter + 1):
-        cur, nxt = nxt, cur  # cur: the iterate this iteration evaluates
-        new_obj = evaluate(cur, nxt)
-        step(nxt)
+        cur, nxt = nxt, cur  # cur: the iterate this iteration checks
+        step(cur, nxt)
         residual = np.abs(np.subtract(nxt, cur, out=tmp), out=tmp).max(axis=0)
-        done = (new_obj - obj <= settings.rho) & (residual <= settings.foc_tol)
-        obj = new_obj
+        done = residual <= settings.foc_tol
         if done.all():
             break
     return BatchSolution(
-        mu=cur,
-        objectives=obj,
-        welfare=cur.sum(axis=0),
-        converged=done.copy(),
-        iterations=iterations,
+        mu=cur, welfare=cur.sum(axis=0), converged=done, iterations=iterations
     )
 
 

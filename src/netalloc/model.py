@@ -150,17 +150,6 @@ class ThetaParams:
         out["a_n"] = self.a_n
         return out
 
-    def replace_a_n(self, a_n: float) -> "ThetaParams":
-        return ThetaParams(
-            self.theta0, self.theta1, self.theta2, self.theta3,
-            self.theta4, self.theta5, self.theta6, a_n=a_n,
-        )
-
-
-def default_a_n(n: int, sparse: bool) -> float:
-    """Spillover scaling convention: 1 for sparse networks, 1/N for dense."""
-    return 1.0 if sparse else 1.0 / n
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -171,9 +160,8 @@ class Allocation:
 
     @classmethod
     def from_vector(cls, d) -> "Allocation":
-        d = np.asarray(d, dtype=np.int8)
-        if not np.isin(d, (0, 1)).all():
-            raise ValueError("allocation entries must be 0 or 1")
+        d = np.asarray(d)
+        d = allocation_vector(d, d.size)
         return cls(d=d, treated=tuple(int(i) for i in np.flatnonzero(d)))
 
     @classmethod
@@ -190,17 +178,18 @@ class Allocation:
         return Allocation.from_vector(d)
 
 
-def allocation_vector(d, n: int) -> np.ndarray:
-    """Coerce an Allocation or array-like into a validated length-n 0/1 array."""
-    if isinstance(d, Allocation):
-        vec = d.d
-    else:
-        vec = np.asarray(d, dtype=np.int8)
-    if vec.shape != (n,):
+def allocation_vector(d, n: int, block: bool = False) -> np.ndarray:
+    """Check an Allocation or array-like and return it as an int8 0/1 array:
+    one allocation of length n, or with ``block`` a (B, n) block of them
+    (one allocation becomes a block of one). Entries are compared with 0
+    and 1 before the cast, so 0.5 or 2 is rejected, not truncated."""
+    vec = d.d if isinstance(d, Allocation) else np.asarray(d)
+    if vec.shape[-1:] != (n,) or vec.ndim > 1 + block:
         raise ValueError(f"allocation must have length {n}, got shape {vec.shape}")
-    if not np.isin(vec, (0, 1)).all():
+    if not ((vec == 0) | (vec == 1)).all():
         raise ValueError("allocation entries must be 0 or 1")
-    return vec
+    vec = vec.astype(np.int8, copy=False)
+    return np.atleast_2d(vec) if block else vec
 
 
 class EnumerationCapError(ValueError):
@@ -235,7 +224,7 @@ class WeightSystem:
 
     w2 has zero diagonal; the potential of a configuration y is
     w1'y + y' w2 y. w2 has the storage of the instance's coupling: a dense
-    array or a ``scipy.sparse.csr_array`` with the coupling's pattern.
+    array or a ``scipy.sparse.csr_array`` of its nonzero entries.
     """
 
     w1: np.ndarray
@@ -377,8 +366,8 @@ def weights(instance: Instance, d) -> WeightSystem:
     w1_i collects every term linear in y_i: the intercept, own treatment,
     covariate effects, and scaled treatment externalities from treated
     neighbors. w2_ij = (a_n / 2) * m_ij * G_ij * (theta5 + theta6 d_i d_j)
-    carries the choice spillovers. A CSR coupling gives a CSR w2 with the
-    same pattern, computed entry by entry on the edges.
+    carries the choice spillovers. A CSR coupling gives a CSR w2 of the
+    nonzero entries, computed entry by entry on the edges.
     """
     th = instance.theta
     d = allocation_vector(d, instance.n)
@@ -397,7 +386,10 @@ def weights(instance: Instance, d) -> WeightSystem:
         values = 0.5 * th.a_n * sm.data * (
             th.theta5 + th.theta6 * (d[rows] * d[sm.indices])
         )
-        w2 = type(sm)((values, sm.indices, sm.indptr), shape=sm.shape)
+        # Copies, since eliminate_zeros compacts the coupling's index arrays
+        # in place; the entries where theta5 + theta6 d_i d_j = 0 go.
+        w2 = type(sm)((values, sm.indices.copy(), sm.indptr.copy()), shape=sm.shape)
+        w2.eliminate_zeros()
     return WeightSystem(w1=w1, w2=w2)
 
 

@@ -148,6 +148,12 @@ class TestRandomAllocation:
         with pytest.raises(ValueError):
             random_allocation_welfare(inst, 2, draws=0, seed=0, evaluator=lambda d: 0.0)
 
+    @pytest.mark.parametrize("kappa", [-1, 7])
+    def test_capacity_validated(self, kappa):
+        inst = protocol_instance(6, seed=1)
+        with pytest.raises(ValueError, match="kappa must be between 0 and n"):
+            random_allocation_welfare(inst, kappa, draws=1, seed=0, evaluator=lambda d: 0.0)
+
     def test_exact_kappa_treated(self, rng):
         inst = protocol_instance(9, seed=2)
         seen = []

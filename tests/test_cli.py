@@ -526,6 +526,7 @@ class TestConfigParsing:
             ({"kernel": "absdiff:3"}, "kernel 'absdiff:3': kernel 'absdiff' takes no value"),
             ({"theta": {**THETA, "a_n": True}}, "a_n must be a number, got True"),
             ({"theta": {**THETA, "a_n": "0.5"}}, "a_n must be a number, got '0.5'"),
+            ({"kappa": 9, "sizes": [12, 5]}, "kappa must be between 0 and n, got 9 for n = 5"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -557,7 +558,8 @@ class TestConfigParsing:
                                      {"param_sets": [3]}, {"seed": "x"},
                                      {"solver": {"restarts": "3"}},
                                      {"sampler": {"sweeps": 60.5, "burn_in": 20}},
-                                     {"theta": {"theta0": -2.0}}, {"a_n": -1}])
+                                     {"theta": {"theta0": -2.0}}, {"a_n": -1},
+                                     {"kappa": 9, "sizes": [5]}])
     def test_bad_config_file_fails_before_the_output_directory(self, runner, tmp_path, raw):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
@@ -592,6 +594,26 @@ class TestConfigParsing:
         assert result.exit_code == 1
         assert "workers must be at least 1" in str(result.exception)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--method", "greedy"]), ("simulate", ["--method", "random"]),
+        ("validate", []),
+    ])
+    def test_kappa_above_a_swept_size_fails_before_the_output_directory(
+        self, runner, tmp_path, command, flags
+    ):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, [command, "--n", "5", "--kappa", "9", "--reps", "1", *flags, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "kappa must be between 0 and n, got 9 for n = 5" in str(result.exception)
+        assert not out.exists()
+
+    def test_kappa_is_not_capped_by_sizes_with_a_network_file(self):
+        from netalloc.experiments import ExperimentConfig
+
+        assert ExperimentConfig(kappa=20, network_file="net.txt").kappa == 20
 
     @pytest.mark.parametrize("steps", [0, -2])
     def test_steps_per_sweep_below_one_rejected(self, steps):

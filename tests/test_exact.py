@@ -26,7 +26,7 @@ from netalloc import (
 from netalloc.exact import MAX_EXACT_UNITS, ExactSizeError
 from netalloc.experiments import simulation_instance
 from netalloc.model import to_dense
-from tests.conftest import random_instance, random_theta
+from tests.conftest import protocol_instance, random_instance, random_theta
 
 
 def reference_enumeration(inst, d):
@@ -218,6 +218,18 @@ class TestExactWelfare:
         monkeypatch.setattr(ex, "_BUDGET", 7 << widest)
         small = welfare_of_allocations(inst, allocations)
         assert np.abs(small - default).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [[[2, 0, 0, 0, 0, 0]], [[0.5, 1, 0, 0, 0, 0]],
+                                     [[0, 1, 0, 0, 0]], [[[0] * 6]]])
+    def test_invalid_allocation_blocks_rejected(self, bad):
+        inst = protocol_instance(6, seed=1)
+        with pytest.raises(ValueError, match="allocation"):
+            welfare_of_allocations(inst, np.array(bad))
+
+    def test_fractional_allocation_rejected_before_the_cast(self):
+        # An int8 cast would read 0.5 as 0.
+        with pytest.raises(ValueError, match="0 or 1"):
+            exact_welfare([0.5, 1, 0, 0, 0, 0], protocol_instance(6, seed=1))
 
 
 class TestCoupledPairTable:

@@ -20,7 +20,7 @@ from netalloc import (
     utility,
     weights,
 )
-from netalloc.model import derive_seed, sigmoid
+from netalloc.model import allocation_vector, derive_seed, sigmoid
 from tests.conftest import random_instance
 
 SET1 = ThetaParams.from_set(1)
@@ -232,6 +232,27 @@ class TestAllocationType:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             Allocation.from_vector([0, 2, 1])
+
+    @pytest.mark.parametrize("bad", [[0.5, 1, 0], [0, 1.5, 1], [0, -1, 1], [0, np.nan, 1]])
+    def test_entries_are_checked_before_the_cast(self, bad):
+        # An int8 cast would read 0.5 and 1.5 as 0 and 1.
+        with pytest.raises(ValueError, match="0 or 1"):
+            allocation_vector(bad, 3)
+        with pytest.raises(ValueError, match="0 or 1"):
+            allocation_vector([bad, [0, 0, 1]], 3, block=True)
+        with pytest.raises(ValueError, match="0 or 1"):
+            Allocation.from_vector(bad)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 3), (2, 2)])
+    def test_shape_is_checked(self, shape):
+        block = shape == (2, 2)
+        with pytest.raises(ValueError, match="length 3"):
+            allocation_vector(np.zeros(shape), 3, block=block)
+
+    def test_block_form(self):
+        block = allocation_vector([True, False, True], 3, block=True)
+        assert block.dtype == np.int8 and block.tolist() == [[1, 0, 1]]
+        assert allocation_vector(np.ones((0, 3)), 3, block=True).shape == (0, 3)
 
     def test_feasible_allocations_order_and_cap(self):
         allocs = feasible_allocations(3, 2)

@@ -279,6 +279,21 @@ def test_coupling_leaves_the_network_intact(rng):
     assert np.array_equal(net.indptr, indptr) and np.array_equal(net.indices, indices)
 
 
+def test_csr_weights_store_only_nonzero_entries(rng):
+    # With theta5 = 0 only pairs of treated units carry weight. Zeros are
+    # dropped from w2's own copies of the index arrays, never the coupling's.
+    inst = protocol_instance(30, density=0.3, seed=4)
+    inst = replace(inst, theta=replace(inst.theta, theta5=0.0))
+    csr = csr_twin(inst)
+    coupling = csr.coupling.copy()
+    d = rng.integers(0, 2, size=inst.n)
+    ws, wd = weights(csr, d), weights(inst, d)
+    assert 0 < ws.w2.nnz == np.count_nonzero(wd.w2) < coupling.nnz
+    assert np.array_equal(ws.w2.toarray(), wd.w2)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(csr.coupling, name), getattr(coupling, name))
+
+
 def test_dense_runs_never_import_scipy_sparse():
     # A dense coupling is told from a CSR one by isinstance(a, np.ndarray),
     # so dense runs need not load scipy.sparse.

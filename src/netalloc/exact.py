@@ -23,6 +23,8 @@ from .model import (
     WeightSystem,
     allocation_vector,
     feasible_allocations,
+    linear_weights,
+    pair_weights,
     to_dense,
     weights,
 )
@@ -173,13 +175,12 @@ def welfare_of_allocations(
     n = instance.n
     _check_size(n, max_units)
     allocations = allocation_vector(allocations, n, block=True).astype(float)
-    th = instance.theta
     sm = to_dense(instance.coupling)
     iu, ju = np.nonzero(np.triu(sm, k=1))
-    w1 = (th.theta0 + instance.x_effect2 + (th.theta1 + instance.x_effect3) * allocations
-          + th.a_n * th.theta4 * (allocations @ sm))
+    w1 = linear_weights(instance, allocations.T).T
     dd = allocations[:, iu] * allocations[:, ju]
-    pair_w = th.a_n * sm[iu, ju] * (th.theta5 + th.theta6 * dd)
+    # 2 w2_ij: doubling is exact, so this is the pair term of ``weights``.
+    pair_w = 2.0 * pair_weights(instance.theta, sm[iu, ju], dd)
     _, mean = _eliminate(w1, iu, ju, pair_w, np.ones((n, 1)))
     return mean[:, 0]
 

@@ -126,6 +126,8 @@ def simulation_instance(
 
 
 def capacity(n: int, kappa: int | None, kappa_frac: float) -> int:
+    if kappa is not None and not 0 <= kappa <= n:
+        raise ValueError(f"kappa must be between 0 and n, got {kappa} for n = {n}")
     return kappa if kappa is not None else int(math.floor(kappa_frac * n))
 
 
@@ -255,7 +257,7 @@ class ExperimentConfig:
         if self.kappa is not None and self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         # Generated networks have the swept sizes; a network file's size is
-        # known only when it is loaded, and the allocation rule checks it.
+        # known only when it is loaded, and ``capacity`` checks it then.
         smallest = min(self.sizes, default=math.inf)
         if self.kappa is not None and self.network_file is None and self.kappa > smallest:
             raise ValueError(f"kappa must be between 0 and n, got {self.kappa} for n = {smallest}")

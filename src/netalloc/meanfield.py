@@ -8,12 +8,12 @@ found by fixed-point iteration on the first-order conditions
 The iteration sweeps units in index order updating in place by default
 (each coordinate update exactly maximizes the variational objective along
 that coordinate, so the objective never decreases). A simultaneous-update
-mode is available for literal replication of the published iteration. The
-contraction certificate bounds the sup-norm Lipschitz constant of the
-first-order-condition map strictly below one, so the map is a contraction
-and both modes reach the unique maximizer. Under the certificate, greedy
-screens its candidates with the linear-response scores of
-``_linear_response``.
+mode is available for literal replication of the published iteration.
+Every solve, per allocation or batched, stops once the residual of the
+first-order conditions is at most foc_tol. The contraction certificate
+bounds the sup-norm Lipschitz constant of that map strictly below one, so
+both modes reach the unique maximizer. Under the certificate, greedy screens
+its candidates with the linear-response scores of ``_linear_response``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .model import Instance, ThetaParams, WeightSystem, allocation_vector, sigmoid, to_dense, weights
+from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, linear_weights,
+                    sigmoid, to_dense, weights)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -34,13 +35,11 @@ JACOBI = "jacobi"
 class SolverSettings:
     """Fixed-point solver controls.
 
-    rho is the objective-increment stopping threshold of per-allocation
-    solves (``fixed_point_solve``); ``batch_fixed_point`` stops on foc_tol,
-    the residual of the first-order conditions, alone. restarts only
-    applies when the contraction certificate fails for the instance.
+    Every solve stops once the residual of the first-order conditions is at
+    most foc_tol, or at max_iter. restarts only applies when the
+    contraction certificate fails for the instance.
     """
 
-    rho: float = 1e-9
     foc_tol: float = 1e-8
     max_iter: int = 100_000
     mode: str = GAUSS_SEIDEL
@@ -50,8 +49,6 @@ class SolverSettings:
     def __post_init__(self):
         if self.mode not in (GAUSS_SEIDEL, JACOBI):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
         if not 0 < self.clamp < 0.5:
             raise ValueError(f"clamp must lie in (0, 0.5), got {self.clamp}")
         if not self.foc_tol >= 0:
@@ -144,8 +141,9 @@ def fixed_point_solve(
 
     Starts from ``init`` when given, otherwise from a uniform random draw
     controlled by ``seed``. A sweep updates every unit once; iteration
-    stops once the objective increment is at most rho and the FOC residual
-    is at most foc_tol, or at max_iter with ``converged`` set to False.
+    stops once the FOC residual is at most foc_tol, or at max_iter with
+    ``converged`` set to False. The objective is evaluated once, at the
+    returned marginals.
     """
     settings = settings or SolverSettings()
     n = w.n
@@ -155,21 +153,16 @@ def fixed_point_solve(
         rng = np.random.default_rng(seed)
         mu = _clamped(rng.uniform(size=n), settings.clamp)
     sweep = _sweep_gauss_seidel if settings.mode == GAUSS_SEIDEL else _sweep_jacobi
-    obj = variational_objective(mu, w, settings.clamp)
     converged = False
-    iterations = 0
     for iterations in range(1, settings.max_iter + 1):
         mu = sweep(mu, w, settings.clamp)
-        new_obj = variational_objective(mu, w, settings.clamp)
         residual = foc_residual(mu, w)
-        if new_obj - obj <= settings.rho and residual <= settings.foc_tol:
-            obj = new_obj
+        if residual <= settings.foc_tol:
             converged = True
             break
-        obj = new_obj
     return MeanFieldSolution(
         mu=mu,
-        objective=obj,
+        objective=variational_objective(mu, w, settings.clamp),
         iterations=iterations,
         converged=converged,
         foc_residual=residual,
@@ -258,27 +251,22 @@ def batch_fixed_point(
     max_iter. Under the certificate the first-order map is an
     (R/4)-contraction, R < 4 (see ``_linear_response``), so a converged
     column lies within (foc_tol + clamp) / (1 - R/4) of the unique fixed
-    point; no objective is needed, and ``settings.rho`` is not read.
+    point.
 
-    Each iteration does two coupling products, ``sm @ mu`` and
-    ``sm @ (d * mu)``, for the iterate it checks, and takes the next
-    iterate from them, so a call does ``3 + 2 * iterations`` products, all
-    through ``_product``. Every (n, batch) array lives in one of seven
-    buffers allocated up front: the allocations, w1, the current and the
-    next iterate, the two products and one scratch array. (A CSR product
-    returns a fresh array that replaces its product buffer.)
+    w1 (``linear_weights``) takes one coupling product. Each iteration
+    does two more through ``_product``, ``sm @ mu`` and ``sm @ (d * mu)``,
+    for the iterate it checks, and takes the next iterate from them: a call
+    does ``3 + 2 * iterations`` products. Every (n, batch) array lives in
+    one of seven buffers allocated up front: the allocations, w1, the
+    current and the next iterate, the two products and one scratch array.
+    (A CSR product returns a fresh array that replaces its product buffer.)
     """
     settings = settings or SolverSettings()
     th = instance.theta
     sm = instance.coupling
     dt = allocation_vector(allocations, instance.n, block=True).T.astype(float, order="C")
     n, batch = dt.shape
-    base = th.theta0 + instance.x_effect2
-    w1 = (
-        base[:, None]
-        + (th.theta1 + instance.x_effect3)[:, None] * dt
-        + th.a_n * th.theta4 * _product(sm, dt)
-    )
+    w1 = linear_weights(instance, dt)
     if init is not None:
         init = np.asarray(init, dtype=float)
         mu = np.tile(init[:, None], (1, batch)) if init.ndim == 1 else init.copy()
@@ -346,9 +334,9 @@ def _linear_response(
     Returns ``(s, eps, margin)`` over the units ``np.flatnonzero(d == 0)``,
     or None when the bound certifies nothing: a denominator below is not
     positive, or a bound is not finite. ``row_sums`` and ``col_max`` come
-    from ``_coupling_constants(instance.coupling)``. The cost is one product
-    of the coupling with a block of two or three vectors for the incumbent,
-    one per iteration of the v solve and one for u; nothing of size N x N
+    from ``_coupling_constants(instance.coupling)``. The cost is two products
+    of the coupling for the incumbent (its w1, and a block of three
+    vectors), one per iteration of the v solve and one for u; nothing of size N x N
     or N x candidates is built.
 
     Notation: sm is the coupling (nonnegative, symmetric, zero diagonal),
@@ -450,9 +438,8 @@ def _linear_response(
     dd = d.astype(float)
     dmu_sum, mu_sum, d_sum = _product(sm, np.stack([dd * mu, mu, dd], axis=1)).T
     logit = np.log(mu) - np.log1p(-mu)
-    w1 = (th.theta0 + instance.x_effect2 + (th.theta1 + instance.x_effect3) * dd
-          + a * th.theta4 * d_sum)
-    eta = logit - w1 - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum)
+    eta = (logit - linear_weights(instance, dd)
+           - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))
 
     v = np.ones(n)
     change = last = math.inf

@@ -360,32 +360,34 @@ def make_instance(
     return instance
 
 
-def weights(instance: Instance, d) -> WeightSystem:
-    """Weight system (w1, w2) induced by a treatment allocation.
-
-    w1_i collects every term linear in y_i: the intercept, own treatment,
-    covariate effects, and scaled treatment externalities from treated
-    neighbors. w2_ij = (a_n / 2) * m_ij * G_ij * (theta5 + theta6 d_i d_j)
-    carries the choice spillovers. A CSR coupling gives a CSR w2 of the
-    nonzero entries, computed entry by entry on the edges.
-    """
+def linear_weights(instance: Instance, d) -> np.ndarray:
+    """w1 of one allocation d (length N) or of an (N, batch) block: the terms
+    linear in y_i, (theta0 + x2) + (theta1 + x3) d + a_n theta4 (coupling @ d)."""
     th = instance.theta
+    col = (slice(None),) + (None,) * (np.ndim(d) - 1)  # unit coefficients down the columns
+    return ((th.theta0 + instance.x_effect2)[col] + (th.theta1 + instance.x_effect3)[col] * d
+            + th.a_n * th.theta4 * (instance.coupling @ d))
+
+
+def pair_weights(theta: ThetaParams, coupling, dd):
+    """w2 entries a_n / 2 * m_ij G_ij * (theta5 + theta6 d_i d_j), from the
+    coupling entries m_ij G_ij and the matching products dd = d_i d_j."""
+    return 0.5 * theta.a_n * coupling * (theta.theta5 + theta.theta6 * dd)
+
+
+def weights(instance: Instance, d) -> WeightSystem:
+    """Weight system (w1, w2) induced by a treatment allocation: the
+    ``linear_weights`` and the ``pair_weights`` of the coupling. A CSR
+    coupling gives a CSR w2 of the nonzero entries, computed on the edges.
+    """
     d = allocation_vector(d, instance.n)
     sm = instance.coupling
-    w1 = (
-        th.theta0
-        + th.theta1 * d
-        + instance.x_effect2
-        + instance.x_effect3 * d
-        + th.a_n * th.theta4 * (sm @ d)
-    )
+    w1 = linear_weights(instance, d)
     if isinstance(sm, np.ndarray):
-        w2 = 0.5 * th.a_n * sm * (th.theta5 + th.theta6 * np.outer(d, d))
+        w2 = pair_weights(instance.theta, sm, np.outer(d, d))
     else:
         rows = np.repeat(np.arange(instance.n), np.diff(sm.indptr))
-        values = 0.5 * th.a_n * sm.data * (
-            th.theta5 + th.theta6 * (d[rows] * d[sm.indices])
-        )
+        values = pair_weights(instance.theta, sm.data, d[rows] * d[sm.indices])
         # Copies, since eliminate_zeros compacts the coupling's index arrays
         # in place; the entries where theta5 + theta6 d_i d_j = 0 go.
         w2 = type(sm)((values, sm.indices.copy(), sm.indptr.copy()), shape=sm.shape)

@@ -290,8 +290,13 @@ def load_network(path, n: int | None = None) -> Network:
 
 
 def load_covariates(path) -> np.ndarray:
-    """Read a covariate CSV (header row, one row per unit) as an (N, K) array."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
+    """Read a covariate CSV (header row, one row per unit) as an (N, K) array.
+    A file with no rows is rejected."""
+    with warnings.catch_warnings():  # the empty file is reported below
+        warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path}: no covariate rows")
     if np.isnan(data).any():
         raise ValueError(f"{path}: non-numeric or missing covariate entries")
     return check_covariates(data)

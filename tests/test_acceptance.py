@@ -264,7 +264,7 @@ def test_criterion_8_contraction_uniqueness():
     worst_spread = 0.0
     # Solve beyond the comparison tolerance so the spread measures the
     # uniqueness of the fixed point, not the stopping rule.
-    tight = SolverSettings(rho=1e-13, foc_tol=1e-11)
+    tight = SolverSettings(foc_tol=1e-11)
     for n in (12, 15, 20):
         inst = simulation_instance(n, 0.4, _set1(n), seed=derive_seed(MASTER, 8, n))
         assert instance_certified(inst)

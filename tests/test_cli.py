@@ -179,6 +179,22 @@ class TestAllocate:
         bounds = json.loads((tmp_path / "bounds_report.json").read_text())
         assert "guarantee_factor" in bounds
 
+    @pytest.mark.parametrize("method", ["none", "greedy", "bfva", "brute"])
+    def test_kappa_above_the_network_size_is_an_error(self, runner, tmp_path, method):
+        # "none" used to exit 0 and write "kappa": 9 for a 4-unit network.
+        cfg = make_toy_files(tmp_path)
+        (tmp_path / "net.txt").write_text("0,1\n1,2\n2,3\n")
+        (tmp_path / "cov.csv").write_text("x\n1.0\n1.0\n1.0\n1.0\n")
+        result = runner.invoke(
+            main,
+            ["allocate", "--config", str(cfg), "--kappa", "9", "--method", method,
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "kappa must be between 0 and n, got 9 for n = 4"
+        assert not (tmp_path / "allocation.json").exists()
+
     def test_zero_capacity_empty_treated(self, runner, tmp_path):
         cfg = make_toy_files(tmp_path)
         result = runner.invoke(
@@ -414,9 +430,9 @@ class TestFlags:
         from netalloc.cli import _build_config
 
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"solver": {"rho": 1e-8, "mode": "gauss-seidel"}}))
+        cfg_path.write_text(json.dumps({"solver": {"foc_tol": 1e-7, "mode": "gauss-seidel"}}))
         cfg, _ = _build_config(str(cfg_path), str(tmp_path), "jacobi", sizes=(7,))
-        assert (cfg.solver.mode, cfg.solver.rho, cfg.sizes) == ("jacobi", 1e-8, (7,))
+        assert (cfg.solver.mode, cfg.solver.foc_tol, cfg.sizes) == ("jacobi", 1e-7, (7,))
 
 
 class TestKernel:
@@ -456,13 +472,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict(raw)
 
+    def test_readme_config_is_accepted(self):
+        # A documented config must not name a deleted or misspelt key.
+        from pathlib import Path
+
+        from netalloc.experiments import ExperimentConfig
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            ExperimentConfig.from_dict(json.loads(block))
+
     def test_solver_subconfig(self):
         from netalloc.experiments import ExperimentConfig
 
         cfg = ExperimentConfig.from_dict(
-            {"solver": {"rho": 1e-8, "mode": "jacobi"}, "sizes": [7]}
+            {"solver": {"foc_tol": 1e-7, "mode": "jacobi"}, "sizes": [7]}
         )
-        assert cfg.solver.rho == 1e-8
+        assert cfg.solver.foc_tol == 1e-7
         assert cfg.solver.mode == "jacobi"
         assert cfg.sizes == (7,)
 
@@ -515,7 +543,7 @@ class TestConfigParsing:
             ({"sampler": {"sweeps": 60.5, "burn_in": 20}},
              "sampler.sweeps must be an integer, got 60.5"),
             ({"tolerances": {"va_mcmc": "x"}}, "tolerances.va_mcmc must be a number, got 'x'"),
-            ({"solver": {"rho": True}}, "solver.rho must be a number, got True"),
+            ({"solver": {"foc_tol": True}}, "solver.foc_tol must be a number, got True"),
             ({"theta": {"theta0": -2.0}},
              r"theta keys missing: \['theta1', 'theta2', 'theta3', 'theta4', 'theta5', 'theta6'\]"),
             ({"theta": {**THETA, "bogus": 3}}, r"theta keys missing: \[\], unknown: \['bogus'\]"),
@@ -527,6 +555,7 @@ class TestConfigParsing:
             ({"theta": {**THETA, "a_n": True}}, "a_n must be a number, got True"),
             ({"theta": {**THETA, "a_n": "0.5"}}, "a_n must be a number, got '0.5'"),
             ({"kappa": 9, "sizes": [12, 5]}, "kappa must be between 0 and n, got 9 for n = 5"),
+            ({"solver": {"rho": 1e-9}}, r"unknown solver keys: \['rho'\]"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -547,10 +576,10 @@ class TestConfigParsing:
         assert cfg.exact_cap == MAX_EXACT_UNITS
         assert ExperimentConfig(sizes=[5], methods=["none"]).sizes == (5,)
         cfg = ExperimentConfig.from_dict(
-            {"solver": {"max_iter": np.int64(5), "rho": 1}, "tolerances": {"va_mcmc": 1},
+            {"solver": {"max_iter": np.int64(5), "foc_tol": 1}, "tolerances": {"va_mcmc": 1},
              "sampler": {"steps_per_sweep": None}, "theta": {**THETA, "a_n": 2}}
         )
-        assert cfg.solver.max_iter == 5 and cfg.solver.rho == 1
+        assert cfg.solver.max_iter == 5 and cfg.solver.foc_tol == 1
         assert cfg.tolerances.va_mcmc == 1 and cfg.sampler.steps_per_sweep is None
         assert type(cfg.theta_params.a_n) is float and cfg.theta_params.a_n == 2.0
 

@@ -25,7 +25,7 @@ from netalloc import (
     weights,
 )
 from netalloc import meanfield
-from netalloc.meanfield import JACOBI, instance_certified
+from netalloc.meanfield import GAUSS_SEIDEL, JACOBI, instance_certified
 from tests.conftest import protocol_instance, random_instance
 
 SETTINGS = SolverSettings()
@@ -140,6 +140,19 @@ class TestFixedPoint:
         sol = solve_allocation(inst, d, SETTINGS, seed=0)
         assert sol.converged
         np.testing.assert_allclose(sol.mu, expit(weights(inst, d).w1), atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [GAUSS_SEIDEL, JACOBI])
+    def test_uncoupled_instance_stops_after_one_sweep(self, rng, mode):
+        # Without edges the first sweep lands on the fixed point, and the
+        # residual test stops there; the objective test took a second sweep.
+        inst = make_instance(Network.from_edges(6, []), rng.random((6, 1)),
+                             ThetaParams.from_set(1))
+        d = rng.integers(0, 2, 6)
+        w = weights(inst, d)
+        sol = fixed_point_solve(w, replace(SETTINGS, mode=mode), seed=0)
+        assert sol.iterations == 1 and sol.converged
+        np.testing.assert_allclose(sol.mu, expit(w.w1), atol=1e-12)
+        assert sol.objective == variational_objective(sol.mu, w)
 
     def test_foc_residual_small_at_convergence(self, rng):
         for _ in range(10):
@@ -333,9 +346,9 @@ class TestBatchSolver:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 5, 100_000])
     def test_two_coupling_products_per_iteration(self, rng, max_iter, monkeypatch):
-        # One product builds w1, two evaluate the starting iterate and two
-        # evaluate each iterate after it. All of them go through the
-        # storage-dispatching helper.
+        # One product builds w1 (in ``linear_weights``), two evaluate the
+        # starting iterate and two evaluate each iterate after it. The
+        # iteration's products go through the storage-dispatching helper.
         inst = protocol_instance(20, seed=6)
         counting = inst.coupling.view(_CountingCoupling)
         counting.products = 0
@@ -346,7 +359,7 @@ class TestBatchSolver:
             inst, allocations, SolverSettings(max_iter=max_iter), seed=0
         )
         assert counting.products == 3 + 2 * sol.iterations
-        assert helper_calls == [3 + 2 * sol.iterations]
+        assert helper_calls == [2 + 2 * sol.iterations]
 
     @pytest.mark.parametrize("max_iter", [1, 2, 5, 100_000])
     def test_two_csr_products_per_iteration(self, rng, max_iter, monkeypatch):
@@ -357,7 +370,7 @@ class TestBatchSolver:
         sol = batch_fixed_point(
             inst, allocations, SolverSettings(max_iter=max_iter), seed=0
         )
-        assert helper_calls == [3 + 2 * sol.iterations]
+        assert helper_calls == [2 + 2 * sol.iterations]
 
     @pytest.mark.parametrize("start", ["random", "init1d"])
     def test_invariant_under_batch_split(self, rng, start):
@@ -369,7 +382,7 @@ class TestBatchSolver:
         allocations = rng.integers(0, 2, size=(40, 25))
         if start == "random":
             kwargs = {"seed": 3}
-            settings = SolverSettings(rho=1e-13, foc_tol=1e-13)
+            settings = SolverSettings(foc_tol=1e-13)
         else:
             kwargs = {"init": rng.uniform(size=25)}
             settings = SETTINGS

@@ -357,6 +357,16 @@ class TestFileLoading:
         assert x.shape == (2, 2)
         assert x[1, 0] == 2.0
 
+    @pytest.mark.parametrize("text", ["x\n", "x\n\n", ""])
+    @pytest.mark.filterwarnings("error")
+    def test_covariate_file_without_rows_rejected(self, tmp_path, text):
+        # numpy used to warn "Empty input file", and the run then failed on
+        # the covariate count.
+        path = tmp_path / "cov.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no covariate rows$"):
+            load_covariates(path)
+
     def test_negative_covariates_rejected(self, tmp_path):
         path = tmp_path / "cov.csv"
         path.write_text("x\n-1.0\n2.0\n")

@@ -31,7 +31,7 @@ from netalloc.network import erdos_renyi
 from tests.conftest import protocol_instance, random_theta
 
 # Tight enough that solver error sits far below the gaps the tests compare.
-TIGHT = SolverSettings(rho=1e-14, foc_tol=1e-13)
+TIGHT = SolverSettings(foc_tol=1e-13)
 # Two greedy gains closer than this are a tie either rule may break its way.
 TIE = 1e-9
 

@@ -18,7 +18,7 @@ from .bounds import (
     kl_upper_bound,
     regret_upper_bound,
 )
-from .dynamics import mcmc_welfare, single_site_kernel, stationarity_check
+from .dynamics import mcmc_welfare, stationarity_check
 from .exact import (
     ExactDistribution,
     ExactSizeError,
@@ -102,7 +102,6 @@ __all__ = [
     "random_allocation_welfare",
     "regret_upper_bound",
     "similarity_matrix",
-    "single_site_kernel",
     "solve_allocation",
     "stationarity_check",
     "utility",

@@ -3,9 +3,9 @@
 One step of the process picks a unit uniformly at random and redraws its
 binary choice from the logit conditional given everyone else's current
 choice. Long-run time averages of the resulting single-site Markov chain
-estimate equilibrium welfare; for small networks the full transition
-kernel can be assembled to verify stationarity of the enumerated Gibbs
-distribution.
+estimate equilibrium welfare. For small networks the one-step image of
+the enumerated Gibbs distribution is computed directly from the choice
+probabilities, without the transition matrix, to verify stationarity.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .model import Instance, WeightSystem, sigmoid, weights
 
 # Batches of the batch-means standard error of mcmc_welfare.
 MCMC_BATCHES = 50
+# Largest network whose 2^N configurations stationarity_check lists.
+STATIONARITY_MAX_UNITS = 12
 
 
 def _redraw(y: np.ndarray, w: WeightSystem, sites, draws) -> None:
@@ -67,40 +69,37 @@ def mcmc_welfare(
     return estimate, stderr
 
 
-def _chain(instance: Instance, d, max_units: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix of the single-site chain and the energy of each
-    configuration, both over the 2^N configurations in code order:
-    configuration c has y_i = (c >> i) & 1."""
+def _chain(instance: Instance, d) -> tuple[np.ndarray, np.ndarray]:
+    """Choice probabilities p1[c, i] = P(y_i = 1 | c_-i) and the energy of
+    each of the 2^N configurations c, in code order: y_i = (c >> i) & 1."""
     n = instance.n
-    if n > max_units:
-        raise ValueError(f"kernel assembly infeasible for {n} units (cap {max_units})")
+    if n > STATIONARITY_MAX_UNITS:
+        raise ValueError(f"stationarity check infeasible for {n} units "
+                         f"(cap {STATIONARITY_MAX_UNITS})")
     if d is None:
         d = np.zeros(n, dtype=np.int8)
     w = weights(instance, d).dense()
-    total = 1 << n
-    codes = np.arange(total)
+    codes = np.arange(1 << n)
     y = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
-    # Choice probabilities p[c, i] do not depend on y_i because w2 has a
-    # zero diagonal.
-    p1 = expit(w.w1 + 2.0 * (y @ w.w2))
-    kernel = np.zeros((total, total))
-    for i in range(n):
-        up = codes | (1 << i)
-        down = codes & ~(1 << i)
-        np.add.at(kernel, (codes, up), p1[:, i] / n)
-        np.add.at(kernel, (codes, down), (1.0 - p1[:, i]) / n)
-    return kernel, y @ w.w1 + ((y @ w.w2) * y).sum(axis=1)
+    # The choice probabilities do not read y_i because w2 has a zero diagonal.
+    field = y @ w.w2
+    return expit(w.w1 + 2.0 * field), y @ w.w1 + (field * y).sum(axis=1)
 
 
-def single_site_kernel(instance: Instance, d=None, max_units: int = 12) -> np.ndarray:
-    """Full 2^N x 2^N transition matrix of the single-site chain; row c is
-    the configuration with y_i = (c >> i) & 1."""
-    return _chain(instance, d, max_units)[0]
+def _one_step_image(p1: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """One-step image pi K of the law pi under the single-site chain with
+    choice probabilities p1 (from ``_chain``), without the 2^N x 2^N matrix:
+    (pi K)(c) = (1/N) sum_i [pi(c) + pi(c ^ 2^i)] P(y_i = c_i | c_-i)."""
+    total, n = p1.shape
+    codes = np.arange(total)[:, None]
+    bits = 1 << np.arange(n)
+    stay = np.where(codes & bits, p1, 1.0 - p1)
+    return ((pi[:, None] + pi[codes ^ bits]) * stay).sum(axis=1) / n
 
 
-def stationarity_check(instance: Instance, d=None, max_units: int = 12) -> float:
+def stationarity_check(instance: Instance, d=None) -> float:
     """L1 distance between the Gibbs distribution and its one-step image
-    under the single-site kernel. Zero (to rounding) certifies stationarity."""
-    kernel, e = _chain(instance, d, max_units)
+    under the single-site chain. Zero (to rounding) certifies stationarity."""
+    p1, e = _chain(instance, d)
     pi = np.exp(e - logsumexp(e))
-    return float(np.abs(pi @ kernel - pi).sum())
+    return float(np.abs(_one_step_image(p1, pi) - pi).sum())

@@ -514,8 +514,8 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
                 "upper": pinsker / n,
                 "pass": bool(gap <= pinsker),
             }
-        if n <= 12:
-            stat = dynamics.stationarity_check(instance, rules["greedy"], max_units=12)
+        if n <= dynamics.STATIONARITY_MAX_UNITS:
+            stat = dynamics.stationarity_check(instance, rules["greedy"])
             checks["stationarity"] = {
                 "value": stat,
                 "pass": bool(stat <= tol.stationarity),

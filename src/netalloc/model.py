@@ -245,7 +245,8 @@ class WeightSystem:
         vals[i] the weights 2 w2_ij, so unit i's logit argument is
         ``w1[i] + vals[i] @ y[cols[i]]``. Either storage gives the same rows."""
         r, c = self.w2.nonzero()
-        v = 2.0 * self.w2[r, c]
+        # A CSR w2 that stores no entries gives a sparse 0-length slice here.
+        v = 2.0 * to_dense(self.w2[r, c])
         ptr = np.searchsorted(r, np.arange(self.n + 1))
         spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
         return [c[s] for s in spans], [v[s] for s in spans]

@@ -184,7 +184,7 @@ def test_criterion_4_stationarity():
         theta = _set1(n) if k % 2 == 0 else _set2(n)
         inst = simulation_instance(n, 0.5, theta, seed=derive_seed(MASTER, 4, k))
         d = rng.integers(0, 2, n)
-        worst = max(worst, na.stationarity_check(inst, d, max_units=8))
+        worst = max(worst, na.stationarity_check(inst, d))
     _report(4, "stationary distribution", worst <= 1e-12, f"worst L1 {worst:.2e}")
 
 

@@ -1,5 +1,6 @@
 """Simulation chain: kernel correctness, stationarity, welfare estimates."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,10 @@ from netalloc import (
     enumerate_gibbs,
     make_instance,
     mcmc_welfare,
-    single_site_kernel,
     stationarity_check,
     weights,
 )
-from netalloc.dynamics import _redraw
+from netalloc.dynamics import STATIONARITY_MAX_UNITS, _chain, _one_step_image, _redraw
 from tests.conftest import protocol_instance, random_instance
 from tests.test_exact import _dense_enumeration
 from tests.test_storage import csr_twin
@@ -27,6 +27,21 @@ from tests.test_storage import csr_twin
 def _step(y, w, rng):
     """One step of the process: redraw one uniformly chosen unit of y."""
     _redraw(y, w, rng.integers(0, w.n, size=1), rng.random(1))
+
+
+def _reference_kernel(instance, d):
+    """Full 2^N x 2^N transition matrix of the single-site chain, assembled
+    entry by entry; row c is the configuration with y_i = (c >> i) & 1."""
+    n = instance.n
+    w = weights(instance, d).dense()
+    codes = np.arange(1 << n)
+    y = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
+    p1 = expit(w.w1 + 2.0 * (y @ w.w2))
+    kernel = np.zeros((1 << n, 1 << n))
+    for i in range(n):
+        np.add.at(kernel, (codes, codes | (1 << i)), p1[:, i] / n)
+        np.add.at(kernel, (codes, codes & ~(1 << i)), (1.0 - p1[:, i]) / n)
+    return kernel
 
 
 class TestStep:
@@ -57,7 +72,7 @@ class TestStep:
 
     def test_two_unit_transition_frequencies(self, rng):
         # Empirical one-step transitions from a held state match the
-        # single-site kernel probabilities.
+        # single-site chain's probabilities.
         inst = random_instance(rng, 2, density=1.0)
         d = np.array([1, 0])
         w = weights(inst, d)
@@ -70,10 +85,11 @@ class TestStep:
             _step(y, w, np.random.default_rng(int(master.integers(2**63))))
             key = tuple(y)
             counts[key] = counts.get(key, 0) + 1
-        # Kernel row for configuration (1, 0): code = 1.
-        kernel = single_site_kernel(inst, d, max_units=4)
-        for code, key in [(0, (0, 0)), (1, (1, 0)), (3, (1, 1))]:
-            p = kernel[1, code]
+        # Each unit is picked with probability 1/2 and redrawn given the other.
+        p0 = conditional_choice_prob(0, start, inst, d)
+        p1 = conditional_choice_prob(1, start, inst, d)
+        expected = {(0, 0): (1 - p0) / 2, (1, 0): (p0 + 1 - p1) / 2, (1, 1): p1 / 2}
+        for key, p in expected.items():
             freq = counts.get(key, 0) / trials
             se = np.sqrt(p * (1 - p) / trials)
             assert abs(freq - p) <= 4 * se + 1e-12
@@ -82,13 +98,13 @@ class TestStep:
 class TestKernel:
     def test_rows_sum_to_one(self, rng):
         inst = random_instance(rng, 5, density=0.5)
-        kernel = single_site_kernel(inst, rng.integers(0, 2, 5))
+        kernel = _reference_kernel(inst, rng.integers(0, 2, 5))
         np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
 
     def test_kernel_entries_match_choice_probabilities(self, rng):
         inst = random_instance(rng, 4, density=0.7)
         d = rng.integers(0, 2, 4)
-        kernel = single_site_kernel(inst, d)
+        kernel = _reference_kernel(inst, d)
         y = np.array([1, 0, 1, 0])
         code = 0b0101
         i = 1
@@ -102,7 +118,7 @@ class TestKernel:
             n = int(rng.integers(2, 8))
             inst = random_instance(rng, n, density=0.6)
             d = rng.integers(0, 2, n)
-            kernel = single_site_kernel(inst, d)
+            kernel = _reference_kernel(inst, d)
             pi = _dense_enumeration(weights(inst, d))[2]
             for code in range(1 << n):
                 for i in range(n):
@@ -112,9 +128,10 @@ class TestKernel:
                     assert abs(lhs - rhs) <= 1e-12
 
     def test_size_cap(self, rng):
-        inst = random_instance(rng, 5)
-        with pytest.raises(ValueError, match="infeasible"):
-            single_site_kernel(inst, np.zeros(5, dtype=int), max_units=3)
+        n = STATIONARITY_MAX_UNITS + 1
+        inst = random_instance(rng, n)
+        with pytest.raises(ValueError, match=rf"infeasible for {n} units \(cap {n - 1}\)"):
+            stationarity_check(inst, np.zeros(n, dtype=int))
 
 
 class TestStationarity:
@@ -136,6 +153,42 @@ class TestStationarity:
             inst = random_instance(rng, n)
             d = rng.integers(0, 2, n)
             assert stationarity_check(inst, d) <= 1e-12
+
+    @pytest.mark.parametrize("law", ["gibbs", "half_pair", "uniform"])
+    def test_image_matches_reference_kernel(self, rng, law):
+        for n in (2, 4, 7, 9):
+            inst = protocol_instance(n, density=0.6, set_id=2, seed=n)
+            d = rng.integers(0, 2, n)
+            p1, e = _chain(inst, d)
+            if law == "half_pair":  # the Gibbs energy with its pair term halved
+                y = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+                w = weights(inst, d).dense()
+                e = y @ w.w1 + 0.5 * ((y @ w.w2) * y).sum(axis=1)
+            elif law == "uniform":
+                e = np.zeros(1 << n)
+            pi = np.exp(e - e.max())
+            pi /= pi.sum()
+            image = _one_step_image(p1, pi)
+            assert np.abs(image - pi @ _reference_kernel(inst, d)).max() <= 1e-15
+            residual = np.abs(image - pi).sum()
+            if law == "gibbs":
+                assert residual <= 1e-12
+            else:
+                assert residual > 1e-3
+
+    def test_memory_at_the_cap(self):
+        # The 2^12 x 2^12 transition matrix alone would take 128 MiB.
+        n = STATIONARITY_MAX_UNITS
+        inst = protocol_instance(n, set_id=1, seed=31)
+        d = np.random.default_rng(5).integers(0, 2, n)
+        tracemalloc.start()
+        try:
+            residual = stationarity_check(inst, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-12
+        assert peak < 16 * 2**20
 
 
 class TestMcmcWelfare:

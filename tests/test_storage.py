@@ -71,6 +71,14 @@ def ring(n):
     return Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def dense_twin(inst):
+    """A copy of a CSR-coupling instance whose coupling is stored dense."""
+    assert sparse.issparse(inst.coupling)
+    twin = replace(inst)
+    twin.__dict__["coupling"] = inst.coupling.toarray()
+    return twin
+
+
 class TestStorageRule:
     def test_density_picks_the_format(self, rng):
         x = rng.integers(0, 2, size=(200, 1)).astype(float)
@@ -292,6 +300,35 @@ def test_csr_weights_store_only_nonzero_entries(rng):
     assert np.array_equal(ws.w2.toarray(), wd.w2)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(csr.coupling, name), getattr(coupling, name))
+
+
+@pytest.mark.parametrize("case", ["ring_theta5_zero", "edgeless"])
+def test_rows_of_a_w2_without_entries_are_arrays(case):
+    # A CSR w2 that stores no entries used to give sparse row values, which
+    # sent every single-unit update through sparse matmul.
+    n = 60
+    x = np.random.default_rng(0).integers(0, 3, size=(n, 2)).astype(float)
+    theta = ThetaParams.from_set(1, a_n=0.2)
+    if case == "edgeless":
+        net = Network.from_edges(n, [])
+    else:
+        net, theta = ring(n), replace(theta, theta5=0.0)
+    inst = make_instance(net, x, theta)
+    d = np.zeros(n, dtype=np.int8)
+    w = weights(inst, d)
+    assert sparse.issparse(w.w2) and w.w2.nnz == 0
+    cols, vals = w.rows
+    for i in range(n):
+        assert isinstance(cols[i], np.ndarray) and isinstance(vals[i], np.ndarray)
+        assert cols[i].size == vals[i].size == 0
+    twin = dense_twin(inst)
+    assert mcmc_welfare(d, inst, sweeps=60, burn_in=10, seed=3) == mcmc_welfare(
+        d, twin, sweeps=60, burn_in=10, seed=3)
+    for mode in ("gauss-seidel", JACOBI):
+        a = fixed_point_solve(w, SolverSettings(mode=mode), seed=3)
+        b = fixed_point_solve(weights(twin, d), SolverSettings(mode=mode), seed=3)
+        assert a.mu.tobytes() == b.mu.tobytes() and a.objective == b.objective
+        assert a.converged and b.converged
 
 
 def test_dense_runs_never_import_scipy_sparse():

@@ -19,6 +19,7 @@ from .meanfield import (
     SolverSettings,
     _coupling_constants,
     _linear_response,
+    _tie_tolerance,
     batch_fixed_point,
     instance_certified,
     solve_allocation,
@@ -54,11 +55,13 @@ def greedy(
 
     Each round evaluates the mean-field welfare gain of treating every
     untreated unit and treats the best one, breaking ties toward the
-    smallest index. Candidate fixed points warm-start from the incumbent
-    solution. On certified instances the candidates of a round are first
-    screened: ``meanfield._linear_response`` scores every one of them at
-    the incumbent fixed point with a proven error bound, and only those
-    that the bound cannot rule out as the round's winner are solved
+    smallest index; on certified instances values within
+    ``meanfield._tie_tolerance`` of the best are ties. Candidate fixed
+    points warm-start from the incumbent solution. On certified instances
+    the candidates of a round are first screened:
+    ``meanfield._linear_response`` scores every one of them at the
+    incumbent fixed point with a proven error bound, and only those that
+    the bound cannot rule out as the round's winner or a tie are solved
     exactly, in one batched iteration. When the incumbent solve did not
     converge or the bound certifies nothing, every candidate is solved.
     Pass ``strict=True`` to solve every candidate on its own from a fresh
@@ -75,9 +78,10 @@ def greedy(
         return incumbent, trace
     base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
     base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
-    use_batch = instance_certified(instance) and not strict
-    if use_batch:
-        constants = _coupling_constants(instance.coupling)
+    certified = instance_certified(instance)
+    use_batch = certified and not strict
+    constants = _coupling_constants(instance.coupling)
+    tie = _tie_tolerance(instance, settings, constants[0]) if certified else 0.0
     for round_idx in range(1, kappa + 1):
         untreated = np.flatnonzero(incumbent.d == 0)
         rows = untreated
@@ -85,7 +89,7 @@ def greedy(
             screen = _linear_response(instance, incumbent.d, base_mu, settings, *constants)
             if screen is not None:
                 scores, eps, margin = screen
-                rows = untreated[scores + eps >= np.max(scores - eps) - margin]
+                rows = untreated[scores + eps >= np.max(scores - eps) - margin - tie]
         candidates = np.tile(incumbent.d, (len(rows), 1))
         candidates[np.arange(len(rows)), rows] = 1
         if use_batch:
@@ -102,7 +106,7 @@ def greedy(
                     instance, candidates[k], settings, seed=cand_seed, init=init
                 )
                 values[k], mus[:, k], converged[k] = sol.welfare, sol.mu, sol.converged
-        best = int(np.argmax(values))
+        best = int(np.flatnonzero(values >= values.max() - tie)[0])
         unit = int(rows[best])
         delta = float(values[best] - base_welfare)
         log.debug("greedy round %d: %d of %d candidates solved exactly",
@@ -129,13 +133,15 @@ def bfva(
 
     Evaluates every allocation with at most kappa treated units and returns
     the best, breaking welfare ties toward the lexicographically smallest
-    treated set. On certified instances the whole enumeration is solved in
-    batched chunks.
+    treated set (within ``meanfield._tie_tolerance`` on certified
+    instances, whose whole enumeration is solved in batched chunks).
     """
     settings = settings or SolverSettings()
     allocations = feasible_allocations(instance.n, kappa, max_count=BFVA_MAX_ALLOCATIONS)
     count = allocations.shape[0]
+    tie = 0.0
     if instance_certified(instance):
+        tie = _tie_tolerance(instance, settings, _coupling_constants(instance.coupling)[0])
         values = np.empty(count)
         chunk = 1024
         for start in range(0, count, chunk):
@@ -152,7 +158,7 @@ def bfva(
                 for k in range(count)
             ]
         )
-    best = _argmax_lexicographic(values, allocations)
+    best = _argmax_lexicographic(values, allocations, tie=tie)
     return Allocation.from_vector(allocations[best]), float(values[best])
 
 

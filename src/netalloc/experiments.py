@@ -151,10 +151,18 @@ class SamplerSettings:
 
 @dataclass(frozen=True)
 class Tolerances:
-    stationarity: float = 1e-12
-    va_mcmc: float = 0.01
-    kl_nonneg: float = -1e-10
-    pinsker_slack: float = 1e-9
+    va_mcmc: float = 0.01  # validate's largest mean-field vs sampler gap per person
+
+    def __post_init__(self):
+        if not 0 <= self.va_mcmc < math.inf:
+            raise ValueError(f"va_mcmc must be finite and nonnegative, got {self.va_mcmc}")
+
+
+# validate's fixed tolerances: the stationarity residual, how far below zero
+# an exact KL may round, and the slack on the Pinsker bound.
+STATIONARITY_TOL = 1e-12
+KL_NONNEG_TOL = -1e-10
+PINSKER_SLACK = 1e-9
 
 
 # What a scalar annotation accepts, and how a message names it.
@@ -463,7 +471,6 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
     divergence; the greedy guarantee inequality. Returns the report and an
     overall pass flag.
     """
-    tol = cfg.tolerances
     entries = []
     grid = itertools.product(
         cfg.param_sets, cfg.densities, cfg.sizes, range(cfg.replications)
@@ -493,7 +500,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
                 gap = abs(solutions[name].welfare - sampled) / n
                 checks[f"va_vs_mcmc_{name}"] = {
                     "value": gap,
-                    "pass": bool(gap <= tol.va_mcmc),
+                    "pass": bool(gap <= cfg.tolerances.va_mcmc),
                 }
         if n > cfg.exact_cap:
             continue
@@ -505,10 +512,10 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
             checks[f"kl_bounds_{name}"] = {
                 "value": kl,
                 "upper": klub,
-                "pass": bool(tol.kl_nonneg <= kl <= klub),
+                "pass": bool(KL_NONNEG_TOL <= kl <= klub),
             }
             gap = abs(dist.welfare - sol.welfare)
-            pinsker = math.sqrt(max(2.0 * kl, 0.0)) + tol.pinsker_slack
+            pinsker = math.sqrt(max(2.0 * kl, 0.0)) + PINSKER_SLACK
             checks[f"va_vs_exact_{name}"] = {
                 "value": gap / n,
                 "upper": pinsker / n,
@@ -518,7 +525,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
             stat = dynamics.stationarity_check(instance, rules["greedy"])
             checks["stationarity"] = {
                 "value": stat,
-                "pass": bool(stat <= tol.stationarity),
+                "pass": bool(stat <= STATIONARITY_TOL),
             }
         report = bnd.bounds_report(instance)
         if report.positivity_holds and report.sample_size_ok:

@@ -29,6 +29,7 @@ from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, line
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
+CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,16 @@ class SolverSettings:
     max_iter: int = 100_000
     mode: str = GAUSS_SEIDEL
     restarts: int = 10
-    clamp: float = 1e-15
 
     def __post_init__(self):
         if self.mode not in (GAUSS_SEIDEL, JACOBI):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if not 0 < self.clamp < 0.5:
-            raise ValueError(f"clamp must lie in (0, 0.5), got {self.clamp}")
-        if not self.foc_tol >= 0:
-            raise ValueError(f"foc_tol must be nonnegative, got {self.foc_tol}")
+        if not 0 <= self.foc_tol < math.inf:
+            raise ValueError(f"foc_tol must be finite and nonnegative, got {self.foc_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,14 @@ class MeanFieldSolution:
         return float(self.mu.sum())
 
 
-def _clamped(mu: np.ndarray, clamp: float) -> np.ndarray:
-    return np.clip(mu, clamp, 1.0 - clamp)
-
-
-def variational_objective(mu, w: WeightSystem, clamp: float = 1e-15) -> float:
+def variational_objective(mu, w: WeightSystem, clamp: float = CLAMP) -> float:
     """Energy-plus-entropy objective whose maximizer minimizes the KL
     divergence from the Gibbs measure.
 
     Boundary values are clamped so the entropy term takes its limiting
     value 0 instead of producing log(0).
     """
-    mu = _clamped(np.asarray(mu, dtype=float), clamp)
+    mu = np.clip(np.asarray(mu, dtype=float), clamp, 1.0 - clamp)
     energy = float(w.w1 @ mu + mu @ w.w2 @ mu)
     negentropy = float(np.sum(mu * np.log(mu) + (1 - mu) * np.log(1 - mu)))
     return energy - negentropy
@@ -118,17 +114,17 @@ def instance_certified(instance: Instance) -> bool:
     )
 
 
-def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem, clamp: float) -> np.ndarray:
+def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
     w1, (cols, vals) = w.w1, w.rows
-    lo, hi = clamp, 1.0 - clamp
+    lo, hi = CLAMP, 1.0 - CLAMP
     for i in range(mu.shape[0]):
         v = sigmoid(w1[i] + float(vals[i] @ mu[cols[i]]))
         mu[i] = min(max(v, lo), hi)
     return mu
 
 
-def _sweep_jacobi(mu: np.ndarray, w: WeightSystem, clamp: float) -> np.ndarray:
-    return _clamped(foc_map(mu, w), clamp)
+def _sweep_jacobi(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
+    return np.clip(foc_map(mu, w), CLAMP, 1.0 - CLAMP)
 
 
 def fixed_point_solve(
@@ -146,23 +142,19 @@ def fixed_point_solve(
     returned marginals.
     """
     settings = settings or SolverSettings()
-    n = w.n
-    if init is not None:
-        mu = _clamped(np.asarray(init, dtype=float).copy(), settings.clamp)
-    else:
-        rng = np.random.default_rng(seed)
-        mu = _clamped(rng.uniform(size=n), settings.clamp)
+    start = np.random.default_rng(seed).uniform(size=w.n) if init is None else init
+    mu = np.clip(np.asarray(start, dtype=float), CLAMP, 1.0 - CLAMP)
     sweep = _sweep_gauss_seidel if settings.mode == GAUSS_SEIDEL else _sweep_jacobi
     converged = False
     for iterations in range(1, settings.max_iter + 1):
-        mu = sweep(mu, w, settings.clamp)
+        mu = sweep(mu, w)
         residual = foc_residual(mu, w)
         if residual <= settings.foc_tol:
             converged = True
             break
     return MeanFieldSolution(
         mu=mu,
-        objective=variational_objective(mu, w, settings.clamp),
+        objective=variational_objective(mu, w),
         iterations=iterations,
         converged=converged,
         foc_residual=residual,
@@ -185,7 +177,7 @@ def solve_allocation(
     """
     settings = settings or SolverSettings()
     w = weights(instance, d)
-    if instance_certified(instance) or init is not None or settings.restarts <= 1:
+    if instance_certified(instance) or init is not None or settings.restarts == 1:
         return fixed_point_solve(w, settings, seed=seed, init=init)
     seeds = np.random.SeedSequence(seed).generate_state(settings.restarts)
     best = None
@@ -204,19 +196,6 @@ def approx_welfare(
 ) -> float:
     """Approximated equilibrium welfare, the sum of mean-field marginals."""
     return solve_allocation(instance, d, settings, seed=seed).welfare
-
-
-def _product(sm, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``sm @ x`` for a coupling ``sm`` and an (n, batch) block ``x``.
-
-    A dense coupling multiplies by BLAS into ``out`` (a new array when it
-    is None) and returns it. A CSR coupling returns a new array, because
-    scipy's product has no ``out=``; callers rebind their buffer to the
-    result.
-    """
-    if isinstance(sm, np.ndarray):
-        return np.matmul(sm, x, out=out)
-    return sm @ x
 
 
 @dataclass(frozen=True)
@@ -250,16 +229,16 @@ def batch_fixed_point(
     in the sup norm, and the call returns when every column has, or at
     max_iter. Under the certificate the first-order map is an
     (R/4)-contraction, R < 4 (see ``_linear_response``), so a converged
-    column lies within (foc_tol + clamp) / (1 - R/4) of the unique fixed
+    column lies within (foc_tol + CLAMP) / (1 - R/4) of the unique fixed
     point.
 
     w1 (``linear_weights``) takes one coupling product. Each iteration
-    does two more through ``_product``, ``sm @ mu`` and ``sm @ (d * mu)``,
-    for the iterate it checks, and takes the next iterate from them: a call
-    does ``3 + 2 * iterations`` products. Every (n, batch) array lives in
-    one of seven buffers allocated up front: the allocations, w1, the
-    current and the next iterate, the two products and one scratch array.
-    (A CSR product returns a fresh array that replaces its product buffer.)
+    does two more, ``sm @ mu`` and ``sm @ (d * mu)``, for the iterate it
+    checks, and takes the next iterate from them: a call does
+    ``3 + 2 * iterations`` products. Besides the two products, every
+    (n, batch) array lives in one of five buffers allocated up front: the
+    allocations, w1, the current and the next iterate, and one scratch
+    array.
     """
     settings = settings or SolverSettings()
     th = instance.theta
@@ -273,21 +252,18 @@ def batch_fixed_point(
     else:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(size=(n, batch))
-    lo, hi = settings.clamp, 1.0 - settings.clamp
+    lo, hi = CLAMP, 1.0 - CLAMP
     cur = np.clip(mu, lo, hi, out=mu)
     nxt = np.empty_like(cur)
-    p1 = np.empty_like(cur)  # sm @ mu
-    p2 = np.empty_like(cur)  # sm @ (dt * mu)
     tmp = np.empty_like(cur)
 
     def step(mu, out):
         """The iterate after ``mu``, into ``out``. The order of the
         elementwise operations fixes every rounding; tests pin the output
         bit for bit to a reference."""
-        nonlocal p1, p2
         np.multiply(dt, mu, out=tmp)
-        p2 = _product(sm, tmp, p2)
-        p1 = _product(sm, mu, p1)
+        p2 = sm @ tmp
+        p1 = sm @ mu
         np.multiply(p1, th.theta5, out=p1)
         np.multiply(dt, th.theta6, out=tmp)
         np.multiply(tmp, p2, out=p2)
@@ -318,6 +294,15 @@ _HALF_CURVATURE = 1.0 / (12.0 * math.sqrt(3.0))
 def _coupling_constants(sm) -> tuple[np.ndarray, np.ndarray]:
     """Row sums and column maxima of a dense or CSR coupling."""
     return np.asarray(sm.sum(axis=1)).ravel(), to_dense(sm.max(axis=0)).ravel()
+
+
+def _tie_tolerance(instance: Instance, settings: SolverSettings, row_sums) -> float:
+    """2 tau, tau = N (foc_tol + CLAMP) / (1 - R/4) with R as in
+    ``_linear_response``: under the certificate a converged solve's welfare
+    lies within tau of the exact one, so values within 2 tau are ties."""
+    th = instance.theta
+    reach = th.a_n * (abs(th.theta5) + abs(th.theta6)) * row_sums.max()
+    return 2.0 * instance.n * (settings.foc_tol + CLAMP) / (1.0 - reach / 4.0)
 
 
 def _linear_response(
@@ -417,13 +402,14 @@ def _linear_response(
                                + err (|J_k| + a B_k / 4).
 
     Margin. A batch solve that stops at residual foc_tol lies within
-    tau = N (foc_tol + clamp) / (1 - R/4) of the exact welfare, and the
+    tau = N (foc_tol + CLAMP) / (1 - R/4) of the exact welfare, and the
     shift eta moves each candidate's exact welfare by at most
     tau_eta = N max |eta| / (4 - R). If unit j has the largest batch
     welfare of all candidates, s_j + eps_j >= s_k - eps_k - margin for
     every k, with margin = 2 (tau + tau_eta) <= 4 max(tau, tau_eta). A
     unit whose upper end s_k + eps_k falls below max(s - eps) - margin
-    therefore cannot win the round.
+    therefore cannot win the round, and one below that less 2 tau cannot
+    come within 2 tau of the winner (``_tie_tolerance``).
     """
     th = instance.theta
     sm = instance.coupling
@@ -436,7 +422,7 @@ def _linear_response(
     if not (gap > 0 and lip < 1):
         return None
     dd = d.astype(float)
-    dmu_sum, mu_sum, d_sum = _product(sm, np.stack([dd * mu, mu, dd], axis=1)).T
+    dmu_sum, mu_sum, d_sum = (sm @ np.stack([dd * mu, mu, dd], axis=1)).T
     logit = np.log(mu) - np.log1p(-mu)
     eta = (logit - linear_weights(instance, dd)
            - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))
@@ -445,7 +431,7 @@ def _linear_response(
     change = last = math.inf
     for _ in range(settings.max_iter):
         dv = slope * v
-        p5, p6 = _product(sm, np.stack([dv, dd * dv], axis=1)).T
+        p5, p6 = (sm @ np.stack([dv, dd * dv], axis=1)).T
         new = 1.0 + a * (th.theta5 * p5 + th.theta6 * dd * p6)
         change = float(np.abs(new - v).max())
         v = new
@@ -456,7 +442,7 @@ def _linear_response(
     err = lip / (1.0 - lip) * change
 
     u = slope * v
-    u_sum, du_sum = _product(sm, np.stack([u, dd * u], axis=1)).T
+    u_sum, du_sum = (sm @ np.stack([u, dd * u], axis=1)).T
     mu_hat = expit(logit + th.theta1 + instance.x_effect3 + a * th.theta6 * dmu_sum)
     jump = mu_hat - mu
     scores = v * jump + a * (th.theta4 * u_sum + th.theta6 * mu_hat * du_sum)
@@ -478,9 +464,8 @@ def _linear_response(
     rho_rest = a * t6 * (own * q / 4.0) * d_sum / 4.0 + 16.0 * _HALF_CURVATURE * q * p
     eps = ((np.abs(v) + err) * rho_own + (np.abs(v).max() + err) * rho_rest
            + err * (np.abs(jump) + a * b_sum / 4.0))
-    tau = n * (settings.foc_tol + settings.clamp) / (1.0 - reach / 4.0)
     tau_eta = n * float(np.abs(eta).max()) / gap
-    margin = 2.0 * (tau + tau_eta)
+    margin = _tie_tolerance(instance, settings, row_sums) + 2.0 * tau_eta
     keep = np.flatnonzero(d == 0)
     scores, eps = scores[keep], eps[keep]
     if not (np.isfinite(scores).all() and np.isfinite(eps).all() and math.isfinite(margin)):

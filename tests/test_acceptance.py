@@ -256,7 +256,7 @@ def test_criterion_7_regret_inequality():
 
 
 def test_criterion_8_contraction_uniqueness():
-    from netalloc.meanfield import _clamped, _sweep_gauss_seidel, foc_map
+    from netalloc.meanfield import _sweep_gauss_seidel, _sweep_jacobi
     from netalloc.model import weights as build_weights
 
     rng = np.random.default_rng(derive_seed(MASTER, 8))
@@ -283,10 +283,8 @@ def test_criterion_8_contraction_uniqueness():
             mu = rng.uniform(size=n)
             prev = na.variational_objective(mu, w)
             for _ in range(50):
-                if mode == GAUSS_SEIDEL:
-                    mu = _sweep_gauss_seidel(mu, w, 1e-15)
-                else:
-                    mu = _clamped(foc_map(mu, w), 1e-15)
+                sweep = _sweep_gauss_seidel if mode == GAUSS_SEIDEL else _sweep_jacobi
+                mu = sweep(mu, w)
                 cur = na.variational_objective(mu, w)
                 ok &= cur >= prev - 1e-12
                 prev = cur

@@ -16,9 +16,18 @@ from netalloc import (
     make_instance,
     random_allocation_welfare,
 )
+from netalloc.meanfield import instance_certified
 from tests.conftest import protocol_instance, random_instance
 
 SETTINGS = SolverSettings()
+
+
+def ring_instance(n=8):
+    """A certified ring of identical units: every rotation of an allocation
+    has the same welfare, so only the tie rule separates them."""
+    net = Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    theta = ThetaParams.from_set(1, a_n=1.0)
+    return make_instance(net, np.zeros((n, 1)), theta, kernel=SimilarityKernel.constant(1.0))
 
 
 class TestGreedy:
@@ -82,6 +91,17 @@ class TestGreedy:
         b, _ = brute_force_optimal(inst, 1)
         assert g.treated == b.treated == (1,)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ties_go_to_the_smallest_index(self, strict, seed):
+        # Solver noise of about 1e-9 between rotations used to pick (2, 3, 4)
+        # or (4, 5, 6) depending on the seed and the mode.
+        inst = ring_instance()
+        assert instance_certified(inst)
+        allocation, trace = greedy(inst, 3, SETTINGS, seed=seed, strict=strict)
+        assert allocation.treated == (0, 1, 2)
+        assert [s.unit for s in trace] == [0, 1, 2]
+
     def test_invalid_capacity(self, rng):
         inst = random_instance(rng, 4)
         with pytest.raises(ValueError):
@@ -120,6 +140,14 @@ class TestBfva:
             g_w = approx_welfare(g.d, inst, SETTINGS, seed=0)
             _, b_w = bfva(inst, 3, SETTINGS)
             assert b_w >= g_w - 1e-7
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ties_go_to_the_smallest_treated_set(self, seed):
+        # Adjacent pairs tie on the ring; brute force takes (0, 1), and bfva
+        # used to return (4, 5), (3, 4), (1, 2), (0, 7) or (5, 6) by seed.
+        inst = ring_instance()
+        allocation, _ = bfva(inst, 2, SETTINGS, seed=seed)
+        assert allocation.treated == brute_force_optimal(inst, 2)[0].treated == (0, 1)
 
     def test_uncertified_instance_uses_per_allocation_solves(self):
         inst = protocol_instance(6, set_id=2, seed=2, a_n=1.0)

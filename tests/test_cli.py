@@ -556,6 +556,21 @@ class TestConfigParsing:
             ({"theta": {**THETA, "a_n": "0.5"}}, "a_n must be a number, got '0.5'"),
             ({"kappa": 9, "sizes": [12, 5]}, "kappa must be between 0 and n, got 9 for n = 5"),
             ({"solver": {"rho": 1e-9}}, r"unknown solver keys: \['rho'\]"),
+            ({"solver": {"clamp": 1e-15}}, r"unknown solver keys: \['clamp'\]"),
+            ({"tolerances": {"stationarity": 1e-12}},
+             r"unknown tolerances keys: \['stationarity'\]"),
+            ({"tolerances": {"kl_nonneg": -1e-10}}, r"unknown tolerances keys: \['kl_nonneg'\]"),
+            ({"tolerances": {"pinsker_slack": 1e-9}},
+             r"unknown tolerances keys: \['pinsker_slack'\]"),
+            ({"solver": {"foc_tol": float("inf")}},
+             "foc_tol must be finite and nonnegative, got inf"),
+            ({"solver": {"restarts": -3}}, "restarts must be at least 1, got -3"),
+            ({"solver": {"restarts": 0}}, "restarts must be at least 1, got 0"),
+            ({"tolerances": {"va_mcmc": -1}}, "va_mcmc must be finite and nonnegative, got -1"),
+            ({"tolerances": {"va_mcmc": float("nan")}},
+             "va_mcmc must be finite and nonnegative, got nan"),
+            ({"tolerances": {"va_mcmc": float("inf")}},
+             "va_mcmc must be finite and nonnegative, got inf"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):

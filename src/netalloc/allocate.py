@@ -24,7 +24,7 @@ from .meanfield import (
     instance_certified,
     solve_allocation,
 )
-from .model import Allocation, Instance, derive_seed, feasible_allocations
+from .model import Allocation, Instance, check_capacity, derive_seed, feasible_allocations
 
 log = logging.getLogger(__name__)
 # Most allocations bfva evaluates; above it, bfva raises EnumerationCapError.
@@ -70,8 +70,7 @@ def greedy(
     """
     settings = settings or SolverSettings()
     n = instance.n
-    if not 0 <= kappa <= n:
-        raise ValueError("kappa must be between 0 and n")
+    check_capacity(n, kappa)
     incumbent = Allocation.zeros(n)
     trace: list[GreedyStep] = []
     if kappa == 0:
@@ -173,8 +172,7 @@ def random_allocation_welfare(
     treated units, under a caller-supplied welfare evaluator d -> float."""
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    if not 0 <= kappa <= instance.n:
-        raise ValueError("kappa must be between 0 and n")
+    check_capacity(instance.n, kappa)
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(draws):

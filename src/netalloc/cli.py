@@ -30,8 +30,8 @@ from .experiments import (
     write_simulate_csv,
 )
 
-# Every flag, by the parameter it fills; apart from config_path, out and mode,
-# that is the config key it overrides.
+# Every flag, by the parameter it fills; apart from config_path and out, that
+# is the config key it overrides.
 OPTIONS = {
     "config_path": click.option("--config", "config_path", type=click.Path(exists=True)),
     "sizes": click.option("--n", "sizes", type=int, multiple=True),
@@ -45,7 +45,6 @@ OPTIONS = {
     "out": click.option("--out", type=click.Path(), default="."),
     "evaluators": click.option("--evaluator", "evaluators", multiple=True,
                                type=click.Choice(list(EVALUATORS))),
-    "mode": click.option("--mode", type=click.Choice(["gauss-seidel", "jacobi"])),
     "workers": click.option("--workers", type=int),
     "methods": click.option("--method", "methods", type=click.Choice(METHODS), multiple=True),
     "method": click.option("--method", type=click.Choice(list(ALLOCATORS))),
@@ -55,13 +54,13 @@ OPTIONS = {
     "mcmc_check": click.option("--mcmc-check", is_flag=True, default=None),
 }
 _SWEEP = ("config_path", "sizes", "densities", "param_sets", "kappa", "kappa_frac",
-          "replications", "seed", "out", "evaluators", "mode")
+          "replications", "seed", "out", "evaluators")
 _FILES = ("config_path", "out", "network_file", "covariates_file")
 # The flags each command reads.
 COMMAND_OPTIONS = {
     "simulate": (*_SWEEP, "workers", "methods"),
     "validate": _SWEEP,
-    "allocate": (*_FILES, "kappa", "kappa_frac", "seed", "mode", "method", "mcmc_check"),
+    "allocate": (*_FILES, "kappa", "kappa_frac", "seed", "method", "mcmc_check"),
     "bounds": _FILES,
 }
 
@@ -73,7 +72,7 @@ def _options(fn):
     return fn
 
 
-def _build_config(config_path=None, out=".", mode=None, **flags):
+def _build_config(config_path=None, out=".", **flags):
     """The config file's settings with the given flags laid over them, read
     once by ``ExperimentConfig.from_dict``; and the output directory."""
     raw = {}
@@ -82,8 +81,6 @@ def _build_config(config_path=None, out=".", mode=None, **flags):
             raw = json.load(fh)
     if isinstance(raw, dict):  # the reader names a config that is not a mapping
         raw.update({k: v for k, v in flags.items() if v not in (None, ())})
-        if mode and isinstance(raw.get("solver", {}), dict):
-            raw["solver"] = {**raw.get("solver", {}), "mode": mode}
     cfg = ExperimentConfig.from_dict(raw)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

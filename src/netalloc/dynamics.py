@@ -25,7 +25,7 @@ def _redraw(y: np.ndarray, w: WeightSystem, sites, draws) -> None:
     """Redraw unit sites[k] of y in place from its logit conditional with
     uniform draws[k], for k in order: one step of the process per site."""
     w1, (cols, vals) = w.w1, w.rows
-    for i, u in zip(sites, draws):
+    for i, u in zip(sites.tolist(), draws.tolist()):
         y[i] = u < sigmoid(w1[i] + float(vals[i] @ y[cols[i]]))
 
 
@@ -54,7 +54,7 @@ def mcmc_welfare(
     n = w.n
     per_sweep = n if steps_per_sweep is None else int(steps_per_sweep)
     rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n).astype(np.int8)
+    y = rng.integers(0, 2, size=n).astype(float)
     kept = np.empty(sweeps - burn_in)
     for sweep_idx in range(sweeps):
         sites = rng.integers(0, n, size=per_sweep)

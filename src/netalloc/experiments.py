@@ -36,6 +36,7 @@ from .model import (
     EnumerationCapError,
     Instance,
     ThetaParams,
+    check_capacity,
     derive_seed,
     make_instance,
     weights,
@@ -126,9 +127,7 @@ def simulation_instance(
 
 
 def capacity(n: int, kappa: int | None, kappa_frac: float) -> int:
-    if kappa is not None and not 0 <= kappa <= n:
-        raise ValueError(f"kappa must be between 0 and n, got {kappa} for n = {n}")
-    return kappa if kappa is not None else int(math.floor(kappa_frac * n))
+    return int(math.floor(kappa_frac * n)) if kappa is None else check_capacity(n, kappa)
 
 
 @dataclass(frozen=True)
@@ -266,9 +265,8 @@ class ExperimentConfig:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         # Generated networks have the swept sizes; a network file's size is
         # known only when it is loaded, and ``capacity`` checks it then.
-        smallest = min(self.sizes, default=math.inf)
-        if self.kappa is not None and self.network_file is None and self.kappa > smallest:
-            raise ValueError(f"kappa must be between 0 and n, got {self.kappa} for n = {smallest}")
+        if self.kappa is not None and self.network_file is None:
+            check_capacity(min(self.sizes, default=math.inf), self.kappa)
         if not 0 <= self.kappa_frac <= 1:
             raise ValueError(f"kappa_frac must lie in [0, 1], got {self.kappa_frac}")
         if self.workers < 1:
@@ -553,8 +551,8 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
 def load_instance(cfg: ExperimentConfig) -> Instance:
     if not cfg.network_file or not cfg.covariates_file:
         raise ValueError("allocate/bounds runs need network_file and covariates_file")
-    net = load_network(cfg.network_file)
     x = load_covariates(cfg.covariates_file)
+    net = load_network(cfg.network_file, n=x.shape[0])
     if cfg.theta is None:
         raise ValueError("allocate/bounds runs need explicit theta parameters")
     theta = cfg.resolved_theta(set_id=1, n=net.n, generated=False)

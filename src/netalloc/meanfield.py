@@ -5,15 +5,15 @@ found by fixed-point iteration on the first-order conditions
 
     mu_i = logistic(w1_i + 2 (w2 mu)_i).
 
-The iteration sweeps units in index order updating in place by default
+A per-allocation solve sweeps units in index order, updating in place
 (each coordinate update exactly maximizes the variational objective along
-that coordinate, so the objective never decreases). A simultaneous-update
-mode is available for literal replication of the published iteration.
-Every solve, per allocation or batched, stops once the residual of the
+that coordinate, so the objective never decreases). The simultaneous
+iteration of the published method is ``batch_fixed_point``'s, which solves
+many allocations at once. Every solve stops once the residual of the
 first-order conditions is at most foc_tol. The contraction certificate
 bounds the sup-norm Lipschitz constant of that map strictly below one, so
-both modes reach the unique maximizer. Under the certificate, greedy screens
-its candidates with the linear-response scores of ``_linear_response``.
+both update orders reach the unique maximizer. Under the certificate, greedy
+screens its candidates with the linear-response scores of ``_linear_response``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from scipy.special import expit
 from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, linear_weights,
                     sigmoid, to_dense, weights)
 
-GAUSS_SEIDEL = "gauss-seidel"
-JACOBI = "jacobi"
 CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
 
 
@@ -43,12 +41,9 @@ class SolverSettings:
 
     foc_tol: float = 1e-8
     max_iter: int = 100_000
-    mode: str = GAUSS_SEIDEL
     restarts: int = 10
 
     def __post_init__(self):
-        if self.mode not in (GAUSS_SEIDEL, JACOBI):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
         if not 0 <= self.foc_tol < math.inf:
             raise ValueError(f"foc_tol must be finite and nonnegative, got {self.foc_tol}")
         if self.max_iter < 1:
@@ -123,10 +118,6 @@ def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
     return mu
 
 
-def _sweep_jacobi(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
-    return np.clip(foc_map(mu, w), CLAMP, 1.0 - CLAMP)
-
-
 def fixed_point_solve(
     w: WeightSystem,
     settings: SolverSettings | None = None,
@@ -136,18 +127,17 @@ def fixed_point_solve(
     """Iterate the first-order-condition map to a fixed point.
 
     Starts from ``init`` when given, otherwise from a uniform random draw
-    controlled by ``seed``. A sweep updates every unit once; iteration
-    stops once the FOC residual is at most foc_tol, or at max_iter with
-    ``converged`` set to False. The objective is evaluated once, at the
-    returned marginals.
+    controlled by ``seed``. A sweep updates every unit once, in index
+    order and in place (Gauss-Seidel); iteration stops once the FOC
+    residual is at most foc_tol, or at max_iter with ``converged`` set to
+    False. The objective is evaluated once, at the returned marginals.
     """
     settings = settings or SolverSettings()
     start = np.random.default_rng(seed).uniform(size=w.n) if init is None else init
     mu = np.clip(np.asarray(start, dtype=float), CLAMP, 1.0 - CLAMP)
-    sweep = _sweep_gauss_seidel if settings.mode == GAUSS_SEIDEL else _sweep_jacobi
     converged = False
     for iterations in range(1, settings.max_iter + 1):
-        mu = sweep(mu, w)
+        mu = _sweep_gauss_seidel(mu, w)
         residual = foc_residual(mu, w)
         if residual <= settings.foc_tol:
             converged = True

@@ -196,14 +196,20 @@ class EnumerationCapError(ValueError):
     """Raised when a capacity admits more allocations than may be listed."""
 
 
+def check_capacity(n: int, kappa: int) -> int:
+    """kappa, after checking that it lies between 0 and n."""
+    if not 0 <= kappa <= n:
+        raise ValueError(f"kappa must be between 0 and n, got {kappa} for n = {n}")
+    return kappa
+
+
 def feasible_allocations(n: int, kappa: int, max_count: int = 2_000_000) -> np.ndarray:
     """All allocations with at most kappa treated units, as a (count, n) matrix.
 
     Rows are ordered by treated-set size and lexicographically within each
     size, so the first row is the empty allocation.
     """
-    if not 0 <= kappa <= n:
-        raise ValueError("kappa must be between 0 and n")
+    check_capacity(n, kappa)
     total = sum(math.comb(n, k) for k in range(kappa + 1))
     if total > max_count:
         raise EnumerationCapError(
@@ -212,9 +218,11 @@ def feasible_allocations(n: int, kappa: int, max_count: int = 2_000_000) -> np.n
     out = np.zeros((total, n), dtype=np.int8)
     row = 0
     for k in range(kappa + 1):
-        for combo in itertools.combinations(range(n), k):
-            out[row, list(combo)] = 1
-            row += 1
+        count = math.comb(n, k)
+        treated = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        cols = np.fromiter(treated, dtype=np.intp, count=count * k).reshape(count, k)
+        out[np.arange(row, row + count)[:, None], cols] = 1
+        row += count
     return out
 
 

@@ -7,7 +7,6 @@ and guarantee-inequality criteria through a module-scoped fixture.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ import netalloc as na
 from netalloc import SolverSettings, ThetaParams
 from netalloc.bounds import curvature_margin, guarantee_factor, sample_size_ok
 from netalloc.experiments import derive_seed, simulation_instance
-from netalloc.meanfield import GAUSS_SEIDEL, JACOBI, instance_certified
+from netalloc.meanfield import instance_certified
 from tests.conftest import random_theta
 
 MASTER = 20771
@@ -256,8 +255,11 @@ def test_criterion_7_regret_inequality():
 
 
 def test_criterion_8_contraction_uniqueness():
-    from netalloc.meanfield import _sweep_gauss_seidel, _sweep_jacobi
+    from netalloc.meanfield import CLAMP, _sweep_gauss_seidel, foc_map
     from netalloc.model import weights as build_weights
+
+    def simultaneous_sweep(mu, w):
+        return np.clip(foc_map(mu, w), CLAMP, 1.0 - CLAMP)
 
     rng = np.random.default_rng(derive_seed(MASTER, 8))
     ok = True
@@ -270,20 +272,22 @@ def test_criterion_8_contraction_uniqueness():
         assert instance_certified(inst)
         d = rng.integers(0, 2, n)
         w = build_weights(inst, d)
-        for mode in (GAUSS_SEIDEL, JACOBI):
-            settings = replace(tight, mode=mode)
-            reference = na.fixed_point_solve(w, settings, seed=0).mu
-            for seed in range(1, 100):
-                mu = na.fixed_point_solve(w, settings, seed=seed).mu
-                spread = float(np.abs(mu - reference).max())
-                worst_spread = max(worst_spread, spread)
-                ok &= spread <= 1e-8
+        # Both update orders from 99 random starts each: in-place sweeps
+        # (Gauss-Seidel) one start per solve, simultaneous sweeps one start
+        # per column of a single batch call.
+        reference = na.fixed_point_solve(w, tight, seed=0).mu
+        in_place = [na.fixed_point_solve(w, tight, seed=seed).mu for seed in range(1, 100)]
+        batch = na.batch_fixed_point(inst, np.tile(d, (99, 1)), tight, seed=1)
+        ok &= bool(batch.converged.all())
+        for mu in (*in_place, *batch.mu.T):
+            spread = float(np.abs(mu - reference).max())
+            worst_spread = max(worst_spread, spread)
+            ok &= spread <= 1e-8
         # Objective must never decrease along sweeps of either update order.
-        for mode in (GAUSS_SEIDEL, JACOBI):
+        for sweep in (_sweep_gauss_seidel, simultaneous_sweep):
             mu = rng.uniform(size=n)
             prev = na.variational_objective(mu, w)
             for _ in range(50):
-                sweep = _sweep_gauss_seidel if mode == GAUSS_SEIDEL else _sweep_jacobi
                 mu = sweep(mu, w)
                 cur = na.variational_objective(mu, w)
                 ok &= cur >= prev - 1e-12

@@ -191,6 +191,23 @@ class TestRandomAllocation:
         assert all(c == 3 for c in seen)
 
 
+@pytest.mark.parametrize("check", ["greedy", "bfva", "random", "feasible", "capacity"])
+def test_capacity_errors_share_one_message(check):
+    from netalloc.experiments import capacity
+    from netalloc.model import feasible_allocations
+
+    inst = protocol_instance(4, seed=1)
+    calls = {
+        "greedy": lambda: greedy(inst, 9, SETTINGS),
+        "bfva": lambda: bfva(inst, 9, SETTINGS),
+        "random": lambda: random_allocation_welfare(inst, 9, 1, 0, lambda d: 0.0),
+        "feasible": lambda: feasible_allocations(4, 9),
+        "capacity": lambda: capacity(4, 9, 0.3),
+    }
+    with pytest.raises(ValueError, match=r"^kappa must be between 0 and n, got 9 for n = 4$"):
+        calls[check]()
+
+
 class TestOrdering:
     def test_none_below_random_below_greedy(self):
         # Positive-effect benchmark profile: targeted treatment beats

@@ -293,6 +293,25 @@ class TestAllocate:
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == f"{tmp_path / 'net.txt'}: no edges"
 
+    def test_covariate_rows_fix_the_number_of_units(self, tmp_path):
+        # The last unit has no edge, so the edge list alone would size the
+        # network at three units.
+        from netalloc.experiments import ExperimentConfig, load_instance
+
+        cfg = make_toy_files(tmp_path)
+        (tmp_path / "cov.csv").write_text("x\n1.0\n1.0\n1.0\n1.0\n")
+        inst = load_instance(ExperimentConfig.from_dict(json.loads(cfg.read_text())))
+        assert inst.n == 4 and inst.net.degree.tolist() == [1, 2, 1, 0]
+
+    def test_edge_beyond_the_covariate_rows_is_out_of_range(self, runner, tmp_path):
+        cfg = make_toy_files(tmp_path)
+        (tmp_path / "net.txt").write_text("0,1\n1,3\n")
+        result = runner.invoke(
+            main, ["allocate", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert str(result.exception) == "edge (1,3) out of range for n=3"
+
     def test_malformed_edge_line_is_located(self, runner, tmp_path, monkeypatch, capsys):
         cfg = make_toy_files(tmp_path)
         (tmp_path / "net.txt").write_text("0,1\n1,x\n")
@@ -379,12 +398,12 @@ class TestBounds:
 class TestFlags:
     FLAGS = {
         "simulate": ["--config", "--n", "--density", "--param-set", "--kappa",
-                     "--kappa-frac", "--reps", "--seed", "--out", "--evaluator", "--mode",
+                     "--kappa-frac", "--reps", "--seed", "--out", "--evaluator",
                      "--workers", "--method"],
         "validate": ["--config", "--n", "--density", "--param-set", "--kappa",
-                     "--kappa-frac", "--reps", "--seed", "--out", "--evaluator", "--mode"],
+                     "--kappa-frac", "--reps", "--seed", "--out", "--evaluator"],
         "allocate": ["--config", "--out", "--network", "--covariates", "--kappa",
-                     "--kappa-frac", "--seed", "--mode", "--method", "--mcmc-check"],
+                     "--kappa-frac", "--seed", "--method", "--mcmc-check"],
         "bounds": ["--config", "--out", "--network", "--covariates"],
     }
     # Flags every command took before each listed only the flags it reads.
@@ -405,8 +424,10 @@ class TestFlags:
         assert set(COMMAND_OPTIONS[command]) <= set(OPTIONS)
         assert [opt for p in params for opt in p.opts] == self.FLAGS[command]
 
+    # Then --mode, which no command takes since the Jacobi sweep was deleted.
     @pytest.mark.parametrize(
         "command,flag", [(c, f) for c, flags in REMOVED.items() for f in flags]
+        + [(c, ["--mode", "jacobi"]) for c in ("simulate", "validate", "allocate")]
     )
     def test_unread_flags_are_rejected(self, runner, tmp_path, command, flag):
         cfg = make_toy_files(tmp_path)
@@ -425,14 +446,6 @@ class TestFlags:
         assert result.exit_code == 1
         assert str(result.exception) == "unknown config keys: ['out']"
         assert not (tmp_path / "elsewhere").exists() and not (tmp_path / "o").exists()
-
-    def test_mode_flag_keeps_the_other_solver_keys(self, tmp_path):
-        from netalloc.cli import _build_config
-
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"solver": {"foc_tol": 1e-7, "mode": "gauss-seidel"}}))
-        cfg, _ = _build_config(str(cfg_path), str(tmp_path), "jacobi", sizes=(7,))
-        assert (cfg.solver.mode, cfg.solver.foc_tol, cfg.sizes) == ("jacobi", 1e-7, (7,))
 
 
 class TestKernel:
@@ -488,10 +501,9 @@ class TestConfigParsing:
         from netalloc.experiments import ExperimentConfig
 
         cfg = ExperimentConfig.from_dict(
-            {"solver": {"foc_tol": 1e-7, "mode": "jacobi"}, "sizes": [7]}
+            {"solver": {"foc_tol": 1e-7}, "sizes": [7]}
         )
         assert cfg.solver.foc_tol == 1e-7
-        assert cfg.solver.mode == "jacobi"
         assert cfg.sizes == (7,)
 
     @pytest.mark.parametrize(
@@ -571,6 +583,7 @@ class TestConfigParsing:
              "va_mcmc must be finite and nonnegative, got nan"),
             ({"tolerances": {"va_mcmc": float("inf")}},
              "va_mcmc must be finite and nonnegative, got inf"),
+            ({"solver": {"mode": "jacobi"}}, r"unknown solver keys: \['mode'\]"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -616,7 +629,7 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("raw, flags, message", [
-        ({"solver": 5}, ["--mode", "jacobi"], "solver must be a mapping, got 5"),
+        ({"solver": 5}, ["--n", "7"], "solver must be a mapping, got 5"),
         ([1], [], "config must be a mapping, got [1]"),
     ])
     def test_config_that_is_not_a_mapping_is_named(self, runner, tmp_path, raw, flags, message):

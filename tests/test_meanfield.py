@@ -1,7 +1,6 @@
 """Mean-field fixed-point solver: ascent, convergence, uniqueness."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from netalloc import (
     weights,
 )
 from netalloc import meanfield
-from netalloc.meanfield import GAUSS_SEIDEL, JACOBI, instance_certified
+from netalloc.meanfield import instance_certified
 from tests.conftest import protocol_instance, random_instance
 
 SETTINGS = SolverSettings()
@@ -137,15 +136,14 @@ class TestFixedPoint:
         assert sol.converged
         np.testing.assert_allclose(sol.mu, expit(weights(inst, d).w1), atol=1e-12)
 
-    @pytest.mark.parametrize("mode", [GAUSS_SEIDEL, JACOBI])
-    def test_uncoupled_instance_stops_after_one_sweep(self, rng, mode):
+    def test_uncoupled_instance_stops_after_one_sweep(self, rng):
         # Without edges the first sweep lands on the fixed point, and the
         # residual test stops there; the objective test took a second sweep.
         inst = make_instance(Network.from_edges(6, []), rng.random((6, 1)),
                              ThetaParams.from_set(1))
         d = rng.integers(0, 2, 6)
         w = weights(inst, d)
-        sol = fixed_point_solve(w, replace(SETTINGS, mode=mode), seed=0)
+        sol = fixed_point_solve(w, SETTINGS, seed=0)
         assert sol.iterations == 1 and sol.converged
         np.testing.assert_allclose(sol.mu, expit(w.w1), atol=1e-12)
         assert sol.objective == variational_objective(sol.mu, w)
@@ -197,15 +195,6 @@ class TestFixedPoint:
         for seed in range(1, 30):
             mu = fixed_point_solve(w, SETTINGS, seed=seed).mu
             assert np.abs(mu - reference).max() <= 1e-8
-
-    def test_jacobi_and_gauss_seidel_agree_under_certificate(self):
-        inst = protocol_instance(15, seed=9)
-        d = np.zeros(15, dtype=int)
-        d[[2, 5, 11]] = 1
-        gs = solve_allocation(inst, d, SETTINGS, seed=4)
-        jacobi = solve_allocation(inst, d, replace(SETTINGS, mode=JACOBI), seed=4)
-        assert jacobi.converged
-        assert np.abs(gs.mu - jacobi.mu).max() <= 1e-7
 
     def test_nonconvergence_reported(self, rng):
         inst = protocol_instance(10, seed=2)

@@ -262,6 +262,13 @@ class TestAllocationType:
         with pytest.raises(ValueError, match="cap"):
             feasible_allocations(30, 15, max_count=100)
 
+    @pytest.mark.parametrize("n,kappa", [(15, 4), (15, 0), (6, 6), (20, 5)])
+    def test_feasible_allocations_match_a_row_by_row_listing(self, n, kappa):
+        rows = [[int(i in combo) for i in range(n)]
+                for k in range(kappa + 1) for combo in itertools.combinations(range(n), k)]
+        allocs = feasible_allocations(n, kappa)
+        assert allocs.dtype == np.int8 and allocs.tolist() == rows
+
     def test_theta_param_set_values(self):
         s1, s2 = ThetaParams.from_set(1), ThetaParams.from_set(2)
         assert (s1.theta0, s1.theta1, s1.theta2, s1.theta3) == (-2.0, 0.5, 0.1, 0.6)

@@ -36,7 +36,7 @@ from netalloc import (
     weights,
     welfare_of_allocations,
 )
-from netalloc.meanfield import JACOBI, instance_certified
+from netalloc.meanfield import instance_certified
 from netalloc.model import SPARSE_DENSITY, choice_argument
 from tests.conftest import protocol_instance
 
@@ -166,13 +166,11 @@ class TestInvariance:
         assert np.array_equal(a.converged, b.converged) and a.converged.all()
         assert a.iterations == b.iterations
 
-    @pytest.mark.parametrize("mode", ["gauss-seidel", JACOBI])
-    def test_fixed_point_solve(self, pair, rng, mode):
+    def test_fixed_point_solve(self, pair, rng):
         dense, csr = pair
         d = rng.integers(0, 2, size=dense.n)
-        settings = SolverSettings(mode=mode)
-        a = fixed_point_solve(weights(dense, d), settings, seed=3)
-        b = fixed_point_solve(weights(csr, d), settings, seed=3)
+        a = fixed_point_solve(weights(dense, d), SolverSettings(), seed=3)
+        b = fixed_point_solve(weights(csr, d), SolverSettings(), seed=3)
         assert a.converged and b.converged
         assert np.abs(a.mu - b.mu).max() <= TOL
         assert abs(a.objective - b.objective) <= TOL
@@ -324,11 +322,10 @@ def test_rows_of_a_w2_without_entries_are_arrays(case):
     twin = dense_twin(inst)
     assert mcmc_welfare(d, inst, sweeps=60, burn_in=10, seed=3) == mcmc_welfare(
         d, twin, sweeps=60, burn_in=10, seed=3)
-    for mode in ("gauss-seidel", JACOBI):
-        a = fixed_point_solve(w, SolverSettings(mode=mode), seed=3)
-        b = fixed_point_solve(weights(twin, d), SolverSettings(mode=mode), seed=3)
-        assert a.mu.tobytes() == b.mu.tobytes() and a.objective == b.objective
-        assert a.converged and b.converged
+    a = fixed_point_solve(w, SolverSettings(), seed=3)
+    b = fixed_point_solve(weights(twin, d), SolverSettings(), seed=3)
+    assert a.mu.tobytes() == b.mu.tobytes() and a.objective == b.objective
+    assert a.converged and b.converged
 
 
 def test_dense_runs_never_import_scipy_sparse():

@@ -74,17 +74,15 @@ def _options(fn):
 
 def _build_config(config_path=None, out=".", **flags):
     """The config file's settings with the given flags laid over them, read
-    once by ``ExperimentConfig.from_dict``; and the output directory."""
+    once by ``ExperimentConfig.from_dict``; and the output directory, which
+    the writers make only once there is a result to write."""
     raw = {}
     if config_path:
         with open(config_path) as fh:
             raw = json.load(fh)
     if isinstance(raw, dict):  # the reader names a config that is not a mapping
         raw.update({k: v for k, v in flags.items() if v not in (None, ())})
-    cfg = ExperimentConfig.from_dict(raw)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return ExperimentConfig.from_dict(raw), Path(out)
 
 
 @click.group()

@@ -3,7 +3,10 @@
 One step of the process picks a unit uniformly at random and redraws its
 binary choice from the logit conditional given everyone else's current
 choice. Long-run time averages of the resulting single-site Markov chain
-estimate equilibrium welfare. For small networks the one-step image of
+estimate equilibrium welfare. The sampler computes the logit arguments of
+all units once per sweep; a step then costs one comparison, and only a step
+that flips a unit updates the arguments of that unit's neighbours, from
+``WeightSystem.row_lists``. For small networks the one-step image of
 the enumerated Gibbs distribution is computed directly from the choice
 probabilities, without the transition matrix, to verify stationarity.
 """
@@ -23,10 +26,25 @@ STATIONARITY_MAX_UNITS = 12
 
 def _redraw(y: np.ndarray, w: WeightSystem, sites, draws) -> None:
     """Redraw unit sites[k] of y in place from its logit conditional with
-    uniform draws[k], for k in order: one step of the process per site."""
-    w1, (cols, vals) = w.w1, w.rows
+    uniform draws[k], for k in order: one step of the process per site.
+
+    The logit arguments h = w1 + 2 w2 y are computed once per call; a step
+    that flips unit i adds +-2 w2_ij to h_j for the neighbours j of i, and a
+    step that flips nothing does no further work."""
+    cols, vals = w.row_lists
+    h = (w.w1 + 2.0 * (w.w2 @ y)).tolist()
+    state = y.tolist()
     for i, u in zip(sites.tolist(), draws.tolist()):
-        y[i] = u < sigmoid(w1[i] + float(vals[i] @ y[cols[i]]))
+        new = u < sigmoid(h[i])
+        if new != state[i]:
+            state[i] = new
+            if new:
+                for j, v in zip(cols[i], vals[i]):
+                    h[j] += v
+            else:
+                for j, v in zip(cols[i], vals[i]):
+                    h[j] -= v
+    y[:] = state
 
 
 def mcmc_welfare(

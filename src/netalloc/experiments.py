@@ -24,6 +24,7 @@ import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -324,6 +325,8 @@ def _round6(obj):
 
 
 def write_json(path, payload):
+    """Write payload as JSON, making the parent directory if needed."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_round6(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -443,6 +446,7 @@ def run_simulate(cfg: ExperimentConfig) -> list[dict]:
 
 
 def write_simulate_csv(path, rows):
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SIMULATE_COLUMNS)
         writer.writeheader()

@@ -246,17 +246,31 @@ class WeightSystem:
         """This system with a dense w2, the form the exact oracle uses."""
         return WeightSystem(w1=self.w1, w2=to_dense(self.w2))
 
+    def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+        """Columns and weights 2 w2_ij of the entries w2_ij != 0, row by row,
+        from either storage, and the slice of each unit's row in them."""
+        r, c = self.w2.nonzero()
+        # A CSR w2 that stores no entries gives a sparse 0-length slice here.
+        v = 2.0 * to_dense(self.w2[r, c])
+        ptr = np.searchsorted(r, np.arange(self.n + 1)).tolist()
+        return c, v, [slice(a, b) for a, b in zip(ptr, ptr[1:])]
+
     @cached_property
     def rows(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-unit rows (cols, vals) of 2 w2, for loops that update one unit
         at a time: cols[i] lists the j with w2_ij != 0 in ascending order and
         vals[i] the weights 2 w2_ij, so unit i's logit argument is
         ``w1[i] + vals[i] @ y[cols[i]]``. Either storage gives the same rows."""
-        r, c = self.w2.nonzero()
-        # A CSR w2 that stores no entries gives a sparse 0-length slice here.
-        v = 2.0 * to_dense(self.w2[r, c])
-        ptr = np.searchsorted(r, np.arange(self.n + 1))
-        spans = [slice(ptr[i], ptr[i + 1]) for i in range(self.n)]
+        c, v, spans = self._flat_rows()
+        return [c[s] for s in spans], [v[s] for s in spans]
+
+    @cached_property
+    def row_lists(self) -> tuple[list[list[int]], list[list[float]]]:
+        """``rows`` as Python lists, for loops that touch one entry at a time,
+        built without the array rows. Cached on the system itself, so the
+        lists live and die with it."""
+        c, v, spans = self._flat_rows()
+        c, v = c.tolist(), v.tolist()
         return [c[s] for s in spans], [v[s] for s in spans]
 
 

@@ -312,6 +312,18 @@ class TestAllocate:
         assert result.exit_code == 1
         assert str(result.exception) == "edge (1,3) out of range for n=3"
 
+    @pytest.mark.parametrize("command", ["allocate", "bounds"])
+    def test_bad_input_file_leaves_no_output_directory(self, runner, tmp_path, command):
+        # The files are read after the config; the directory is made only
+        # when a result is written.
+        cfg = make_toy_files(tmp_path)
+        (tmp_path / "net.txt").write_text("0,1\n1,3\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert str(result.exception) == "edge (1,3) out of range for n=3"
+        assert not out.exists()
+
     def test_malformed_edge_line_is_located(self, runner, tmp_path, monkeypatch, capsys):
         cfg = make_toy_files(tmp_path)
         (tmp_path / "net.txt").write_text("0,1\n1,x\n")

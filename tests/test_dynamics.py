@@ -19,6 +19,7 @@ from netalloc import (
     weights,
 )
 from netalloc.dynamics import STATIONARITY_MAX_UNITS, _chain, _one_step_image, _redraw
+from netalloc.model import sigmoid
 from tests.conftest import protocol_instance, random_instance
 from tests.test_exact import _dense_enumeration
 from tests.test_storage import csr_twin
@@ -27,6 +28,28 @@ from tests.test_storage import csr_twin
 def _step(y, w, rng):
     """One step of the process: redraw one uniformly chosen unit of y."""
     _redraw(y, w, rng.integers(0, w.n, size=1), rng.random(1))
+
+
+def _reference_redraw(y, w, sites, draws):
+    """``_redraw`` as one dot product per step: each step reads unit i's
+    logit argument w1[i] + vals[i] @ y[cols[i]] from the current y."""
+    cols, vals = w.rows
+    for i, u in zip(sites.tolist(), draws.tolist()):
+        y[i] = u < sigmoid(w.w1[i] + float(vals[i] @ y[cols[i]]))
+
+
+def _paired_chains(w, y, calls, rng):
+    """Run ``_redraw`` and ``_reference_redraw`` from y on the same sites and
+    draws, one sweep of w.n steps per call; return both final states and the
+    number of flips the chain made."""
+    y_ref, flips = y.copy(), 0
+    for _ in range(calls):
+        sites, draws = rng.integers(0, w.n, size=w.n), rng.random(w.n)
+        before = y.copy()
+        _redraw(y, w, sites, draws)
+        _reference_redraw(y_ref, w, sites, draws)
+        flips += int((before != y).sum())
+    return y, y_ref, flips
 
 
 def _reference_kernel(instance, d):
@@ -269,6 +292,52 @@ class TestMcmcWelfare:
 ROW_CASES = [(30, 0.3, 4), (25, 0.6, 1), (12, 0.1, 7)]
 
 
+class TestFlipOnlyRedraw:
+    """``_redraw`` keeps one field vector per call and updates it on flips;
+    the per-site dot product is its reference."""
+
+    @pytest.mark.parametrize("n,density,seed", ROW_CASES)
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("dtype", [float, np.int8])
+    def test_chain_equals_per_site_reference(self, rng, n, density, seed, storage, dtype):
+        inst = protocol_instance(n, density=density, seed=seed)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        w = weights(inst, rng.integers(0, 2, size=n))
+        y0 = rng.integers(0, 2, size=n).astype(dtype)
+        y, y_ref, flips = _paired_chains(w, y0, 200, np.random.default_rng(seed))
+        assert y.dtype == dtype
+        assert np.array_equal(y, y_ref)
+        assert flips > 20 * n
+
+    def test_csr_w2_without_entries(self, rng):
+        # theta5 = 0 and no treatment: every w2 entry is zero, so a CSR w2
+        # stores none and every row is empty.
+        inst = protocol_instance(30, density=0.3, seed=4)
+        inst = csr_twin(replace(inst, theta=replace(inst.theta, theta5=0.0)))
+        w = weights(inst, np.zeros(30, dtype=int))
+        assert sparse.issparse(w.w2) and w.w2.nnz == 0
+        assert all(not c for c in w.row_lists[0])
+        y, y_ref, flips = _paired_chains(w, rng.integers(0, 2, size=30).astype(float),
+                                         100, np.random.default_rng(1))
+        assert np.array_equal(y, y_ref) and flips > 0
+
+    def test_row_lists_belong_to_their_weight_system(self):
+        # Each weight system is dropped before the next is built, so CPython
+        # hands its id to a later one: rows cached by id(w) would be stale.
+        inst = protocol_instance(30, density=0.3, seed=4, a_n=0.2)
+        rng = np.random.default_rng(5)
+        ids = set()
+        for _ in range(12):
+            w = weights(inst, rng.integers(0, 2, size=30))
+            ids.add(id(w))
+            y, y_ref, _ = _paired_chains(w, rng.integers(0, 2, size=30).astype(float),
+                                         50, rng)
+            assert np.array_equal(y, y_ref)
+            del w
+        assert len(ids) < 12
+
+
 class TestRows:
     @pytest.mark.parametrize("n,density,seed", ROW_CASES)
     def test_dense_rows_equal_csr_rows_bit_for_bit(self, rng, n, density, seed):
@@ -300,3 +369,4 @@ class TestRows:
                 assert np.array_equal(cols[i], want)
                 assert vals[i].tobytes() == (2.0 * w2[i, want]).tobytes()
             assert sum(map(len, cols)) < inst.net.indices.size
+            assert w.row_lists == ([c.tolist() for c in cols], [v.tolist() for v in vals])

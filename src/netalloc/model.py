@@ -42,6 +42,20 @@ log = logging.getLogger(__name__)
 # 6.3x faster at 0.5%; they break even near 8%.
 SPARSE_DENSITY = 0.05
 
+# Widening of each unit's choice-probability interval in
+# ``WeightSystem.screen``. The sampler's unscreened decision is
+# u < sigmoid(a) for a computed logit argument a. For any state of the other
+# units, a differs from the exact argument by at most t 2^-53 A_i, where t
+# counts the additions behind a (the row length, plus one per neighbour flip
+# since the sampler built it) and A_i = |w1_i| + sum_j |2 w2_ij| bounds every
+# partial sum. The logistic is 1/4-Lipschitz, and ``sigmoid`` and ``expit``
+# are good to a few 2^-53; the bounds' own sums add at most the row length to
+# t. So u < p_lo[i] implies u < sigmoid(a), and u >= p_hi[i] implies the
+# opposite, while (t + row length) A_i < 4e-9 2^53, about 3.6e7. A call of
+# ``mcmc_welfare``'s chain takes about 8N steps, so that holds up to N in the
+# millions for A_i of order one (about 2.5 at most on ``sparse_allocate``).
+SCREEN_MARGIN = 1e-9
+
 
 def derive_seed(master: int, *key) -> int:
     """Stable child seed from a master seed and an integer key path."""
@@ -246,14 +260,22 @@ class WeightSystem:
         """This system with a dense w2, the form the exact oracle uses."""
         return WeightSystem(w1=self.w1, w2=to_dense(self.w2))
 
-    def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-        """Columns and weights 2 w2_ij of the entries w2_ij != 0, row by row,
-        from either storage, and the slice of each unit's row in them."""
+    def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and weights 2 w2_ij of the entries w2_ij != 0, row by
+        row, from either storage."""
         r, c = self.w2.nonzero()
         # A CSR w2 that stores no entries gives a sparse 0-length slice here.
-        v = 2.0 * to_dense(self.w2[r, c])
+        return r, c, 2.0 * to_dense(self.w2[r, c])
+
+    def _split(self, r: np.ndarray, *flat) -> tuple[list, ...]:
+        """Each of the sequences ``flat``, entry k in row r[k] (r sorted), cut
+        into one piece per unit; the empty rows share one empty piece."""
         ptr = np.searchsorted(r, np.arange(self.n + 1)).tolist()
-        return c, v, [slice(a, b) for a, b in zip(ptr, ptr[1:])]
+        pieces = []
+        for f in flat:
+            empty = f[:0]
+            pieces.append([f[a:b] if a < b else empty for a, b in zip(ptr, ptr[1:])])
+        return tuple(pieces)
 
     @cached_property
     def rows(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -261,17 +283,46 @@ class WeightSystem:
         at a time: cols[i] lists the j with w2_ij != 0 in ascending order and
         vals[i] the weights 2 w2_ij, so unit i's logit argument is
         ``w1[i] + vals[i] @ y[cols[i]]``. Either storage gives the same rows."""
-        c, v, spans = self._flat_rows()
-        return [c[s] for s in spans], [v[s] for s in spans]
+        return self._split(*self._flat_rows())
 
     @cached_property
     def row_lists(self) -> tuple[list[list[int]], list[list[float]]]:
         """``rows`` as Python lists, for loops that touch one entry at a time,
         built without the array rows. Cached on the system itself, so the
         lists live and die with it."""
-        c, v, spans = self._flat_rows()
-        c, v = c.tolist(), v.tolist()
-        return [c[s] for s in spans], [v[s] for s in spans]
+        r, c, v = self._flat_rows()
+        return self._split(r, c.tolist(), v.tolist())
+
+    @cached_property
+    def screen(self) -> tuple[list[float], list[float], list[bool], list[list[int]],
+                              list[list[float]]]:
+        """What the single-site sampler needs besides the rows, per unit i:
+        ``(p_lo, p_hi, kept, push_cols, push_vals)``.
+
+        p_lo[i] <= P(y_i = 1 | y_-i) < p_hi[i] for every state of the other
+        units: the logistic of w1_i plus the sum of the negative (positive)
+        entries of row i, widened by ``SCREEN_MARGIN``. A draw below p_lo[i]
+        or at least p_hi[i] decides unit i's step without its logit argument.
+
+        kept[i] says the sampler keeps unit i's argument up to date as its
+        neighbours flip, rather than summing row i over the state when a step
+        needs it. Summing costs the row length per unscreened step, which
+        happens with probability about p_hi - p_lo; keeping costs one update
+        per neighbour flip, and a neighbour j flips with probability about
+        2 m_j (1 - m_j) per step at j, m_j the midpoint of its interval. The
+        cheaper one is taken. push_cols[j], push_vals[j] are the entries of
+        row j whose column is a kept unit: the updates a flip of j makes.
+        """
+        r, c, v = self._flat_rows()
+        n = self.n
+        lo = expit(self.w1 + np.bincount(r, np.minimum(v, 0.0), n)) - SCREEN_MARGIN
+        hi = expit(self.w1 + np.bincount(r, np.maximum(v, 0.0), n)) + SCREEN_MARGIN
+        mid = 0.5 * (lo + hi)
+        neighbour_flips = np.bincount(r, (2.0 * mid * (1.0 - mid))[c], n)
+        kept = (hi - lo) * np.bincount(r, minlength=n) > neighbour_flips
+        push = kept[c]
+        return (lo.tolist(), hi.tolist(), kept.tolist(),
+                *self._split(r[push], c[push].tolist(), v[push].tolist()))
 
 
 @dataclass(frozen=True)

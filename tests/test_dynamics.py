@@ -1,5 +1,6 @@
 """Simulation chain: kernel correctness, stationarity, welfare estimates."""
 
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -18,8 +19,14 @@ from netalloc import (
     stationarity_check,
     weights,
 )
-from netalloc.dynamics import STATIONARITY_MAX_UNITS, _chain, _one_step_image, _redraw
-from netalloc.model import sigmoid
+from netalloc.dynamics import (
+    MCMC_BATCHES,
+    STATIONARITY_MAX_UNITS,
+    _chain,
+    _one_step_image,
+    _redraw,
+)
+from netalloc.model import SCREEN_MARGIN, sigmoid
 from tests.conftest import protocol_instance, random_instance
 from tests.test_exact import _dense_enumeration
 from tests.test_storage import csr_twin
@@ -27,29 +34,62 @@ from tests.test_storage import csr_twin
 
 def _step(y, w, rng):
     """One step of the process: redraw one uniformly chosen unit of y."""
-    _redraw(y, w, rng.integers(0, w.n, size=1), rng.random(1))
+    _redraw(y, w, rng.integers(0, w.n, size=1).tolist(), rng.random(1).tolist(), 1)
 
 
 def _reference_redraw(y, w, sites, draws):
     """``_redraw`` as one dot product per step: each step reads unit i's
     logit argument w1[i] + vals[i] @ y[cols[i]] from the current y."""
     cols, vals = w.rows
-    for i, u in zip(sites.tolist(), draws.tolist()):
+    for i, u in zip(sites, draws):
         y[i] = u < sigmoid(w.w1[i] + float(vals[i] @ y[cols[i]]))
 
 
-def _paired_chains(w, y, calls, rng):
+def _read_kinds(w, sites, draws):
+    """The kinds of unit (True: kept field, False: summed row) whose logit
+    argument the screen leaves some of these steps to read."""
+    lo, hi, kept, _, _ = w.screen
+    return {kept[i] for i, u in zip(sites, draws) if lo[i] <= u < hi[i]}
+
+
+def _paired_chains(w, y, calls, rng, draw=None):
     """Run ``_redraw`` and ``_reference_redraw`` from y on the same sites and
-    draws, one sweep of w.n steps per call; return both final states and the
-    number of flips the chain made."""
-    y_ref, flips = y.copy(), 0
+    draws, one sweep of w.n steps per call; return both final states, the
+    number of flips the chain made and the kinds of unit it read. ``draw``
+    maps (sites, rng) to the draws; by default they are uniform."""
+    y_ref, flips, kinds = y.copy(), 0, set()
     for _ in range(calls):
-        sites, draws = rng.integers(0, w.n, size=w.n), rng.random(w.n)
+        sites = rng.integers(0, w.n, size=w.n).tolist()
+        draws = rng.random(w.n).tolist() if draw is None else draw(sites, rng)
         before = y.copy()
-        _redraw(y, w, sites, draws)
+        ones, read = _redraw(y, w, sites, draws, w.n)
         _reference_redraw(y_ref, w, sites, draws)
+        assert ones == [int(y.sum())]
+        lo, hi = w.screen[:2]
+        assert read == sum(lo[i] <= u < hi[i] for i, u in zip(sites, draws))
         flips += int((before != y).sum())
-    return y, y_ref, flips
+        kinds |= _read_kinds(w, sites, draws)
+    return y, y_ref, flips, kinds
+
+
+def _reference_mcmc(d, inst, sweeps, burn_in, seed, steps_per_sweep=None):
+    """``mcmc_welfare`` sweep by sweep: the same random stream, each sweep
+    redrawn by ``_reference_redraw`` and its mean recorded."""
+    w = weights(inst, d)
+    per_sweep = w.n if steps_per_sweep is None else steps_per_sweep
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=w.n).astype(float)
+    kept = []
+    for sweep in range(sweeps):
+        sites = rng.integers(0, w.n, size=per_sweep).tolist()
+        _reference_redraw(y, w, sites, rng.random(per_sweep).tolist())
+        if sweep >= burn_in:
+            kept.append(y.mean())
+    kept = np.array(kept)
+    n_batches = min(MCMC_BATCHES, kept.size)
+    batch_means = kept[: kept.size - kept.size % n_batches].reshape(n_batches, -1).mean(axis=1)
+    stderr = batch_means.std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else 0.0
+    return float(kept.mean()), float(stderr)
 
 
 def _reference_kernel(instance, d):
@@ -288,27 +328,85 @@ class TestMcmcWelfare:
             mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=20, burn_in=5, seed=0,
                          steps_per_sweep=steps)
 
+    @pytest.mark.parametrize("name,value", [
+        ("sweeps", 100.5), ("sweeps", True), ("burn_in", 5.0), ("burn_in", False),
+        ("steps_per_sweep", 2.7), ("steps_per_sweep", True), ("steps_per_sweep", "3"),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        # steps_per_sweep=2.7 used to run as 2 and True as 1; a fractional
+        # sweeps or burn_in failed inside numpy with a TypeError.
+        inst = protocol_instance(5, seed=1)
+        args = dict(sweeps=20, burn_in=5, steps_per_sweep=None) | {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            mcmc_welfare(np.zeros(5, dtype=int), inst, seed=0, **args)
+
+    @pytest.mark.parametrize("sweeps,burn_in,steps_per_sweep", [
+        (45, 11, None),  # blocks of 8 sweeps: 45 ends inside a block, as does 11
+        (300, 100, 1),  # blocks of 96
+        (77, 40, 3),  # blocks of 32
+        (9, 8, None),  # one sweep kept
+    ])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_equals_sweep_by_sweep_reference(self, rng, sweeps, burn_in, steps_per_sweep,
+                                             storage):
+        inst = protocol_instance(12, density=0.5, seed=3, a_n=0.5)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        d = rng.integers(0, 2, size=12)
+        got = mcmc_welfare(d, inst, sweeps=sweeps, burn_in=burn_in, seed=21,
+                           steps_per_sweep=steps_per_sweep)
+        want = _reference_mcmc(d, inst, sweeps, burn_in, 21, steps_per_sweep)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_debug_record(self, caplog):
+        inst = protocol_instance(20, density=0.5, seed=3, a_n=0.5)
+        d = np.zeros(20, dtype=int)
+        with caplog.at_level(logging.DEBUG, logger="netalloc.dynamics"):
+            mcmc_welfare(d, inst, sweeps=30, burn_in=10, seed=2, steps_per_sweep=7)
+        (record,) = caplog.records
+        kept = sum(weights(inst, d).screen[2])
+        assert record.steps == 30 * 7 and 0 < kept < 20
+        assert record.kept_field_units == kept
+        assert 0.0 < record.screened_share < 1.0 and record.steps_per_s > 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="netalloc.dynamics"):
+            mcmc_welfare(d, inst, sweeps=30, burn_in=10, seed=2)
+        assert not caplog.records
+
 
 ROW_CASES = [(30, 0.3, 4), (25, 0.6, 1), (12, 0.1, 7)]
+# (n, density, seed, a_n, flips per unit at least, kinds of unit read). The
+# weak cases sum every unit's row; under a_n = 1 the fields of about half
+# the units are kept, and the chain soon settles near all ones.
+CHAIN_CASES = [
+    pytest.param(n, density, seed, None, 20, {False}, id=f"{n}-{density}-{seed}")
+    for n, density, seed in ROW_CASES
+] + [
+    pytest.param(30, 0.5, 3, 1.0, 1, {False, True}, id="strong-30-0.5-3"),
+    pytest.param(60, 0.3, 5, 0.3, 20, {False, True}, id="mixed-60-0.3-5"),
+]
 
 
 class TestFlipOnlyRedraw:
-    """``_redraw`` keeps one field vector per call and updates it on flips;
+    """``_redraw`` screens each step by its draw, sums or keeps the logit
+    argument where a step needs it, and updates kept arguments on flips;
     the per-site dot product is its reference."""
 
-    @pytest.mark.parametrize("n,density,seed", ROW_CASES)
+    @pytest.mark.parametrize("n,density,seed,a_n,min_flips,kinds", CHAIN_CASES)
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("dtype", [float, np.int8])
-    def test_chain_equals_per_site_reference(self, rng, n, density, seed, storage, dtype):
-        inst = protocol_instance(n, density=density, seed=seed)
+    def test_chain_equals_per_site_reference(self, rng, n, density, seed, a_n, min_flips,
+                                             kinds, storage, dtype):
+        inst = protocol_instance(n, density=density, seed=seed, a_n=a_n)
         if storage == "csr":
             inst = csr_twin(inst)
         w = weights(inst, rng.integers(0, 2, size=n))
         y0 = rng.integers(0, 2, size=n).astype(dtype)
-        y, y_ref, flips = _paired_chains(w, y0, 200, np.random.default_rng(seed))
+        y, y_ref, flips, read = _paired_chains(w, y0, 200, np.random.default_rng(seed))
         assert y.dtype == dtype
         assert np.array_equal(y, y_ref)
-        assert flips > 20 * n
+        assert flips > min_flips * n
+        assert read == kinds
 
     def test_csr_w2_without_entries(self, rng):
         # theta5 = 0 and no treatment: every w2 entry is zero, so a CSR w2
@@ -318,8 +416,8 @@ class TestFlipOnlyRedraw:
         w = weights(inst, np.zeros(30, dtype=int))
         assert sparse.issparse(w.w2) and w.w2.nnz == 0
         assert all(not c for c in w.row_lists[0])
-        y, y_ref, flips = _paired_chains(w, rng.integers(0, 2, size=30).astype(float),
-                                         100, np.random.default_rng(1))
+        y, y_ref, flips, _ = _paired_chains(w, rng.integers(0, 2, size=30).astype(float),
+                                            100, np.random.default_rng(1))
         assert np.array_equal(y, y_ref) and flips > 0
 
     def test_row_lists_belong_to_their_weight_system(self):
@@ -331,11 +429,61 @@ class TestFlipOnlyRedraw:
         for _ in range(12):
             w = weights(inst, rng.integers(0, 2, size=30))
             ids.add(id(w))
-            y, y_ref, _ = _paired_chains(w, rng.integers(0, 2, size=30).astype(float),
-                                         50, rng)
+            y, y_ref, _, _ = _paired_chains(w, rng.integers(0, 2, size=30).astype(float),
+                                            50, rng)
             assert np.array_equal(y, y_ref)
             del w
         assert len(ids) < 12
+
+
+SCREEN_CASES = [
+    pytest.param(30, 0.3, 4, None, id="weak"),
+    pytest.param(30, 0.5, 3, 1.0, id="strong"),
+    pytest.param(60, 0.3, 5, 0.3, id="mixed"),
+]
+
+
+class TestScreen:
+    @pytest.mark.parametrize("n,density,seed,a_n", SCREEN_CASES)
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_draws_on_the_interval_edges(self, rng, n, density, seed, a_n, storage):
+        # Every draw sits on p_lo or p_hi of its unit, or up to 3 ULP to
+        # either side: a step exactly on p_lo reads the argument, one exactly
+        # on p_hi sets the unit to 0.
+        inst = protocol_instance(n, density=density, seed=seed, a_n=a_n)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        w = weights(inst, rng.integers(0, 2, size=n))
+        lo, hi, _, _, _ = w.screen
+
+        def on_edges(sites, draw_rng):
+            edge = np.where(draw_rng.random(len(sites)) < 0.5, np.take(lo, sites),
+                            np.take(hi, sites))
+            for _ in range(3):
+                shift = draw_rng.integers(-1, 2, size=len(sites))
+                edge = np.where(shift < 0, np.nextafter(edge, -np.inf),
+                                np.where(shift > 0, np.nextafter(edge, np.inf), edge))
+            return edge.tolist()
+
+        y, y_ref, flips, read = _paired_chains(w, rng.integers(0, 2, size=n).astype(float),
+                                               100, np.random.default_rng(seed), on_edges)
+        assert np.array_equal(y, y_ref) and flips > 0
+        kept = w.screen[2]
+        assert read == set(kept)
+
+    @pytest.mark.parametrize("density,seed,a_n", [(0.3, 4, None), (0.5, 3, 1.0), (0.5, 5, 0.3)])
+    def test_interval_is_the_range_over_every_state(self, rng, density, seed, a_n):
+        # On 10 units every state is listed: each unit's choice probability
+        # stays inside [p_lo, p_hi), and both ends are reached to within the
+        # margin.
+        inst = protocol_instance(10, density=density, seed=seed, a_n=a_n)
+        w = weights(inst, rng.integers(0, 2, size=10))
+        y = ((np.arange(1 << 10)[:, None] >> np.arange(10)) & 1).astype(float)
+        p = expit(w.w1 + 2.0 * (y @ w.dense().w2))
+        lo, hi = np.array(w.screen[0]), np.array(w.screen[1])
+        assert (lo <= p.min(axis=0)).all() and (p.max(axis=0) < hi).all()
+        np.testing.assert_allclose(p.min(axis=0) - lo, SCREEN_MARGIN, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(hi - p.max(axis=0), SCREEN_MARGIN, rtol=0, atol=1e-15)
 
 
 class TestRows:

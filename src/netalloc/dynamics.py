@@ -24,7 +24,7 @@ from itertools import compress, islice
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .model import Instance, WeightSystem, sigmoid, weights
+from .model import Instance, WeightSystem, check_count, sigmoid, weights
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +43,7 @@ def _redraw(y: np.ndarray, w: WeightSystem, sites: list[int], draws: list[float]
     number of steps whose draw the screen did not decide. Such a step reads
     unit i's logit argument w1_i + (2 w2 y)_i: a kept unit's comes from a
     vector built once per call and updated when a neighbour flips, any other
-    unit's is summed from its row."""
+    unit's is summed from its row of ``w.row_lists``."""
     cols, vals = w.row_lists
     lo, hi, kept, push_cols, push_vals = w.screen
     w1 = w.w1.tolist()
@@ -85,12 +85,6 @@ def _redraw(y: np.ndarray, w: WeightSystem, sites: list[int], draws: list[float]
     return counts, read
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer, a bool included, by name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def mcmc_welfare(
     d,
     instance: Instance,
@@ -106,10 +100,10 @@ def mcmc_welfare(
     The per-sweep population mean is recorded after the burn-in period and
     averaged; the standard error comes from batch means.
     """
-    _check_count("sweeps", sweeps)
-    _check_count("burn_in", burn_in)
+    check_count("sweeps", sweeps)
+    check_count("burn_in", burn_in)
     if steps_per_sweep is not None:
-        _check_count("steps_per_sweep", steps_per_sweep)
+        check_count("steps_per_sweep", steps_per_sweep)
     if sweeps <= burn_in:
         raise ValueError("sweeps must exceed burn_in")
     if burn_in < 0:

@@ -24,6 +24,7 @@ import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,8 @@ def simulation_instance(
 
 
 def capacity(n: int, kappa: int | None, kappa_frac: float) -> int:
-    return int(math.floor(kappa_frac * n)) if kappa is None else check_capacity(n, kappa)
+    # The floor of the decimal product; in binary, 0.7 * 90 is 62.99999999999999.
+    return math.floor(Decimal(str(kappa_frac)) * n) if kappa is None else check_capacity(n, kappa)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy.special import expit
 
-from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, linear_weights,
-                    sigmoid, to_dense, weights)
+from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, check_count,
+                    linear_weights, sigmoid, to_dense, weights)
 
 CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
 
@@ -46,6 +47,8 @@ class SolverSettings:
     def __post_init__(self):
         if not 0 <= self.foc_tol < math.inf:
             raise ValueError(f"foc_tol must be finite and nonnegative, got {self.foc_tol}")
+        check_count("max_iter", self.max_iter)
+        check_count("restarts", self.restarts)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.restarts < 1:
@@ -110,11 +113,12 @@ def instance_certified(instance: Instance) -> bool:
 
 
 def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
-    w1, (cols, vals) = w.w1, w.rows
+    """One in-place sweep in index order over ``w.row_lists``; mu is written once."""
+    (cols, vals), w1, m = w.row_lists, w.w1.tolist(), mu.tolist()
     lo, hi = CLAMP, 1.0 - CLAMP
-    for i in range(mu.shape[0]):
-        v = sigmoid(w1[i] + float(vals[i] @ mu[cols[i]]))
-        mu[i] = min(max(v, lo), hi)
+    for i, (c, v) in enumerate(zip(cols, vals)):
+        m[i] = min(max(sigmoid(w1[i] + sum(map(mul, v, map(m.__getitem__, c)))), lo), hi)
+    mu[:] = m
     return mu
 
 
@@ -127,10 +131,10 @@ def fixed_point_solve(
     """Iterate the first-order-condition map to a fixed point.
 
     Starts from ``init`` when given, otherwise from a uniform random draw
-    controlled by ``seed``. A sweep updates every unit once, in index
-    order and in place (Gauss-Seidel); iteration stops once the FOC
-    residual is at most foc_tol, or at max_iter with ``converged`` set to
-    False. The objective is evaluated once, at the returned marginals.
+    controlled by ``seed``. A sweep updates each unit from its row of
+    ``w.row_lists``, in index order and in place (Gauss-Seidel); iteration
+    stops once the FOC residual is at most foc_tol, or at max_iter with
+    ``converged`` False. The objective is evaluated once, at the returned marginals.
     """
     settings = settings or SolverSettings()
     start = np.random.default_rng(seed).uniform(size=w.n) if init is None else init

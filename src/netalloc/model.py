@@ -16,6 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -210,6 +211,12 @@ class EnumerationCapError(ValueError):
     """Raised when a capacity admits more allocations than may be listed."""
 
 
+def check_count(name: str, value) -> None:
+    """Reject a count that is not an integer, a bool included, by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_capacity(n: int, kappa: int) -> int:
     """kappa, after checking that it lies between 0 and n."""
     if not 0 <= kappa <= n:
@@ -267,36 +274,27 @@ class WeightSystem:
         # A CSR w2 that stores no entries gives a sparse 0-length slice here.
         return r, c, 2.0 * to_dense(self.w2[r, c])
 
-    def _split(self, r: np.ndarray, *flat) -> tuple[list, ...]:
-        """Each of the sequences ``flat``, entry k in row r[k] (r sorted), cut
-        into one piece per unit; the empty rows share one empty piece."""
+    def _split(self, r: np.ndarray, *flat: list) -> tuple[list, ...]:
+        """Each of the lists ``flat``, entry k in row r[k] (r sorted), cut
+        into one piece per unit; the empty rows share one empty list."""
         ptr = np.searchsorted(r, np.arange(self.n + 1)).tolist()
-        pieces = []
-        for f in flat:
-            empty = f[:0]
-            pieces.append([f[a:b] if a < b else empty for a, b in zip(ptr, ptr[1:])])
-        return tuple(pieces)
-
-    @cached_property
-    def rows(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-unit rows (cols, vals) of 2 w2, for loops that update one unit
-        at a time: cols[i] lists the j with w2_ij != 0 in ascending order and
-        vals[i] the weights 2 w2_ij, so unit i's logit argument is
-        ``w1[i] + vals[i] @ y[cols[i]]``. Either storage gives the same rows."""
-        return self._split(*self._flat_rows())
+        empty = []
+        return tuple([f[a:b] if a < b else empty for a, b in zip(ptr, ptr[1:])] for f in flat)
 
     @cached_property
     def row_lists(self) -> tuple[list[list[int]], list[list[float]]]:
-        """``rows`` as Python lists, for loops that touch one entry at a time,
-        built without the array rows. Cached on the system itself, so the
-        lists live and die with it."""
+        """Per-unit rows (cols, vals) of 2 w2 as Python lists, for loops that
+        update one unit at a time: cols[i] lists the j with w2_ij != 0 in
+        ascending order and vals[i] the weights 2 w2_ij, so unit i's logit
+        argument is w1_i + sum_k vals[i][k] y[cols[i][k]]. Either storage gives
+        the same rows. Cached on the system itself, so they live and die with it."""
         r, c, v = self._flat_rows()
         return self._split(r, c.tolist(), v.tolist())
 
     @cached_property
     def screen(self) -> tuple[list[float], list[float], list[bool], list[list[int]],
                               list[list[float]]]:
-        """What the single-site sampler needs besides the rows, per unit i:
+        """What the single-site sampler needs besides ``row_lists``, per unit i:
         ``(p_lo, p_hi, kept, push_cols, push_vals)``.
 
         p_lo[i] <= P(y_i = 1 | y_-i) < p_hi[i] for every state of the other
@@ -510,8 +508,9 @@ def potential(y, instance: Instance, d) -> float:
 
 def choice_argument(i: int, y, w: WeightSystem) -> float:
     """Log-odds of unit i choosing 1 given everyone else's choices."""
-    cols, vals = w.rows
-    return float(w.w1[i] + vals[i] @ np.asarray(y, dtype=float)[cols[i]])
+    cols, vals = w.row_lists
+    y = np.asarray(y, dtype=float)
+    return float(w.w1[i] + sum(map(mul, vals[i], map(y.__getitem__, cols[i]))))
 
 
 def conditional_choice_prob(i: int, y, instance: Instance, d) -> float:

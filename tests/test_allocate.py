@@ -1,5 +1,7 @@
 """Greedy, exhaustive, random, and baseline allocation strategies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,20 @@ class TestOrdering:
         g, _ = greedy(inst, kappa, SETTINGS, seed=0)
         greedy_w = evaluator(g.d)
         assert none_w < rand_w < greedy_w
+
+
+@pytest.mark.parametrize("frac,n,kappa", [(0.7, 90, 63), (0.29, 100, 29), (0.7, 10, 7)])
+def test_capacity_floors_the_decimal_product(frac, n, kappa):
+    # 0.7 * 90 is 62.99999999999999 and 0.29 * 100 is 28.999999999999996 in
+    # binary floating point; their floors were one below the capacity.
+    from netalloc.experiments import capacity
+
+    assert capacity(n, None, frac) == kappa
+
+
+def test_default_capacity_fraction_unchanged():
+    # The default kappa_frac = 0.3 gives the binary product's floor up to
+    # N = 5000, so no golden file moves.
+    from netalloc.experiments import capacity
+
+    assert all(capacity(n, None, 0.3) == math.floor(0.3 * n) for n in range(1, 5001))

@@ -39,8 +39,11 @@ def _step(y, w, rng):
 
 def _reference_redraw(y, w, sites, draws):
     """``_redraw`` as one dot product per step: each step reads unit i's
-    logit argument w1[i] + vals[i] @ y[cols[i]] from the current y."""
-    cols, vals = w.rows
+    logit argument w1[i] + vals[i] @ y[cols[i]] from the current y, over
+    array rows built here from the dense w2, not from the table it checks."""
+    w2 = w.dense().w2
+    cols = [np.flatnonzero(row) for row in w2]
+    vals = [2.0 * row[c] for row, c in zip(w2, cols)]
     for i, u in zip(sites, draws):
         y[i] = u < sigmoid(w.w1[i] + float(vals[i] @ y[cols[i]]))
 
@@ -493,12 +496,12 @@ class TestRows:
         d = rng.integers(0, 2, size=n)
         dense, csr = weights(inst, d), weights(csr_twin(inst), d)
         assert isinstance(dense.w2, np.ndarray) and sparse.issparse(csr.w2)
-        (cols_d, vals_d), (cols_s, vals_s) = dense.rows, csr.rows
+        (cols_d, vals_d), (cols_s, vals_s) = dense.row_lists, csr.row_lists
         assert len(cols_d) == len(vals_d) == len(cols_s) == len(vals_s) == n
-        for a, b in zip(cols_d, cols_s):
-            assert np.array_equal(a, b)
+        assert cols_d == cols_s
         for a, b in zip(vals_d, vals_s):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert all(type(v) is float for v in a + b)
+            assert np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
 
     @pytest.mark.parametrize("n,density,seed", ROW_CASES)
     def test_rows_list_exactly_the_nonzero_weights(self, rng, n, density, seed):
@@ -511,10 +514,9 @@ class TestRows:
         for case in (inst, csr_twin(inst), no_theta5, csr_twin(no_theta5)):
             w = weights(case, d)
             w2 = w.dense().w2
-            cols, vals = w.rows
+            cols, vals = w.row_lists
             for i in range(n):
                 want = np.flatnonzero(w2[i])
-                assert np.array_equal(cols[i], want)
-                assert vals[i].tobytes() == (2.0 * w2[i, want]).tobytes()
+                assert cols[i] == want.tolist() and all(type(j) is int for j in cols[i])
+                assert np.array(vals[i], dtype=float).tobytes() == (2.0 * w2[i, want]).tobytes()
             assert sum(map(len, cols)) < inst.net.indices.size
-            assert w.row_lists == ([c.tolist() for c in cols], [v.tolist() for v in vals])

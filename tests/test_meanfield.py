@@ -25,7 +25,9 @@ from netalloc import (
 )
 from netalloc import meanfield
 from netalloc.meanfield import instance_certified
+from netalloc.model import sigmoid
 from tests.conftest import protocol_instance, random_instance
+from tests.test_storage import csr_twin
 
 SETTINGS = SolverSettings()
 
@@ -185,6 +187,25 @@ class TestFixedPoint:
                 prev = cur
             assert increased
 
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_sweep_matches_one_dot_product_per_unit(self, rng, set_id, storage):
+        # One sweep over the list rows against a reference that updates each
+        # unit, in index order, from one dot product with its dense w2 row.
+        inst = protocol_instance(40, density=0.3, set_id=set_id, seed=6)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        w = weights(inst, rng.integers(0, 2, size=40))
+        assert isinstance(w.w2, np.ndarray) == (storage == "dense")
+        w2 = w.dense().w2
+        mu = rng.uniform(size=40)
+        want = mu.copy()
+        for i in range(40):
+            arg = w.w1[i] + 2.0 * (w2[i] @ want)
+            want[i] = np.clip(sigmoid(arg), meanfield.CLAMP, 1.0 - meanfield.CLAMP)
+        assert meanfield._sweep_gauss_seidel(mu, w) is mu
+        np.testing.assert_allclose(mu, want, rtol=0, atol=1e-15)
+
     def test_unique_fixed_point_from_many_starts(self):
         inst = protocol_instance(20, seed=5)
         assert instance_certified(inst)
@@ -208,6 +229,11 @@ class TestFixedPoint:
         [
             ("foc_tol", -1e-8),  # could never converge
             ("max_iter", 0),  # returned the starting point
+            ("max_iter", True),  # ran one sweep
+            ("max_iter", 2.5),  # failed inside range with a bare TypeError
+            ("max_iter", "3"),
+            ("restarts", 2.5),  # was accepted
+            ("restarts", True),
         ],
     )
     def test_settings_that_give_wrong_results_rejected(self, field, value):

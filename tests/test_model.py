@@ -20,8 +20,9 @@ from netalloc import (
     utility,
     weights,
 )
-from netalloc.model import allocation_vector, derive_seed, sigmoid
-from tests.conftest import random_instance
+from netalloc.model import allocation_vector, choice_argument, derive_seed, sigmoid
+from tests.conftest import protocol_instance, random_instance
+from tests.test_storage import csr_twin
 
 SET1 = ThetaParams.from_set(1)
 
@@ -220,6 +221,19 @@ class TestConditionalChoice:
             assert conditional_choice_prob(i, y, inst, d) == pytest.approx(
                 float(expit(utility(i, y1, inst, d))), abs=1e-12
             )
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_choice_argument_is_the_field(self, rng, storage):
+        # Unit i's log-odds read from its list row against w1 + 2 (w2 @ y).
+        inst = protocol_instance(30, density=0.3, seed=4)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        for _ in range(5):
+            w = weights(inst, rng.integers(0, 2, size=30))
+            y = rng.integers(0, 2, size=30)
+            want = w.w1 + 2.0 * (w.w2 @ y)
+            got = [choice_argument(i, y, w) for i in range(30)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestAllocationType:

@@ -301,9 +301,9 @@ def test_csr_weights_store_only_nonzero_entries(rng):
 
 
 @pytest.mark.parametrize("case", ["ring_theta5_zero", "edgeless"])
-def test_rows_of_a_w2_without_entries_are_arrays(case):
-    # A CSR w2 that stores no entries used to give sparse row values, which
-    # sent every single-unit update through sparse matmul.
+def test_rows_of_a_w2_without_entries_are_empty_lists(case):
+    # A CSR w2 that stores no entries gives sparse 0-length slices of its
+    # values; the rows must still be plain empty lists.
     n = 60
     x = np.random.default_rng(0).integers(0, 3, size=(n, 2)).astype(float)
     theta = ThetaParams.from_set(1, a_n=0.2)
@@ -315,10 +315,9 @@ def test_rows_of_a_w2_without_entries_are_arrays(case):
     d = np.zeros(n, dtype=np.int8)
     w = weights(inst, d)
     assert sparse.issparse(w.w2) and w.w2.nnz == 0
-    cols, vals = w.rows
-    for i in range(n):
-        assert isinstance(cols[i], np.ndarray) and isinstance(vals[i], np.ndarray)
-        assert cols[i].size == vals[i].size == 0
+    cols, vals = w.row_lists
+    assert len(cols) == len(vals) == n
+    assert all(type(c) is list and c == [] for c in cols + vals)
     twin = dense_twin(inst)
     assert mcmc_welfare(d, inst, sweeps=60, burn_in=10, seed=3) == mcmc_welfare(
         d, twin, sweeps=60, burn_in=10, seed=3)

@@ -229,17 +229,28 @@ def batch_fixed_point(
     w1 (``linear_weights``) takes one coupling product. Each iteration
     does two more, ``sm @ mu`` and ``sm @ (d * mu)``, for the iterate it
     checks, and takes the next iterate from them: a call does
-    ``3 + 2 * iterations`` products. Besides the two products, every
-    (n, batch) array lives in one of five buffers allocated up front: the
-    allocations, w1, the current and the next iterate, and one scratch
-    array.
+    ``3 + 2 * iterations`` products. w1's ``sm @ d`` and ``sm @ (d * mu)``
+    only need the block's treated support (the units some column treats),
+    so they read only those columns of the coupling, gathered once per
+    call: an iteration costs n (n + |support|) multiply-adds per column
+    against 2 n^2, and a greedy round (an incumbent of r units plus one
+    unit per column) has |support| <= r + batch. A block that treats every
+    unit uses the coupling itself. Besides the products and the gathered
+    arrays, every (n, batch) array lives in one of five buffers allocated
+    up front: the allocations, w1, the current and the next iterate, and
+    one scratch array.
     """
     settings = settings or SolverSettings()
     th = instance.theta
     sm = instance.coupling
     dt = allocation_vector(allocations, instance.n, block=True).T.astype(float, order="C")
     n, batch = dt.shape
-    w1 = linear_weights(instance, dt)
+    support = np.flatnonzero(dt.any(axis=1))
+    if len(support) < n:
+        sm_d = sm[:, support]
+    else:
+        sm_d, support = sm, slice(None)
+    w1 = linear_weights(instance, dt, coupled=sm_d @ dt[support])
     if init is not None:
         init = np.asarray(init, dtype=float)
         mu = np.tile(init[:, None], (1, batch)) if init.ndim == 1 else init.copy()
@@ -256,7 +267,7 @@ def batch_fixed_point(
         elementwise operations fixes every rounding; tests pin the output
         bit for bit to a reference."""
         np.multiply(dt, mu, out=tmp)
-        p2 = sm @ tmp
+        p2 = sm_d @ tmp[support]
         p1 = sm @ mu
         np.multiply(p1, th.theta5, out=p1)
         np.multiply(dt, th.theta6, out=tmp)
@@ -313,9 +324,9 @@ def _linear_response(
     Returns ``(s, eps, margin)`` over the units ``np.flatnonzero(d == 0)``,
     or None when the bound certifies nothing: a denominator below is not
     positive, or a bound is not finite. ``row_sums`` and ``col_max`` come
-    from ``_coupling_constants(instance.coupling)``. The cost is two products
-    of the coupling for the incumbent (its w1, and a block of three
-    vectors), one per iteration of the v solve and one for u; nothing of size N x N
+    from ``_coupling_constants(instance.coupling)``. The cost is one product
+    of the coupling for the incumbent (a block of three vectors, which also
+    gives its w1), one per iteration of the v solve and one for u; nothing of size N x N
     or N x candidates is built.
 
     Notation: sm is the coupling (nonnegative, symmetric, zero diagonal),
@@ -418,7 +429,7 @@ def _linear_response(
     dd = d.astype(float)
     dmu_sum, mu_sum, d_sum = (sm @ np.stack([dd * mu, mu, dd], axis=1)).T
     logit = np.log(mu) - np.log1p(-mu)
-    eta = (logit - linear_weights(instance, dd)
+    eta = (logit - linear_weights(instance, dd, coupled=d_sum)
            - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))
 
     v = np.ones(n)

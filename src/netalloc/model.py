@@ -432,13 +432,16 @@ def make_instance(
     return instance
 
 
-def linear_weights(instance: Instance, d) -> np.ndarray:
+def linear_weights(instance: Instance, d, coupled=None) -> np.ndarray:
     """w1 of one allocation d (length N) or of an (N, batch) block: the terms
-    linear in y_i, (theta0 + x2) + (theta1 + x3) d + a_n theta4 (coupling @ d)."""
+    linear in y_i, (theta0 + x2) + (theta1 + x3) d + a_n theta4 (coupling @ d).
+    ``coupled`` is ``coupling @ d`` when the caller already has it."""
     th = instance.theta
+    if coupled is None:
+        coupled = instance.coupling @ d
     col = (slice(None),) + (None,) * (np.ndim(d) - 1)  # unit coefficients down the columns
     return ((th.theta0 + instance.x_effect2)[col] + (th.theta1 + instance.x_effect3)[col] * d
-            + th.a_n * th.theta4 * (instance.coupling @ d))
+            + th.a_n * th.theta4 * coupled)
 
 
 def pair_weights(theta: ThetaParams, coupling, dd):
@@ -517,7 +520,9 @@ def conditional_choice_prob(i: int, y, instance: Instance, d) -> float:
     """Probability unit i chooses 1 given the other units' choices y.
 
     Equals logistic(U_i(1, y_-i)) because the utility of choosing 0 is
-    normalized to zero. The entry y[i] is ignored.
+    normalized to zero. The entry y[i] is ignored; only unit i's coupling
+    row is read.
     """
-    w = weights(instance, d)
-    return float(expit(choice_argument(i, y, w)))
+    y = np.array(y, dtype=float)
+    y[i] = 1.0
+    return float(expit(utility(i, y, instance, d)))

@@ -98,6 +98,46 @@ class _CountingCSR(sparse.csr_array):
         return super().__matmul__(other)
 
 
+class _SharedCountCoupling(np.ndarray):
+    """Dense coupling that logs the width of every matrix product it enters
+    in ``widths``, a list that arrays indexed from it share."""
+
+    def __array_finalize__(self, obj):
+        self.widths = getattr(obj, "widths", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.widths.append(self.shape[1])
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class _SharedCountCSR(sparse.csr_array):
+    """CSR coupling that logs the width of every matrix product it enters in
+    ``widths``, a list that matrices indexed from it share."""
+
+    def __getitem__(self, key):
+        out = _SharedCountCSR(super().__getitem__(key))
+        out.widths = self.widths
+        return out
+
+    def __matmul__(self, other):
+        self.widths.append(self.shape[1])
+        return super().__matmul__(other)
+
+
+def _greedy_block(n, treated, rng):
+    """An incumbent treating ``treated`` random units, and one column per
+    further unit drawn: the block shape of a greedy round."""
+    units = rng.permutation(n)
+    incumbent = np.zeros(n, dtype=np.int8)
+    incumbent[units[:treated]] = 1
+    candidates = units[treated:treated + 6]
+    block = np.tile(incumbent, (len(candidates), 1))
+    block[np.arange(len(candidates)), candidates] = 1
+    return block
+
+
 class TestObjective:
     def test_pure_entropy_at_half(self):
         from netalloc import WeightSystem
@@ -375,6 +415,50 @@ class TestBatchSolver:
             inst, allocations, SolverSettings(max_iter=max_iter), seed=0
         )
         assert counting.products == 3 + 2 * sol.iterations
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("start", ["random", "init1d"])
+    @pytest.mark.parametrize("treated", [None, 0, 1, 9])
+    def test_greedy_blocks_match_three_product_kernel(self, storage, set_id, start, treated):
+        # The d-masked products read only the treated columns, which moves
+        # the marginals by rounding alone. None: an all-untreated block,
+        # whose support is empty.
+        n = 30
+        inst = protocol_instance(n, set_id=set_id, seed=set_id)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        rng = np.random.default_rng(treated)
+        allocations = (np.zeros((4, n), dtype=np.int8) if treated is None
+                       else _greedy_block(n, treated, rng))
+        assert allocations.any(axis=0).sum() < n
+        kwargs = {"seed": 5} if start == "random" else {"init": rng.uniform(size=n)}
+        mu, done, iterations = _three_product_kernel(inst, allocations, SETTINGS, **kwargs)
+        sol = batch_fixed_point(inst, allocations, SETTINGS, **kwargs)
+        assert sol.iterations == iterations
+        assert sol.converged.tobytes() == done.tobytes()
+        np.testing.assert_allclose(sol.mu, mu, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 100_000])
+    def test_gathered_columns_keep_the_product_count(self, rng, storage, max_iter):
+        # w1 and each evaluated iterate's d-masked product read the gathered
+        # treated columns; each iterate's ``sm @ mu`` reads the whole coupling.
+        n = 20
+        inst = protocol_instance(n, seed=6)
+        dense = inst.coupling
+        counting = (dense.view(_SharedCountCoupling) if storage == "dense"
+                    else _SharedCountCSR(dense))
+        counting.widths = []
+        inst.__dict__["coupling"] = counting
+        allocations = _greedy_block(n, 4, rng)
+        support = int(allocations.any(axis=0).sum())
+        assert support < n
+        sol = batch_fixed_point(inst, allocations, SolverSettings(max_iter=max_iter),
+                                init=np.full(n, 0.5))
+        assert len(counting.widths) == 3 + 2 * sol.iterations
+        assert sorted(counting.widths) == [support] * (2 + sol.iterations) + [n] * (
+            1 + sol.iterations)
 
     @pytest.mark.parametrize("start", ["random", "init1d"])
     def test_invariant_under_batch_split(self, rng, start):

@@ -13,6 +13,7 @@ from netalloc import (
     Network,
     SimilarityKernel,
     ThetaParams,
+    WeightSystem,
     conditional_choice_prob,
     feasible_allocations,
     make_instance,
@@ -234,6 +235,34 @@ class TestConditionalChoice:
             want = w.w1 + 2.0 * (w.w2 @ y)
             got = [choice_argument(i, y, w) for i in range(30)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_equals_the_logistic_of_the_choice_argument(self, rng, storage):
+        inst = protocol_instance(30, density=0.3, seed=4)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        for _ in range(3):
+            d = rng.integers(0, 2, size=30)
+            y = rng.integers(0, 2, size=30)
+            w = weights(inst, d)
+            for i in range(30):
+                assert conditional_choice_prob(i, y, inst, d) == pytest.approx(
+                    float(expit(choice_argument(i, y, w))), abs=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_builds_no_row_table(self, rng, storage, monkeypatch):
+        # One unit's probability reads that unit's coupling row only.
+        inst = protocol_instance(30, density=0.3, seed=4)
+        if storage == "csr":
+            inst = csr_twin(inst)
+
+        def built(self):
+            raise AssertionError("row_lists built")
+
+        monkeypatch.setattr(WeightSystem, "row_lists", property(built))
+        p = conditional_choice_prob(3, rng.integers(0, 2, size=30), inst,
+                                    rng.integers(0, 2, size=30))
+        assert 0.0 < p < 1.0
 
 
 class TestAllocationType:

@@ -29,6 +29,7 @@ from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, chec
                     linear_weights, sigmoid, to_dense, weights)
 
 CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
+RESTARTS = 10  # random starts of a per-allocation solve without the certificate
 
 
 @dataclass(frozen=True)
@@ -36,23 +37,18 @@ class SolverSettings:
     """Fixed-point solver controls.
 
     Every solve stops once the residual of the first-order conditions is at
-    most foc_tol, or at max_iter. restarts only applies when the
-    contraction certificate fails for the instance.
+    most foc_tol, or at max_iter.
     """
 
     foc_tol: float = 1e-8
     max_iter: int = 100_000
-    restarts: int = 10
 
     def __post_init__(self):
         if not 0 <= self.foc_tol < math.inf:
             raise ValueError(f"foc_tol must be finite and nonnegative, got {self.foc_tol}")
         check_count("max_iter", self.max_iter)
-        check_count("restarts", self.restarts)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -165,15 +161,15 @@ def solve_allocation(
     """Mean-field solution for the weight system induced by an allocation.
 
     When the contraction certificate fails the solve is repeated from
-    ``settings.restarts`` random initializations and the fixed point with
-    the best objective is kept; under the certificate a single run finds
-    the unique maximizer.
+    ``RESTARTS`` random initializations and the fixed point with the best
+    objective is kept; under the certificate a single run finds the unique
+    maximizer.
     """
     settings = settings or SolverSettings()
     w = weights(instance, d)
-    if instance_certified(instance) or init is not None or settings.restarts == 1:
+    if instance_certified(instance) or init is not None:
         return fixed_point_solve(w, settings, seed=seed, init=init)
-    seeds = np.random.SeedSequence(seed).generate_state(settings.restarts)
+    seeds = np.random.SeedSequence(seed).generate_state(RESTARTS)
     best = None
     for s in seeds:
         sol = fixed_point_solve(w, settings, seed=int(s))

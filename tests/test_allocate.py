@@ -153,7 +153,7 @@ class TestBfva:
 
     def test_uncertified_instance_uses_per_allocation_solves(self):
         inst = protocol_instance(6, set_id=2, seed=2, a_n=1.0)
-        allocation, value = bfva(inst, 2, SolverSettings(restarts=3), seed=5)
+        allocation, value = bfva(inst, 2, SETTINGS, seed=5)
         assert allocation.count <= 2
         assert value > 0
 

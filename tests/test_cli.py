@@ -365,7 +365,10 @@ class TestValidate:
         assert checks["stationarity"]["pass"] is True
         assert checks["kl_bounds_greedy"]["pass"] is True
 
-    def test_impossible_tolerance_fails_with_exit_2(self, runner, tmp_path):
+    def test_impossible_tolerance_fails_with_exit_2(self, runner, tmp_path, monkeypatch):
+        from netalloc import experiments
+
+        monkeypatch.setattr(experiments, "VA_MCMC_TOL", 1e-12)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
             json.dumps(
@@ -376,7 +379,6 @@ class TestValidate:
                     "seed": 4,
                     "evaluators": ["va", "mcmc"],
                     "sampler": {"sweeps": 300, "burn_in": 100},
-                    "tolerances": {"va_mcmc": 1e-12},
                 }
             )
         )
@@ -563,10 +565,10 @@ class TestConfigParsing:
             ({"solver": {"max_iter": "5"}}, "solver.max_iter must be an integer, got '5'"),
             ({"solver": {"bogus": 1}}, r"unknown solver keys: \['bogus'\]"),
             ({"solver": 5}, "solver must be a mapping, got 5"),
-            ({"solver": {"restarts": "3"}}, "solver.restarts must be an integer, got '3'"),
+            ({"solver": {"restarts": "3"}}, r"unknown solver keys: \['restarts'\]"),
             ({"sampler": {"sweeps": 60.5, "burn_in": 20}},
              "sampler.sweeps must be an integer, got 60.5"),
-            ({"tolerances": {"va_mcmc": "x"}}, "tolerances.va_mcmc must be a number, got 'x'"),
+            ({"tolerances": {"va_mcmc": "x"}}, r"unknown config keys: \['tolerances'\]"),
             ({"solver": {"foc_tol": True}}, "solver.foc_tol must be a number, got True"),
             ({"theta": {"theta0": -2.0}},
              r"theta keys missing: \['theta1', 'theta2', 'theta3', 'theta4', 'theta5', 'theta6'\]"),
@@ -581,20 +583,16 @@ class TestConfigParsing:
             ({"kappa": 9, "sizes": [12, 5]}, "kappa must be between 0 and n, got 9 for n = 5"),
             ({"solver": {"rho": 1e-9}}, r"unknown solver keys: \['rho'\]"),
             ({"solver": {"clamp": 1e-15}}, r"unknown solver keys: \['clamp'\]"),
-            ({"tolerances": {"stationarity": 1e-12}},
-             r"unknown tolerances keys: \['stationarity'\]"),
-            ({"tolerances": {"kl_nonneg": -1e-10}}, r"unknown tolerances keys: \['kl_nonneg'\]"),
-            ({"tolerances": {"pinsker_slack": 1e-9}},
-             r"unknown tolerances keys: \['pinsker_slack'\]"),
+            ({"tolerances": {"stationarity": 1e-12}}, r"unknown config keys: \['tolerances'\]"),
+            ({"tolerances": {"kl_nonneg": -1e-10}}, r"unknown config keys: \['tolerances'\]"),
+            ({"tolerances": {"pinsker_slack": 1e-9}}, r"unknown config keys: \['tolerances'\]"),
             ({"solver": {"foc_tol": float("inf")}},
              "foc_tol must be finite and nonnegative, got inf"),
-            ({"solver": {"restarts": -3}}, "restarts must be at least 1, got -3"),
-            ({"solver": {"restarts": 0}}, "restarts must be at least 1, got 0"),
-            ({"tolerances": {"va_mcmc": -1}}, "va_mcmc must be finite and nonnegative, got -1"),
-            ({"tolerances": {"va_mcmc": float("nan")}},
-             "va_mcmc must be finite and nonnegative, got nan"),
-            ({"tolerances": {"va_mcmc": float("inf")}},
-             "va_mcmc must be finite and nonnegative, got inf"),
+            ({"solver": {"restarts": -3}}, r"unknown solver keys: \['restarts'\]"),
+            ({"solver": {"restarts": 0}}, r"unknown solver keys: \['restarts'\]"),
+            ({"tolerances": {"va_mcmc": -1}}, r"unknown config keys: \['tolerances'\]"),
+            ({"tolerances": {"va_mcmc": float("nan")}}, r"unknown config keys: \['tolerances'\]"),
+            ({"tolerances": {"va_mcmc": float("inf")}}, r"unknown config keys: \['tolerances'\]"),
             ({"solver": {"mode": "jacobi"}}, r"unknown solver keys: \['mode'\]"),
         ],
     )
@@ -603,6 +601,19 @@ class TestConfigParsing:
 
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
+
+    def test_constants_are_not_settings(self):
+        # The restart count, the sweep length and validate's tolerances are
+        # module constants, not config keys.
+        import dataclasses
+
+        from netalloc import experiments, meanfield
+
+        fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
+        assert fields(meanfield.SolverSettings) == ["foc_tol", "max_iter"]
+        assert fields(experiments.SamplerSettings) == ["sweeps", "burn_in"]
+        assert "tolerances" not in fields(experiments.ExperimentConfig)
+        assert not hasattr(experiments, "Tolerances")
 
     def test_accepted_types(self):
         from netalloc.exact import MAX_EXACT_UNITS
@@ -616,11 +627,9 @@ class TestConfigParsing:
         assert cfg.exact_cap == MAX_EXACT_UNITS
         assert ExperimentConfig(sizes=[5], methods=["none"]).sizes == (5,)
         cfg = ExperimentConfig.from_dict(
-            {"solver": {"max_iter": np.int64(5), "foc_tol": 1}, "tolerances": {"va_mcmc": 1},
-             "sampler": {"steps_per_sweep": None}, "theta": {**THETA, "a_n": 2}}
+            {"solver": {"max_iter": np.int64(5), "foc_tol": 1}, "theta": {**THETA, "a_n": 2}}
         )
         assert cfg.solver.max_iter == 5 and cfg.solver.foc_tol == 1
-        assert cfg.tolerances.va_mcmc == 1 and cfg.sampler.steps_per_sweep is None
         assert type(cfg.theta_params.a_n) is float and cfg.theta_params.a_n == 2.0
 
     @pytest.mark.parametrize("raw", [{"densities": [0.3, 1.5]}, {"sizes": [1]},
@@ -686,12 +695,11 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("steps", [0, -2])
     def test_steps_per_sweep_below_one_rejected(self, steps):
-        from netalloc.experiments import ExperimentConfig, SamplerSettings
+        # A sweep is always N steps, so the key is unknown at any value.
+        from netalloc.experiments import ExperimentConfig
 
-        with pytest.raises(ValueError, match="steps_per_sweep must be at least 1"):
+        with pytest.raises(ValueError, match=r"unknown sampler keys: \['steps_per_sweep'\]"):
             ExperimentConfig.from_dict({"sampler": {"steps_per_sweep": steps}})
-        assert SamplerSettings(steps_per_sweep=None).steps_per_sweep is None
-        assert SamplerSettings(steps_per_sweep=1).steps_per_sweep == 1
 
     def test_choices_follow_the_registries(self):
         from netalloc.experiments import ALLOCATORS, EVALUATORS, METHODS

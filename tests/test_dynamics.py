@@ -145,10 +145,12 @@ class TestStep:
         start = np.array([1, 0], dtype=np.int8)
         counts = {}
         trials = 100_000
-        master = np.random.default_rng(7)
-        for _ in range(trials):
+        step_rng = np.random.default_rng(7)
+        sites = step_rng.integers(0, 2, size=trials).tolist()
+        draws = step_rng.random(trials).tolist()
+        for i, u in zip(sites, draws):
             y = start.copy()
-            _step(y, w, np.random.default_rng(int(master.integers(2**63))))
+            _redraw(y, w, [i], [u], 1)
             key = tuple(y)
             counts[key] = counts.get(key, 0) + 1
         # Each unit is picked with probability 1/2 and redrawn given the other.
@@ -285,9 +287,11 @@ class TestMcmcWelfare:
         y = chain_rng.integers(0, 2, size=5).astype(np.int8)
         total_steps = 1_000_000
         burn = 50_000
+        sites = chain_rng.integers(0, 5, size=total_steps).tolist()
+        draws = chain_rng.random(total_steps).tolist()
         counts = np.zeros(5)
-        for t in range(total_steps):
-            _step(y, w, chain_rng)
+        for t, (i, u) in enumerate(zip(sites, draws)):
+            _redraw(y, w, [i], [u], 1)
             if t >= burn:
                 counts += y
         empirical = counts / (total_steps - burn)

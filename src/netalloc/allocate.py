@@ -79,7 +79,7 @@ def greedy(
     base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
     certified = instance_certified(instance)
     use_batch = certified and not strict
-    constants = _coupling_constants(instance.coupling)
+    constants = _coupling_constants(instance.coupling) if certified else None
     tie = _tie_tolerance(instance, settings, constants[0]) if certified else 0.0
     for round_idx in range(1, kappa + 1):
         untreated = np.flatnonzero(incumbent.d == 0)
@@ -99,11 +99,11 @@ def greedy(
             mus = np.empty((n, len(rows)))
             converged = np.empty(len(rows), dtype=bool)
             for k, i in enumerate(rows):
-                init = None if strict else base_mu
-                cand_seed = derive_seed(seed, round_idx * n + int(i))
-                sol = solve_allocation(
-                    instance, candidates[k], settings, seed=cand_seed, init=init
-                )
+                if strict:
+                    sol = solve_allocation(instance, candidates[k], settings,
+                                           seed=derive_seed(seed, round_idx * n + int(i)))
+                else:  # a warm start from base_mu reads no seed
+                    sol = solve_allocation(instance, candidates[k], settings, init=base_mu)
                 values[k], mus[:, k], converged[k] = sol.welfare, sol.mu, sol.converged
         best = int(np.flatnonzero(values >= values.max() - tie)[0])
         unit = int(rows[best])

@@ -212,7 +212,7 @@ def _regret(
     return math.sqrt(8.0 * klub) + (1.0 - factor) * cap
 
 
-def bounds_report(instance: Instance, bfva_welfare: float | None = None) -> BoundsReport:
+def bounds_report(instance: Instance) -> BoundsReport:
     """Assemble every guarantee quantity with its validity flags."""
     margin = curvature_margin(instance)
     positivity = positivity_profile_holds(instance.theta)
@@ -230,7 +230,7 @@ def bounds_report(instance: Instance, bfva_welfare: float | None = None) -> Boun
         submodularity_lower=margin,
         guarantee_factor=factor,
         kl_upper_bound=klub,
-        regret_upper_bound=_regret(instance, klub, factor, bfva_welfare),
+        regret_upper_bound=_regret(instance, klub, factor, None),
         positivity_holds=positivity,
         sample_size_ok=size_ok,
         contraction_holds=contraction,

@@ -152,8 +152,6 @@ def _chain(instance: Instance, d) -> tuple[np.ndarray, np.ndarray]:
     if n > STATIONARITY_MAX_UNITS:
         raise ValueError(f"stationarity check infeasible for {n} units "
                          f"(cap {STATIONARITY_MAX_UNITS})")
-    if d is None:
-        d = np.zeros(n, dtype=np.int8)
     w = weights(instance, d).dense()
     codes = np.arange(1 << n)
     y = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
@@ -173,9 +171,9 @@ def _one_step_image(p1: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return ((pi[:, None] + pi[codes ^ bits]) * stay).sum(axis=1) / n
 
 
-def stationarity_check(instance: Instance, d=None) -> float:
-    """L1 distance between the Gibbs distribution and its one-step image
-    under the single-site chain. Zero (to rounding) certifies stationarity."""
+def stationarity_check(instance: Instance, d) -> float:
+    """L1 distance between allocation d's Gibbs distribution and its one-step
+    image under the single-site chain. Zero (to rounding) certifies stationarity."""
     p1, e = _chain(instance, d)
     pi = np.exp(e - logsumexp(e))
     return float(np.abs(_one_step_image(p1, pi) - pi).sum())

@@ -24,8 +24,8 @@ from .model import (
     allocation_vector,
     feasible_allocations,
     linear_weights,
+    nonzero_entries,
     pair_weights,
-    to_dense,
     weights,
 )
 
@@ -141,9 +141,9 @@ def _eliminate(w1, iu, ju, pair_w, stat):
 
 def _moments(w: WeightSystem, stat: np.ndarray) -> tuple[float, np.ndarray]:
     """log Z and the expectation of y @ stat under one weight system."""
-    w2 = to_dense(w.w2)
-    iu, ju = np.nonzero(np.triu(w2, k=1))
-    log_z, mean = _eliminate(w.w1[None], iu, ju, 2.0 * w2[iu, ju][None], stat)
+    r, c, v = w.entries
+    upper = r < c  # the pairs i < j, with their pair weights 2 w2_ij
+    log_z, mean = _eliminate(w.w1[None], r[upper], c[upper], v[upper][None], stat)
     return float(log_z[0]), mean[0]
 
 
@@ -175,12 +175,13 @@ def welfare_of_allocations(
     n = instance.n
     _check_size(n, max_units)
     allocations = allocation_vector(allocations, n, block=True).astype(float)
-    sm = to_dense(instance.coupling)
-    iu, ju = np.nonzero(np.triu(sm, k=1))
+    r, c, coupled = nonzero_entries(instance.coupling)
+    upper = r < c
+    iu, ju = r[upper], c[upper]
     w1 = linear_weights(instance, allocations.T).T
     dd = allocations[:, iu] * allocations[:, ju]
     # 2 w2_ij: doubling is exact, so this is the pair term of ``weights``.
-    pair_w = 2.0 * pair_weights(instance.theta, sm[iu, ju], dd)
+    pair_w = 2.0 * pair_weights(instance.theta, coupled[upper], dd)
     _, mean = _eliminate(w1, iu, ju, pair_w, np.ones((n, 1)))
     return mean[:, 0]
 

@@ -248,8 +248,7 @@ def batch_fixed_point(
         sm_d, support = sm, slice(None)
     w1 = linear_weights(instance, dt, coupled=sm_d @ dt[support])
     if init is not None:
-        init = np.asarray(init, dtype=float)
-        mu = np.tile(init[:, None], (1, batch)) if init.ndim == 1 else init.copy()
+        mu = np.tile(np.asarray(init, dtype=float)[:, None], (1, batch))
     else:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(size=(n, batch))

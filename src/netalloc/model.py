@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,6 +78,14 @@ def sigmoid(a: float) -> float:
 def to_dense(a):
     """``a`` itself, or a dense copy when it is a scipy sparse matrix."""
     return a if isinstance(a, np.ndarray) else a.toarray()
+
+
+def nonzero_entries(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero entries of a dense array or a
+    CSR matrix, row by row in ascending column order."""
+    r, c = a.nonzero()
+    # A CSR matrix that stores no entries gives a sparse 0-length slice here.
+    return r, c, to_dense(a[r, c])
 
 
 def logistic_slope(x):
@@ -183,10 +190,6 @@ class Allocation:
     def zeros(cls, n: int) -> "Allocation":
         return cls(d=np.zeros(n, dtype=np.int8), treated=())
 
-    @property
-    def count(self) -> int:
-        return len(self.treated)
-
     def with_unit(self, i: int) -> "Allocation":
         d = self.d.copy()
         d[i] = 1
@@ -264,15 +267,15 @@ class WeightSystem:
         return self.w1.shape[0]
 
     def dense(self) -> "WeightSystem":
-        """This system with a dense w2, the form the exact oracle uses."""
+        """This system with a dense w2, for ``exact_kl`` and the stationarity check."""
         return WeightSystem(w1=self.w1, w2=to_dense(self.w2))
 
-    def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and weights 2 w2_ij of the entries w2_ij != 0, row by
-        row, from either storage."""
-        r, c = self.w2.nonzero()
-        # A CSR w2 that stores no entries gives a sparse 0-length slice here.
-        return r, c, 2.0 * to_dense(self.w2[r, c])
+        row (``nonzero_entries``), from either storage."""
+        r, c, v = nonzero_entries(self.w2)
+        return r, c, 2.0 * v
 
     def _split(self, r: np.ndarray, *flat: list) -> tuple[list, ...]:
         """Each of the lists ``flat``, entry k in row r[k] (r sorted), cut
@@ -288,7 +291,7 @@ class WeightSystem:
         ascending order and vals[i] the weights 2 w2_ij, so unit i's logit
         argument is w1_i + sum_k vals[i][k] y[cols[i][k]]. Either storage gives
         the same rows. Cached on the system itself, so they live and die with it."""
-        r, c, v = self._flat_rows()
+        r, c, v = self.entries
         return self._split(r, c.tolist(), v.tolist())
 
     @cached_property
@@ -311,7 +314,7 @@ class WeightSystem:
         cheaper one is taken. push_cols[j], push_vals[j] are the entries of
         row j whose column is a kept unit: the updates a flip of j makes.
         """
-        r, c, v = self._flat_rows()
+        r, c, v = self.entries
         n = self.n
         lo = expit(self.w1 + np.bincount(r, np.minimum(v, 0.0), n)) - SCREEN_MARGIN
         hi = expit(self.w1 + np.bincount(r, np.maximum(v, 0.0), n)) + SCREEN_MARGIN
@@ -507,13 +510,6 @@ def potential(y, instance: Instance, d) -> float:
     w = weights(instance, d)
     y = np.asarray(y, dtype=float)
     return float(w.w1 @ y + y @ w.w2 @ y)
-
-
-def choice_argument(i: int, y, w: WeightSystem) -> float:
-    """Log-odds of unit i choosing 1 given everyone else's choices."""
-    cols, vals = w.row_lists
-    y = np.asarray(y, dtype=float)
-    return float(w.w1[i] + sum(map(mul, vals[i], map(y.__getitem__, cols[i]))))
 
 
 def conditional_choice_prob(i: int, y, instance: Instance, d) -> float:

@@ -56,7 +56,7 @@ class TestGreedy:
     def test_respects_capacity_and_trace_shape(self, rng):
         inst = protocol_instance(12, seed=3)
         allocation, trace = greedy(inst, 4, SETTINGS)
-        assert allocation.count == 4
+        assert len(allocation.treated) == 4
         assert [s.round for s in trace] == [1, 2, 3, 4]
         treated_in_order = [s.unit for s in trace]
         assert sorted(treated_in_order) == list(allocation.treated)
@@ -154,7 +154,7 @@ class TestBfva:
     def test_uncertified_instance_uses_per_allocation_solves(self):
         inst = protocol_instance(6, set_id=2, seed=2, a_n=1.0)
         allocation, value = bfva(inst, 2, SETTINGS, seed=5)
-        assert allocation.count <= 2
+        assert len(allocation.treated) <= 2
         assert value > 0
 
 

@@ -206,7 +206,7 @@ class TestStationarity:
     def test_single_unit(self):
         net = Network.from_edges(1, [])
         inst = make_instance(net, np.array([[1.0]]), ThetaParams.from_set(1))
-        assert stationarity_check(inst) <= 1e-15
+        assert stationarity_check(inst, np.zeros(1, dtype=int)) <= 1e-15
 
     @pytest.mark.parametrize("set_id,n", [(1, 5), (2, 8)])
     def test_benchmark_instances(self, set_id, n):

@@ -25,8 +25,9 @@ from netalloc import (
 )
 from netalloc.exact import MAX_EXACT_UNITS, ExactSizeError
 from netalloc.experiments import simulation_instance
-from netalloc.model import to_dense
+from netalloc.model import linear_weights, pair_weights, to_dense
 from tests.conftest import protocol_instance, random_instance, random_theta
+from tests.test_storage import csr_twin
 
 
 def reference_enumeration(inst, d):
@@ -275,6 +276,45 @@ class TestCoupledPairTable:
         assert sparse.issparse(inst.coupling)
         assert inst.coupling.nnz == 6
         self._check(inst, rng)
+
+
+class TestPairsFromEntries:
+    """The oracle takes its coupled pairs i < j from ``model.nonzero_entries``.
+    They must be the pairs, in the order, of the dense upper triangle
+    ``np.nonzero(np.triu(to_dense(a), k=1))``, so that the elimination gives
+    the same bits on either storage as with that reference list."""
+
+    @staticmethod
+    def _upper_pairs(a):
+        return np.nonzero(np.triu(to_dense(a), k=1))
+
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("density", [0.2, 0.5])
+    def test_moments(self, set_id, density, rng):
+        dense = protocol_instance(12, density=density, set_id=set_id, seed=3)
+        d = rng.integers(0, 2, size=12)
+        w = weights(dense, d)
+        iu, ju = self._upper_pairs(w.w2)
+        stat = np.eye(12)
+        log_z, mean = ex._eliminate(w.w1[None], iu, ju, 2.0 * w.w2[iu, ju][None], stat)
+        for inst in (dense, csr_twin(dense)):
+            got_z, got_mean = ex._moments(weights(inst, d), stat)
+            assert np.float64(got_z).tobytes() == log_z[0].tobytes()
+            assert got_mean.tobytes() == mean[0].tobytes()
+
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("density", [0.2, 0.5])
+    def test_welfare_of_allocations(self, set_id, density, rng):
+        dense = protocol_instance(12, density=density, set_id=set_id, seed=3)
+        allocations = rng.integers(0, 2, size=(20, 12)).astype(float)
+        sm = dense.coupling
+        iu, ju = self._upper_pairs(sm)
+        w1 = linear_weights(dense, allocations.T).T
+        dd = allocations[:, iu] * allocations[:, ju]
+        pair_w = 2.0 * pair_weights(dense.theta, sm[iu, ju], dd)
+        _, mean = ex._eliminate(w1, iu, ju, pair_w, np.ones((12, 1)))
+        for inst in (dense, csr_twin(dense)):
+            assert welfare_of_allocations(inst, allocations).tobytes() == mean[:, 0].tobytes()
 
 
 class TestBruteForce:

@@ -1,5 +1,6 @@
 """Mean-field fixed-point solver: ascent, convergence, uniqueness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import expit
 
 from netalloc import (
     Network,
+    SimilarityKernel,
     SolverSettings,
     ThetaParams,
     approx_welfare,
@@ -51,8 +53,7 @@ def _three_product_kernel(instance, allocations, settings, seed=None, init=None)
         + th.a_n * th.theta4 * (sm @ dt)
     )
     if init is not None:
-        init = np.asarray(init, dtype=float)
-        mu = np.tile(init[:, None], (1, batch)) if init.ndim == 1 else init.copy()
+        mu = np.tile(np.asarray(init, dtype=float)[:, None], (1, batch))
     else:
         mu = np.random.default_rng(seed).uniform(size=(n, batch))
     mu = np.clip(mu, meanfield.CLAMP, 1.0 - meanfield.CLAMP)
@@ -346,6 +347,29 @@ class TestApproxWelfare:
         np.testing.assert_array_equal(sol.mu, best.mu)
         assert sol.objective == best.objective
 
+    def test_restarts_find_the_better_of_two_fixed_points(self):
+        # Every pair of units coupled with a strong positive spillover: a
+        # low-uptake and a high-uptake fixed point both draw random starts,
+        # and the first start ends at the low one. theta0 = -4 keeps the
+        # all-zeros and all-ones configurations well apart in potential.
+        n = 8
+        net = Network.from_edges(n, list(itertools.combinations(range(n), 2)))
+        theta = ThetaParams(-4.0, 0.5, 0.0, 0.0, 0.0, 1.2, 0.0, a_n=1.0)
+        inst = make_instance(net, np.zeros((n, 1)), theta, kernel=SimilarityKernel.constant(1.0))
+        assert not instance_certified(inst)
+        d = np.zeros(n, dtype=int)
+        runs = [fixed_point_solve(weights(inst, d), SETTINGS, seed=int(s))
+                for s in np.random.SeedSequence(0).generate_state(meanfield.RESTARTS)]
+        low, high = (0.171708, 0.158098), (7.891414, 1.703140)
+        ends = [low if abs(r.welfare - low[0]) < abs(r.welfare - high[0]) else high for r in runs]
+        for run, (welfare, objective) in zip(runs, ends):
+            assert run.welfare == pytest.approx(welfare, abs=1e-6)
+            assert run.objective == pytest.approx(objective, abs=1e-6)
+        assert ends[0] == low and high in ends
+        sol = solve_allocation(inst, d, SETTINGS, seed=0)
+        assert sol.welfare == pytest.approx(high[0], abs=1e-6)
+        assert sol.objective == pytest.approx(high[1], abs=1e-6)
+
 
 class TestBatchSolver:
     def test_matches_per_allocation_solves(self, rng):
@@ -359,7 +383,7 @@ class TestBatchSolver:
             assert np.abs(batch.mu[:, k] - sol.mu).max() <= 1e-6
 
     @pytest.mark.parametrize("set_id", [1, 2])
-    @pytest.mark.parametrize("start", ["random", "init1d", "init2d"])
+    @pytest.mark.parametrize("start", ["random", "init1d"])
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 100_000])
     def test_bit_identical_to_three_product_kernel(self, set_id, start, max_iter):
         n, batch = 30, 17
@@ -369,7 +393,6 @@ class TestBatchSolver:
         kwargs = {
             "random": {"seed": 5},
             "init1d": {"init": rng.uniform(size=n)},
-            "init2d": {"init": rng.uniform(size=(n, batch))},
         }[start]
         settings = SolverSettings(max_iter=max_iter)
         mu, done, iterations = _three_product_kernel(inst, allocations, settings, **kwargs)

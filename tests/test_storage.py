@@ -18,6 +18,7 @@ import pytest
 from scipy import sparse
 
 import netalloc
+from netalloc import model
 from netalloc import (
     Network,
     SimilarityKernel,
@@ -25,8 +26,10 @@ from netalloc import (
     ThetaParams,
     batch_fixed_point,
     bfva,
+    brute_force_optimal,
     enumerate_gibbs,
     erdos_renyi,
+    exact_welfare,
     fixed_point_solve,
     greedy,
     make_instance,
@@ -37,7 +40,7 @@ from netalloc import (
     welfare_of_allocations,
 )
 from netalloc.meanfield import instance_certified
-from netalloc.model import SPARSE_DENSITY, choice_argument
+from netalloc.model import SPARSE_DENSITY
 from tests.conftest import protocol_instance
 
 TOL = 1e-9
@@ -207,11 +210,13 @@ class TestInvariance:
             y[i] = 1
             assert utility(i, y, csr, d) == pytest.approx(utility(i, y, dense, d), abs=1e-12)
             assert potential(y, csr, d) == pytest.approx(potential(y, dense, d), abs=1e-12)
-            assert choice_argument(i, y, weights(csr, d)) == pytest.approx(
-                choice_argument(i, y, weights(dense, d)), abs=1e-12
+            w_csr, w_dense = weights(csr, d), weights(dense, d)
+            assert w_csr.w1[i] + 2.0 * (w_csr.w2 @ y)[i] == pytest.approx(
+                w_dense.w1[i] + 2.0 * (w_dense.w2 @ y)[i], abs=1e-12
             )
 
-    def test_exact_oracle_densifies(self, rng):
+    def test_exact_oracle_result_carries_dense_w2(self, rng):
+        # ``exact_kl`` evaluates the variational objective on the result's w2.
         dense = protocol_instance(10, density=0.3, seed=5)
         csr = csr_twin(dense)
         d = rng.integers(0, 2, size=10)
@@ -222,6 +227,39 @@ class TestInvariance:
         allocations = rng.integers(0, 2, size=(6, 10))
         assert np.abs(welfare_of_allocations(dense, allocations)
                       - welfare_of_allocations(csr, allocations)).max() <= 1e-12
+
+
+def test_exact_oracle_builds_no_square_array(rng, monkeypatch):
+    # On CSR storage the oracle reads its coupled pairs through
+    # ``model.nonzero_entries``: densifying the coupling or a w2 raises.
+    csr = csr_twin(protocol_instance(12, density=0.3, seed=5))
+    n = csr.n
+    for name in ("toarray", "todense"):
+        def guarded(self, *args, _original=getattr(sparse.csr_array, name), **kwargs):
+            if self.shape == (n, n):
+                raise AssertionError("an N x N array was built")
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_array, name, guarded)
+    d = rng.integers(0, 2, size=n)
+    assert 0.0 < exact_welfare(d, csr) < n
+    allocations = rng.integers(0, 2, size=(6, n))
+    assert welfare_of_allocations(csr, allocations).shape == (6,)
+    allocation, value = brute_force_optimal(csr, 2)
+    assert len(allocation.treated) <= 2 and 0.0 < value < n
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_rows_and_screen_extract_the_entries_once(storage, rng, monkeypatch):
+    inst = protocol_instance(30, density=0.3, seed=4)
+    if storage == "csr":
+        inst = csr_twin(inst)
+    calls = []
+    real = model.nonzero_entries
+    monkeypatch.setattr(model, "nonzero_entries", lambda a: calls.append(a) or real(a))
+    w = weights(inst, rng.integers(0, 2, size=inst.n))
+    assert len(w.row_lists[0]) == len(w.screen[0]) == inst.n
+    assert len(calls) == 1 and calls[0] is w.w2
 
 
 def test_large_ring_stays_below_one_dense_matrix():
@@ -363,7 +401,7 @@ def test_large_ring_greedy_stays_below_one_dense_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert allocation.count == 2
+    assert len(allocation.treated) == 2
     assert all(step.nonconverged == () for step in trace)
     assert sparse.issparse(inst.coupling) and "m" not in inst.__dict__
     assert peak < 72e6 / 8

@@ -5,12 +5,16 @@ record nothing for that layer without failing, so check its sites here.
 Loads ``perfbench/tracing.py`` by path; does not run the benchmark.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
+
+from netalloc.allocate import GreedyStep
+from netalloc.meanfield import BatchSolution, MeanFieldSolution
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +52,17 @@ def test_counters_find_their_arguments(tracing):
         params = set(inspect.signature(fn).parameters)
         assert reads[counter] <= params, f"{mod}.{attr} lacks {reads[counter] - params}"
     assert seen == set(reads)
+
+
+def test_counters_find_their_result_fields():
+    # Fields the counters read from results: ``_count_batch`` from a
+    # BatchSolution, ``_count_solve`` and ``_count_fixed_point`` from a
+    # MeanFieldSolution, ``_count_greedy`` from each GreedyStep of the trace.
+    reads = {
+        BatchSolution: {"iterations", "converged"},
+        MeanFieldSolution: {"iterations", "converged"},
+        GreedyStep: {"nonconverged"},
+    }
+    for cls, names in reads.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert names <= fields, f"{cls.__name__} lacks {names - fields}"

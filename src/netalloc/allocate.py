@@ -49,24 +49,22 @@ def greedy(
     kappa: int,
     settings: SolverSettings | None = None,
     seed: int = 0,
-    strict: bool = False,
 ) -> tuple[Allocation, list[GreedyStep]]:
     """Greedy welfare maximization under a capacity constraint.
 
     Each round evaluates the mean-field welfare gain of treating every
     untreated unit and treats the best one, breaking ties toward the
-    smallest index; on certified instances values within
-    ``meanfield._tie_tolerance`` of the best are ties. Candidate fixed
-    points warm-start from the incumbent solution. On certified instances
-    the candidates of a round are first screened:
+    lexicographically smallest treated set (the smallest index) as ``bfva``
+    does; on certified instances values within ``meanfield._tie_tolerance``
+    of the best are ties. Candidate fixed points warm-start from the
+    incumbent solution, so ``seed`` feeds only the round-0 solve. On
+    certified instances the candidates of a round are first screened:
     ``meanfield._linear_response`` scores every one of them at the
     incumbent fixed point with a proven error bound, and only those that
     the bound cannot rule out as the round's winner or a tie are solved
     exactly, in one batched iteration. When the incumbent solve did not
     converge or the bound certifies nothing, every candidate is solved.
-    Pass ``strict=True`` to solve every candidate on its own from a fresh
-    random initialization instead. ``GreedyStep.nonconverged`` lists only
-    candidates that were solved exactly.
+    ``GreedyStep.nonconverged`` lists only candidates solved exactly.
     """
     settings = settings or SolverSettings()
     n = instance.n
@@ -78,34 +76,27 @@ def greedy(
     base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
     base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
     certified = instance_certified(instance)
-    use_batch = certified and not strict
     constants = _coupling_constants(instance.coupling) if certified else None
     tie = _tie_tolerance(instance, settings, constants[0]) if certified else 0.0
     for round_idx in range(1, kappa + 1):
         untreated = np.flatnonzero(incumbent.d == 0)
         rows = untreated
-        if use_batch and base_converged:
+        if certified and base_converged:
             screen = _linear_response(instance, incumbent.d, base_mu, settings, *constants)
             if screen is not None:
                 scores, eps, margin = screen
                 rows = untreated[scores + eps >= np.max(scores - eps) - margin - tie]
         candidates = np.tile(incumbent.d, (len(rows), 1))
         candidates[np.arange(len(rows)), rows] = 1
-        if use_batch:
+        if certified:
             batch = batch_fixed_point(instance, candidates, settings, init=base_mu)
             values, mus, converged = batch.welfare, batch.mu, batch.converged
         else:
-            values = np.empty(len(rows))
-            mus = np.empty((n, len(rows)))
-            converged = np.empty(len(rows), dtype=bool)
-            for k, i in enumerate(rows):
-                if strict:
-                    sol = solve_allocation(instance, candidates[k], settings,
-                                           seed=derive_seed(seed, round_idx * n + int(i)))
-                else:  # a warm start from base_mu reads no seed
-                    sol = solve_allocation(instance, candidates[k], settings, init=base_mu)
-                values[k], mus[:, k], converged[k] = sol.welfare, sol.mu, sol.converged
-        best = int(np.flatnonzero(values >= values.max() - tie)[0])
+            sols = [solve_allocation(instance, c, settings, init=base_mu) for c in candidates]
+            values = np.array([sol.welfare for sol in sols])
+            mus = np.column_stack([sol.mu for sol in sols])
+            converged = np.array([sol.converged for sol in sols])
+        best = _argmax_lexicographic(values, candidates, tie=tie)
         unit = int(rows[best])
         delta = float(values[best] - base_welfare)
         log.debug("greedy round %d: %d of %d candidates solved exactly",

@@ -147,10 +147,10 @@ def _moments(w: WeightSystem, stat: np.ndarray) -> tuple[float, np.ndarray]:
     return float(log_z[0]), mean[0]
 
 
-def enumerate_gibbs(w: WeightSystem, max_units: int = MAX_EXACT_UNITS) -> ExactDistribution:
+def enumerate_gibbs(w: WeightSystem) -> ExactDistribution:
     """Exact stationary distribution for a weight system: log Z and the
     choice marginals. The result carries the system with a dense w2."""
-    _check_size(w.n, max_units)
+    _check_size(w.n, MAX_EXACT_UNITS)
     log_z, marginals = _moments(w, np.eye(w.n))
     return ExactDistribution(log_partition=log_z, marginals=marginals, weights=w.dense())
 

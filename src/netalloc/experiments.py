@@ -495,7 +495,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
         report = bnd.bounds_report(instance)
         for name, d in rules.items():
             sol = solutions[name]
-            dist = exact.enumerate_gibbs(weights(instance, d), max_units=cfg.exact_cap)
+            dist = exact.enumerate_gibbs(weights(instance, d))
             kl = exact.exact_kl(sol.mu, dist)
             checks[f"kl_bounds_{name}"] = {
                 "value": kl,

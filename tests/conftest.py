@@ -1,12 +1,22 @@
-"""Shared helpers for building benchmark-style random instances."""
+"""Shared helpers: benchmark-style random instances and an unscreened
+greedy reference."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from netalloc import SimilarityKernel, ThetaParams, make_instance
+from netalloc import Allocation, SimilarityKernel, SolverSettings, ThetaParams, make_instance
+from netalloc.allocate import GreedyStep
+from netalloc.exact import _argmax_lexicographic
 from netalloc.experiments import simulation_instance
+from netalloc.meanfield import (
+    _coupling_constants,
+    _tie_tolerance,
+    instance_certified,
+    solve_allocation,
+)
+from netalloc.model import derive_seed
 from netalloc.network import erdos_renyi
 
 
@@ -42,6 +52,47 @@ def random_instance(rng, n, density=0.4, positivity=False, a_n=None):
     x = rng.integers(0, 2, size=(n, 1)).astype(float)
     theta = random_theta(rng, positivity=positivity, a_n=(1.0 / n if a_n is None else a_n))
     return make_instance(net, x, theta, kernel=SimilarityKernel.abs_diff())
+
+
+def _unscreened_greedy(instance, kappa, settings=None, seed=0, warm=False):
+    """Greedy without the candidate screen or the batch: each round solves
+    every untreated candidate on its own with ``solve_allocation`` and picks
+    by greedy's tie rule. With ``warm=False`` each candidate starts from
+    its own seeded random draw, ``derive_seed(seed, round * n + i)``; with
+    ``warm=True`` it starts from the incumbent's marginals, which is what
+    ``greedy`` does on uncertified instances. Returns the allocation and a
+    ``GreedyStep`` per round, each counting every candidate as screened."""
+    settings = settings or SolverSettings()
+    n = instance.n
+    incumbent = Allocation.zeros(n)
+    trace = []
+    if kappa == 0:
+        return incumbent, trace
+    base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
+    base_mu, base_welfare = base.mu, base.welfare
+    tie = 0.0
+    if instance_certified(instance):
+        tie = _tie_tolerance(instance, settings, _coupling_constants(instance.coupling)[0])
+    for round_idx in range(1, kappa + 1):
+        rows = np.flatnonzero(incumbent.d == 0)
+        candidates = np.tile(incumbent.d, (len(rows), 1))
+        candidates[np.arange(len(rows)), rows] = 1
+        sols = [
+            solve_allocation(instance, c, settings, init=base_mu) if warm else
+            solve_allocation(instance, c, settings, seed=derive_seed(seed, round_idx * n + int(i)))
+            for c, i in zip(candidates, rows)
+        ]
+        values = np.array([sol.welfare for sol in sols])
+        best = _argmax_lexicographic(values, candidates, tie=tie)
+        unit = int(rows[best])
+        trace.append(GreedyStep(
+            round=round_idx, unit=unit, delta=float(values[best] - base_welfare),
+            nonconverged=tuple(int(i) for i, sol in zip(rows, sols) if not sol.converged),
+            screened=len(rows)))
+        incumbent = incumbent.with_unit(unit)
+        base_welfare = float(values[best])
+        base_mu = sols[best].mu.copy()
+    return incumbent, trace
 
 
 @pytest.fixture

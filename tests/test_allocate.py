@@ -19,7 +19,7 @@ from netalloc import (
     random_allocation_welfare,
 )
 from netalloc.meanfield import instance_certified
-from tests.conftest import protocol_instance, random_instance
+from tests.conftest import _unscreened_greedy, protocol_instance, random_instance
 
 SETTINGS = SolverSettings()
 
@@ -74,13 +74,13 @@ class TestGreedy:
         assert a1.treated == a2.treated
         assert [(s.unit, s.delta) for s in t1] == [(s.unit, s.delta) for s in t2]
 
-    def test_strict_mode_matches_batched_mode(self):
+    def test_fresh_per_candidate_solves_match_batched_mode(self):
         # Certified instances have a unique fixed point, so warm-started
         # batched evaluation and fresh per-candidate solves must pick the
         # same units.
         inst = protocol_instance(12, seed=14)
         fast, _ = greedy(inst, 3, SETTINGS, seed=1)
-        slow, _ = greedy(inst, 3, SETTINGS, seed=1, strict=True)
+        slow, _ = _unscreened_greedy(inst, 3, SETTINGS, seed=1)
         assert fast.treated == slow.treated
 
     def test_matches_brute_force_on_toy_path(self):
@@ -93,14 +93,16 @@ class TestGreedy:
         b, _ = brute_force_optimal(inst, 1)
         assert g.treated == b.treated == (1,)
 
-    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("unscreened", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_ties_go_to_the_smallest_index(self, strict, seed):
+    def test_ties_go_to_the_smallest_index(self, unscreened, seed):
         # Solver noise of about 1e-9 between rotations used to pick (2, 3, 4)
-        # or (4, 5, 6) depending on the seed and the mode.
+        # or (4, 5, 6) depending on the seed and the mode. The unscreened
+        # reference solves each candidate from its own random start.
         inst = ring_instance()
         assert instance_certified(inst)
-        allocation, trace = greedy(inst, 3, SETTINGS, seed=seed, strict=strict)
+        run = _unscreened_greedy if unscreened else greedy
+        allocation, trace = run(inst, 3, SETTINGS, seed=seed)
         assert allocation.treated == (0, 1, 2)
         assert [s.unit for s in trace] == [0, 1, 2]
 

@@ -41,7 +41,7 @@ from netalloc import (
 )
 from netalloc.meanfield import instance_certified
 from netalloc.model import SPARSE_DENSITY
-from tests.conftest import protocol_instance
+from tests.conftest import _unscreened_greedy, protocol_instance
 
 TOL = 1e-9
 # Sampled versus mean-field welfare per person: acceptance criterion 3.
@@ -180,12 +180,29 @@ class TestInvariance:
 
     def test_greedy(self, pair):
         dense, csr = pair
-        for strict in (False, True):
-            a, trace_a = greedy(dense, 6, seed=1, strict=strict)
-            b, trace_b = greedy(csr, 6, seed=1, strict=strict)
+        for run in (greedy, _unscreened_greedy):
+            a, trace_a = run(dense, 6, seed=1)
+            b, trace_b = run(csr, 6, seed=1)
             assert a.treated == b.treated
             assert [s.unit for s in trace_a] == [s.unit for s in trace_b]
             assert all(abs(s.delta - t.delta) <= TOL for s, t in zip(trace_a, trace_b))
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uncertified_greedy_is_the_warm_unscreened_loop(self, storage, seed):
+        # Uncertified greedy solves every candidate from the incumbent's
+        # marginals, one solve_allocation call each: the reference's warm
+        # loop, to the bit.
+        inst = protocol_instance(25, density=0.4, set_id=2, seed=seed)
+        assert not instance_certified(inst)
+        inst = inst if storage == "dense" else csr_twin(inst)
+        _, trace = greedy(inst, 6, seed=seed)
+        _, ref = _unscreened_greedy(inst, 6, seed=seed, warm=True)
+
+        def key(steps):
+            return [(s.unit, s.delta.hex(), s.nonconverged, s.screened) for s in steps]
+
+        assert key(trace) == key(ref)
 
     def test_bfva(self):
         dense = protocol_instance(9, density=0.3, seed=2)

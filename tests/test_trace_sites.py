@@ -13,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from netalloc import allocate
 from netalloc.allocate import GreedyStep
-from netalloc.meanfield import BatchSolution, MeanFieldSolution
+from netalloc.meanfield import BatchSolution, MeanFieldSolution, instance_certified
+from netalloc.model import feasible_allocations
+from tests.conftest import protocol_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -66,3 +69,42 @@ def test_counters_find_their_result_fields():
     for cls, names in reads.items():
         fields = {f.name for f in dataclasses.fields(cls)}
         assert names <= fields, f"{cls.__name__} lacks {names - fields}"
+
+
+def test_allocate_calls_go_through_its_module_attributes(monkeypatch):
+    # The tracer counts solves and batches by swapping ``allocate``'s
+    # attributes; a call routed around them would be recorded nowhere.
+    calls = {"solve_allocation": 0, "batch_fixed_point": 0}
+
+    def counting(name):
+        fn = getattr(allocate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(allocate, name, counting(name))
+
+    def run(fn, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        return fn(*args), dict(calls)
+
+    certified = protocol_instance(30, density=0.3, seed=4)
+    assert instance_certified(certified)
+    _, seen = run(allocate.greedy, certified, 4)
+    assert seen == {"solve_allocation": 1, "batch_fixed_point": 4}
+
+    uncertified = protocol_instance(25, density=0.4, set_id=2, seed=0)
+    assert not instance_certified(uncertified)
+    (_, trace), seen = run(allocate.greedy, uncertified, 3)
+    assert seen == {"solve_allocation": 1 + 25 + 24 + 23, "batch_fixed_point": 0}
+    assert sum(s.screened for s in trace) == 25 + 24 + 23
+
+    small = protocol_instance(14, density=0.3, seed=1)
+    assert instance_certified(small)
+    count = len(feasible_allocations(14, 4))  # 1,471: two chunks of 1,024
+    _, seen = run(allocate.bfva, small, 4)
+    assert seen == {"solve_allocation": 0, "batch_fixed_point": -(-count // 1024)}

@@ -5,9 +5,10 @@ found by fixed-point iteration on the first-order conditions
 
     mu_i = logistic(w1_i + 2 (w2 mu)_i).
 
-A per-allocation solve sweeps units in index order, updating in place
-(each coordinate update exactly maximizes the variational objective along
-that coordinate, so the objective never decreases). The simultaneous
+A per-allocation solve sweeps in place, one colour class of the
+coupled-pair graph at a time (units of one class share no pair term, so
+each class update exactly maximizes the variational objective along each
+of its coordinates, and the objective never decreases). The simultaneous
 iteration of the published method is ``batch_fixed_point``'s, which solves
 many allocations at once. Every solve stops once the residual of the
 first-order conditions is at most foc_tol. The contraction certificate
@@ -18,18 +19,20 @@ screens its candidates with the linear-response scores of ``_linear_response``.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 from scipy.special import expit
 
 from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, check_count,
-                    linear_weights, sigmoid, to_dense, weights)
+                    linear_weights, to_dense, weights)
 
 CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
 RESTARTS = 10  # random starts of a per-allocation solve without the certificate
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,12 @@ def instance_certified(instance: Instance) -> bool:
 
 
 def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
-    """One in-place sweep in index order over ``w.row_lists``; mu is written once."""
-    (cols, vals), w1, m = w.row_lists, w.w1.tolist(), mu.tolist()
-    lo, hi = CLAMP, 1.0 - CLAMP
-    for i, (c, v) in enumerate(zip(cols, vals)):
-        m[i] = min(max(sigmoid(w1[i] + sum(map(mul, v, map(m.__getitem__, c)))), lo), hi)
-    mu[:] = m
+    """One in-place sweep over the colour classes of ``w.colour_blocks``, in
+    order: each class moves at once to its first-order conditions given the
+    current mu. No two units of a class share a pair term, so this is
+    coordinate ascent unit by unit. Doubling after the product is exact."""
+    for units, w1, rows in w.colour_blocks:
+        mu[units] = np.clip(expit(w1 + 2.0 * (rows @ mu)), CLAMP, 1.0 - CLAMP)
     return mu
 
 
@@ -127,10 +130,12 @@ def fixed_point_solve(
     """Iterate the first-order-condition map to a fixed point.
 
     Starts from ``init`` when given, otherwise from a uniform random draw
-    controlled by ``seed``. A sweep updates each unit from its row of
-    ``w.row_lists``, in index order and in place (Gauss-Seidel); iteration
-    stops once the FOC residual is at most foc_tol, or at max_iter with
-    ``converged`` False. The objective is evaluated once, at the returned marginals.
+    controlled by ``seed``. A sweep updates the units in place one colour
+    class at a time (chromatic Gauss-Seidel, ``_sweep_gauss_seidel``);
+    iteration stops once the FOC residual is at most foc_tol, or at max_iter
+    with ``converged`` False. The objective is evaluated once, at the
+    returned marginals. At DEBUG level one record reports the sweeps, the
+    colours, the residual and whether the solve converged.
     """
     settings = settings or SolverSettings()
     start = np.random.default_rng(seed).uniform(size=w.n) if init is None else init
@@ -142,6 +147,12 @@ def fixed_point_solve(
         if residual <= settings.foc_tol:
             converged = True
             break
+    if log.isEnabledFor(logging.DEBUG):
+        colours = len(w.colour_blocks)
+        log.debug("fixed point: %d sweeps over %d colours, residual %.3g, converged %s",
+                  iterations, colours, residual, converged, extra={
+                      "sweeps": iterations, "colours": colours, "residual": residual,
+                      "converged": converged})
     return MeanFieldSolution(
         mu=mu,
         objective=variational_objective(mu, w),

@@ -14,7 +14,7 @@ import itertools
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -83,9 +83,36 @@ def to_dense(a):
 def nonzero_entries(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the nonzero entries of a dense array or a
     CSR matrix, row by row in ascending column order."""
-    r, c = a.nonzero()
-    # A CSR matrix that stores no entries gives a sparse 0-length slice here.
-    return r, c, to_dense(a[r, c])
+    if isinstance(a, np.ndarray):
+        r, c = a.nonzero()
+        return r, c, a[r, c]
+    if not a.has_canonical_format:  # unsorted or repeated column indices
+        a = a.copy()
+        a.sum_duplicates()
+    r = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    keep = a.data != 0  # stored zeros are not entries
+    return r[keep], a.indices[keep], a.data[keep]
+
+
+def greedy_colouring(a) -> tuple[np.ndarray, ...]:
+    """Colour classes of the graph whose edges are the nonzero entries of a
+    (dense or CSR): each class lists its units in ascending order, and no
+    entry joins two units of one class. Units take, largest degree first
+    and ties by index, the smallest colour no neighbour has yet."""
+    r, c, _ = nonzero_entries(a)
+    degree = np.bincount(r, minlength=a.shape[0])
+    ptr = np.concatenate(([0], np.cumsum(degree))).tolist()
+    cols = c.tolist()
+    colour = [-1] * a.shape[0]
+    for i in np.argsort(-degree, kind="stable").tolist():
+        taken = {colour[j] for j in cols[ptr[i]:ptr[i + 1]]}
+        k = 0
+        while k in taken:
+            k += 1
+        colour[i] = k
+    count = max(colour, default=-1) + 1
+    colour = np.array(colour)
+    return tuple(np.flatnonzero(colour == k) for k in range(count))
 
 
 def logistic_slope(x):
@@ -261,6 +288,9 @@ class WeightSystem:
 
     w1: np.ndarray
     w2: np.ndarray | sparse.csr_array
+    # The instance whose coupling's pattern holds w2's, if any: its colouring
+    # then serves this system, and is not redone per allocation.
+    instance: Instance | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -285,9 +315,20 @@ class WeightSystem:
         return tuple([f[a:b] if a < b else empty for a, b in zip(ptr, ptr[1:])] for f in flat)
 
     @cached_property
+    def colour_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """``(units, w1[units], w2[units])`` per colour class, for sweeps that
+        update one class at a time: no unit of a class has a w2 entry with
+        another unit of it. The classes are the instance's
+        ``colour_classes``, or else ``greedy_colouring`` of w2. The rows
+        keep w2's storage, dense or CSR."""
+        classes = (greedy_colouring(self.w2) if self.instance is None
+                   else self.instance.colour_classes)
+        return tuple((units, self.w1[units], self.w2[units]) for units in classes)
+
+    @cached_property
     def row_lists(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per-unit rows (cols, vals) of 2 w2 as Python lists, for loops that
-        update one unit at a time: cols[i] lists the j with w2_ij != 0 in
+        """Per-unit rows (cols, vals) of 2 w2 as Python lists, for the sampler,
+        which updates one unit at a time: cols[i] lists the j with w2_ij != 0 in
         ascending order and vals[i] the weights 2 w2_ij, so unit i's logit
         argument is w1_i + sum_k vals[i][k] y[cols[i][k]]. Either storage gives
         the same rows. Cached on the system itself, so they live and die with it."""
@@ -383,6 +424,13 @@ class Instance:
         return out
 
     @cached_property
+    def colour_classes(self) -> tuple[np.ndarray, ...]:
+        """``greedy_colouring`` of the coupling. Every w2 of this instance has
+        its nonzero entries among the coupling's, so the classes serve the
+        weight system of every allocation."""
+        return greedy_colouring(self.coupling)
+
+    @cached_property
     def x_effect2(self) -> np.ndarray:
         k = self.x.shape[1]
         return self.x @ _coef_array(self.theta.theta2, k)
@@ -470,7 +518,7 @@ def weights(instance: Instance, d) -> WeightSystem:
         # in place; the entries where theta5 + theta6 d_i d_j = 0 go.
         w2 = type(sm)((values, sm.indices.copy(), sm.indptr.copy()), shape=sm.shape)
         w2.eliminate_zeros()
-    return WeightSystem(w1=w1, w2=w2)
+    return WeightSystem(w1=w1, w2=w2, instance=instance)
 
 
 def utility(i: int, y, instance: Instance, d) -> float:

@@ -1,7 +1,8 @@
-"""Shared helpers: benchmark-style random instances and an unscreened
-greedy reference."""
+"""Shared helpers: benchmark-style random instances, an index-order sweep
+and an unscreened greedy reference."""
 
 import warnings
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from netalloc.allocate import GreedyStep
 from netalloc.exact import _argmax_lexicographic
 from netalloc.experiments import simulation_instance
 from netalloc.meanfield import (
+    CLAMP,
     _coupling_constants,
     _tie_tolerance,
     instance_certified,
     solve_allocation,
 )
-from netalloc.model import derive_seed
+from netalloc.model import derive_seed, sigmoid
 from netalloc.network import erdos_renyi
 
 
@@ -52,6 +54,18 @@ def random_instance(rng, n, density=0.4, positivity=False, a_n=None):
     x = rng.integers(0, 2, size=(n, 1)).astype(float)
     theta = random_theta(rng, positivity=positivity, a_n=(1.0 / n if a_n is None else a_n))
     return make_instance(net, x, theta, kernel=SimilarityKernel.abs_diff())
+
+
+def index_order_sweep(mu, w):
+    """One in-place Gauss-Seidel sweep over the units in index order, each
+    from its row of ``w.row_lists``: a reference for the fixed point that
+    the chromatic sweep reaches, not for its bits."""
+    (cols, vals), w1, m = w.row_lists, w.w1.tolist(), mu.tolist()
+    lo, hi = CLAMP, 1.0 - CLAMP
+    for i, (c, v) in enumerate(zip(cols, vals)):
+        m[i] = min(max(sigmoid(w1[i] + sum(map(mul, v, map(m.__getitem__, c)))), lo), hi)
+    mu[:] = m
+    return mu
 
 
 def _unscreened_greedy(instance, kappa, settings=None, seed=0, warm=False):

@@ -378,6 +378,23 @@ class TestBruteForce:
         with pytest.raises(ExactSizeError):
             brute_force_optimal(inst, 2, max_units=4)
 
+    @pytest.mark.parametrize("values, tie, want", [
+        ([0.5, 0.9, 0.2, 0.7], 0.0, 1),          # one maximum: no tuples built
+        ([0.5, 0.9, 0.2, 0.7], 0.1, 1),          # no other row within the tie
+        ([0.9, 0.9, 0.2, 0.7], 0.0, 0),          # exact tie, smallest treated set
+        ([0.5, 0.9, 0.2, 0.85], 0.1, 3),         # tied within the tolerance
+        ([0.9, 0.9, 0.9, 0.9], 0.0, 3),          # every row tied
+    ])
+    def test_argmax_takes_the_smallest_tied_treated_set(self, values, tie, want):
+        # Treated sets in row order {1, 3}, {2}, {0, 3}, {0, 1}: the tuple
+        # order is (0, 1) < (0, 3) < (1, 3) < (2,).
+        allocations = np.array([[0, 1, 0, 1], [0, 0, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]])
+        values = np.array(values)
+        tied = np.flatnonzero(values >= values.max() - tie)
+        reference = min(tied, key=lambda i: tuple(np.flatnonzero(allocations[i])))
+        got = ex._argmax_lexicographic(values, allocations, tie=tie)
+        assert got == reference == want
+
 
 class TestExactKL:
     def test_zero_for_independent_instance(self, rng):

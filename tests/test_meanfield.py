@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from netalloc import (
 from netalloc import meanfield
 from netalloc.meanfield import instance_certified
 from netalloc.model import sigmoid
-from tests.conftest import protocol_instance, random_instance
+from tests.conftest import index_order_sweep, protocol_instance, random_instance
 from tests.test_storage import csr_twin
 
 SETTINGS = SolverSettings()
@@ -208,8 +209,9 @@ class TestFixedPoint:
     @pytest.mark.parametrize("set_id", [1, 2])
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_sweep_matches_one_dot_product_per_unit(self, rng, set_id, storage):
-        # One sweep over the list rows against a reference that updates each
-        # unit, in index order, from one dot product with its dense w2 row.
+        # One chromatic sweep against a reference that updates the colour
+        # classes in turn, each unit of a class from one dot product of its
+        # dense w2 row with the iterate as the class found it.
         inst = protocol_instance(40, density=0.3, set_id=set_id, seed=6)
         if storage == "csr":
             inst = csr_twin(inst)
@@ -218,11 +220,47 @@ class TestFixedPoint:
         w2 = w.dense().w2
         mu = rng.uniform(size=40)
         want = mu.copy()
-        for i in range(40):
-            arg = w.w1[i] + 2.0 * (w2[i] @ want)
-            want[i] = np.clip(sigmoid(arg), meanfield.CLAMP, 1.0 - meanfield.CLAMP)
+        for units in inst.colour_classes:
+            args = [w.w1[i] + 2.0 * (w2[i] @ want) for i in units]
+            want[units] = np.clip([sigmoid(a) for a in args],
+                                  meanfield.CLAMP, 1.0 - meanfield.CLAMP)
         assert meanfield._sweep_gauss_seidel(mu, w) is mu
         np.testing.assert_allclose(mu, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_chromatic_and_index_order_reach_one_fixed_point(self, rng, storage):
+        # Under the certificate the fixed point is unique, so the order in
+        # which a sweep visits the units moves it by the stopping rule only.
+        tight = SolverSettings(foc_tol=1e-11)
+        for seed, kernel in itertools.product(range(3), ("absdiff", "invdist")):
+            inst = protocol_instance(30, density=0.3, seed=seed)
+            if kernel == "invdist":
+                inst = replace(inst, kernel=SimilarityKernel.inverse_distance())
+            if storage == "csr":
+                inst = csr_twin(inst)
+            assert instance_certified(inst)
+            w = weights(inst, rng.integers(0, 2, size=30))
+            start = rng.uniform(size=30)
+            chromatic = fixed_point_solve(w, tight, init=start)
+            mu = start.copy()
+            for _ in range(10_000):
+                mu = index_order_sweep(mu, w)
+                if foc_residual(mu, w) <= tight.foc_tol:
+                    break
+            assert chromatic.converged and foc_residual(mu, w) <= tight.foc_tol
+            assert np.abs(chromatic.mu - mu).max() <= 1e-8
+
+    def test_debug_record_reports_the_solve(self, caplog):
+        inst = protocol_instance(20, seed=5)
+        w = weights(inst, np.zeros(20, dtype=int))
+        with caplog.at_level("DEBUG", logger="netalloc.meanfield"):
+            sol = fixed_point_solve(w, SETTINGS, seed=0)
+        (record,) = [r for r in caplog.records if r.name == "netalloc.meanfield"]
+        assert record.levelname == "DEBUG"
+        assert record.sweeps == sol.iterations
+        assert record.colours == len(inst.colour_classes)
+        assert record.residual == sol.foc_residual
+        assert record.converged is sol.converged is True
 
     def test_unique_fixed_point_from_many_starts(self):
         inst = protocol_instance(20, seed=5)

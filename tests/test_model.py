@@ -2,9 +2,11 @@
 
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import expit
 
 from netalloc import (
@@ -21,7 +23,8 @@ from netalloc import (
     utility,
     weights,
 )
-from netalloc.model import allocation_vector, derive_seed, sigmoid
+from netalloc import model
+from netalloc.model import allocation_vector, derive_seed, nonzero_entries, sigmoid
 from tests.conftest import protocol_instance, random_instance
 from tests.test_storage import csr_twin
 
@@ -265,6 +268,88 @@ class TestConditionalChoice:
         p = conditional_choice_prob(3, rng.integers(0, 2, size=30), inst,
                                     rng.integers(0, 2, size=30))
         assert 0.0 < p < 1.0
+
+
+def _kernel_instances():
+    """A dense instance per kernel and its CSR twin."""
+    for kernel in (SimilarityKernel.abs_diff(), SimilarityKernel.inverse_distance()):
+        dense = replace(protocol_instance(40, density=0.3, seed=2), kernel=kernel)
+        yield kernel.kind, dense, csr_twin(dense)
+
+
+class TestColouring:
+    def test_no_coupled_pair_shares_a_class(self):
+        for name, dense, csr in _kernel_instances():
+            for inst in (dense, csr):
+                classes = inst.colour_classes
+                colour = np.full(inst.n, -1)
+                for k, units in enumerate(classes):
+                    colour[units] = k
+                assert (colour >= 0).all()
+                assert sum(len(units) for units in classes) == inst.n
+                r, c, _ = nonzero_entries(inst.coupling)
+                assert len(r) > 0 and (colour[r] != colour[c]).all()
+                # Greedy never needs more colours than the largest degree plus one.
+                assert len(classes) <= np.bincount(r).max() + 1
+            if name == "absdiff":
+                # On one binary covariate absdiff couples only units whose
+                # covariates differ, so the graph is bipartite. Largest degree
+                # first need not find two colours on it; this one takes three.
+                x = dense.x[:, 0]
+                assert (x[r] != x[c]).all() and len(dense.colour_classes) == 3
+            else:
+                # invdist couples every edge, and the network has triangles.
+                assert len(dense.colour_classes) > 2
+
+    def test_dense_and_csr_twins_get_identical_classes(self):
+        for _, dense, csr in _kernel_instances():
+            assert isinstance(dense.coupling, np.ndarray)
+            assert not isinstance(csr.coupling, np.ndarray)
+            assert len(dense.colour_classes) == len(csr.colour_classes)
+            for a, b in zip(dense.colour_classes, csr.colour_classes):
+                np.testing.assert_array_equal(a, b)
+
+    def test_a_directly_built_system_colours_its_own_w2(self, rng):
+        inst = protocol_instance(30, density=0.3, seed=4)
+        w = weights(inst, rng.integers(0, 2, size=30))
+        own = WeightSystem(w1=w.w1, w2=w.w2).colour_blocks
+        assert [u.tolist() for u, _, _ in own] == [u.tolist() for u in inst.colour_classes]
+        for units, w1, rows in own:
+            np.testing.assert_array_equal(w1, w.w1[units])
+            np.testing.assert_array_equal(rows, w.w2[units])
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_built_once_per_instance(self, rng, storage, monkeypatch):
+        inst = protocol_instance(30, density=0.3, seed=4)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        calls = []
+        real = model.greedy_colouring
+        monkeypatch.setattr(model, "greedy_colouring", lambda a: calls.append(a) or real(a))
+        for _ in range(4):
+            w = weights(inst, rng.integers(0, 2, size=30))
+            assert len(w.colour_blocks) == 2
+        assert len(calls) == 1 and calls[0] is inst.coupling
+
+
+class TestNonzeroEntries:
+    def test_csr_read_matches_the_dense_array(self, rng):
+        a = rng.uniform(size=(30, 30)) * (rng.random((30, 30)) < 0.2)
+        a[3] = 0.0  # an empty row
+        r, c, v = nonzero_entries(sparse.csr_array(a))
+        want = nonzero_entries(a)
+        for got, ref in zip((r, c, v), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_stored_zeros_and_unsorted_columns_are_read_as_entries_are(self):
+        # Row 0 stores a zero and lists its columns out of order; row 1
+        # repeats a column, whose values add up.
+        a = sparse.csr_array((np.array([2.0, 0.0, 1.0, 3.0, 4.0]), np.array([2, 1, 0, 2, 2]),
+                              np.array([0, 3, 5, 5])), shape=(3, 3))
+        r, c, v = nonzero_entries(a)
+        assert r.tolist() == [0, 0, 1] and c.tolist() == [0, 2, 2] and v.tolist() == [1, 2, 7]
+        empty = nonzero_entries(sparse.csr_array((3, 3)))
+        assert [len(x) for x in empty] == [0, 0, 0]
 
 
 class TestAllocationType:

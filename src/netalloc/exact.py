@@ -212,8 +212,6 @@ def _argmax_lexicographic(values: np.ndarray, allocations: np.ndarray, tie: floa
     resolve to the row whose treated index tuple is lexicographically
     smallest."""
     tied = np.flatnonzero(values >= values.max() - tie)
-    if len(tied) == 1:
-        return int(tied[0])
     return int(min(tied, key=lambda i: tuple(np.flatnonzero(allocations[i]))))
 
 

@@ -288,8 +288,8 @@ class WeightSystem:
 
     w1: np.ndarray
     w2: np.ndarray | sparse.csr_array
-    # The instance whose coupling's pattern holds w2's, if any: its colouring
-    # then serves this system, and is not redone per allocation.
+    # The instance whose coupling's pattern holds w2's (set by ``weights``):
+    # its colouring serves this system, and is not redone per allocation.
     instance: Instance | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -316,14 +316,13 @@ class WeightSystem:
 
     @cached_property
     def colour_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """``(units, w1[units], w2[units])`` per colour class, for sweeps that
-        update one class at a time: no unit of a class has a w2 entry with
-        another unit of it. The classes are the instance's
-        ``colour_classes``, or else ``greedy_colouring`` of w2. The rows
-        keep w2's storage, dense or CSR."""
-        classes = (greedy_colouring(self.w2) if self.instance is None
-                   else self.instance.colour_classes)
-        return tuple((units, self.w1[units], self.w2[units]) for units in classes)
+        """``(units, w1[units], w2[units])`` per class of the instance's
+        ``colour_classes``, for sweeps that update one class at a time: no
+        unit of a class has a w2 entry with another unit of it. Needs the
+        system's instance, so only systems built by ``weights`` have them.
+        The rows keep w2's storage, dense or CSR."""
+        return tuple((units, self.w1[units], self.w2[units])
+                     for units in self.instance.colour_classes)
 
     @cached_property
     def row_lists(self) -> tuple[list[list[int]], list[list[float]]]:

@@ -379,7 +379,7 @@ class TestBruteForce:
             brute_force_optimal(inst, 2, max_units=4)
 
     @pytest.mark.parametrize("values, tie, want", [
-        ([0.5, 0.9, 0.2, 0.7], 0.0, 1),          # one maximum: no tuples built
+        ([0.5, 0.9, 0.2, 0.7], 0.0, 1),          # one maximum
         ([0.5, 0.9, 0.2, 0.7], 0.1, 1),          # no other row within the tie
         ([0.9, 0.9, 0.2, 0.7], 0.0, 0),          # exact tie, smallest treated set
         ([0.5, 0.9, 0.2, 0.85], 0.1, 3),         # tied within the tolerance

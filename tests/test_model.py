@@ -309,12 +309,12 @@ class TestColouring:
             for a, b in zip(dense.colour_classes, csr.colour_classes):
                 np.testing.assert_array_equal(a, b)
 
-    def test_a_directly_built_system_colours_its_own_w2(self, rng):
+    def test_colour_blocks_slice_w1_and_w2_by_class(self, rng):
         inst = protocol_instance(30, density=0.3, seed=4)
         w = weights(inst, rng.integers(0, 2, size=30))
-        own = WeightSystem(w1=w.w1, w2=w.w2).colour_blocks
-        assert [u.tolist() for u, _, _ in own] == [u.tolist() for u in inst.colour_classes]
-        for units, w1, rows in own:
+        blocks = w.colour_blocks
+        assert [u.tolist() for u, _, _ in blocks] == [u.tolist() for u in inst.colour_classes]
+        for units, w1, rows in blocks:
             np.testing.assert_array_equal(w1, w.w1[units])
             np.testing.assert_array_equal(rows, w.w2[units])
 

@@ -104,7 +104,9 @@ def greedy_colouring(a) -> tuple[np.ndarray, ...]:
     ptr = np.concatenate(([0], np.cumsum(degree))).tolist()
     cols = c.tolist()
     colour = [-1] * a.shape[0]
-    for i in np.argsort(-degree, kind="stable").tolist():
+    # Python's sort is stable, so equal degrees stay in index order; a stable
+    # np.argsort does the same but faults in 128 KB more of numpy's code.
+    for i in sorted(range(a.shape[0]), key=(-degree).tolist().__getitem__):
         taken = {colour[j] for j in cols[ptr[i]:ptr[i + 1]]}
         k = 0
         while k in taken:

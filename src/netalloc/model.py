@@ -52,8 +52,9 @@ SPARSE_DENSITY = 0.05
 # are good to a few 2^-53; the bounds' own sums add at most the row length to
 # t. So u < p_lo[i] implies u < sigmoid(a), and u >= p_hi[i] implies the
 # opposite, while (t + row length) A_i < 4e-9 2^53, about 3.6e7. A call of
-# ``mcmc_welfare``'s chain takes about 8N steps, so that holds up to N in the
-# millions for A_i of order one (about 2.5 at most on ``sparse_allocate``).
+# ``mcmc_welfare``'s chain takes about max(8N, 2^14) steps, so that holds up
+# to N in the millions for A_i of order one (about 2.5 at most on
+# ``sparse_allocate``).
 SCREEN_MARGIN = 1e-9
 
 
@@ -337,7 +338,7 @@ class WeightSystem:
         return self._split(r, c.tolist(), v.tolist())
 
     @cached_property
-    def screen(self) -> tuple[list[float], list[float], list[bool], list[list[int]],
+    def screen(self) -> tuple[np.ndarray, np.ndarray, list[bool], list[list[int]],
                               list[list[float]]]:
         """What the single-site sampler needs besides ``row_lists``, per unit i:
         ``(p_lo, p_hi, kept, push_cols, push_vals)``.
@@ -346,6 +347,8 @@ class WeightSystem:
         units: the logistic of w1_i plus the sum of the negative (positive)
         entries of row i, widened by ``SCREEN_MARGIN``. A draw below p_lo[i]
         or at least p_hi[i] decides unit i's step without its logit argument.
+        p_lo and p_hi are arrays, to screen a block of draws at once; the
+        rest are Python lists, read one step at a time.
 
         kept[i] says the sampler keeps unit i's argument up to date as its
         neighbours flip, rather than summing row i over the state when a step
@@ -364,7 +367,7 @@ class WeightSystem:
         neighbour_flips = np.bincount(r, (2.0 * mid * (1.0 - mid))[c], n)
         kept = (hi - lo) * np.bincount(r, minlength=n) > neighbour_flips
         push = kept[c]
-        return (lo.tolist(), hi.tolist(), kept.tolist(),
+        return (lo, hi, kept.tolist(),
                 *self._split(r[push], c[push].tolist(), v[push].tolist()))
 
 

@@ -269,6 +269,26 @@ def load_network(path, n: int | None = None) -> Network:
     reversed pairs are deduplicated. If ``n`` is omitted it is inferred
     as one plus the largest index seen. A file with no edges is rejected.
     """
+    with open(path) as fh:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    # One numpy parse; anything it refuses or that fails a check below goes
+    # through the line loop, which accepts what int() accepts and names the
+    # first bad line.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 read "1.0" as 1, with a warning
+            edges = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.int64, ndmin=2)
+        valid = (edges.shape[1] == 2 and (edges[:, 0] != edges[:, 1]).all()
+                 and (edges >= 0).all())
+    except (ValueError, Warning):  # no lines warns
+        valid = False
+    if not valid:
+        edges = np.array(_edge_lines(path))
+    return Network.from_edges(int(edges.max()) + 1 if n is None else n, edges)
+
+
+def _edge_lines(path) -> list[tuple[int, int]]:
+    """The edges of an edge list file, read line by line with int()."""
     edges = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -286,7 +306,7 @@ def load_network(path, n: int | None = None) -> Network:
             edges.append((i, j))
     if not edges:
         raise ValueError(f"{path}: no edges")
-    return Network.from_edges(max(map(max, edges)) + 1 if n is None else n, edges)
+    return edges
 
 
 def load_covariates(path) -> np.ndarray:

@@ -19,6 +19,7 @@ from netalloc import (
     stationarity_check,
     weights,
 )
+from netalloc import dynamics
 from netalloc.dynamics import (
     MCMC_BATCHES,
     STATIONARITY_MAX_UNITS,
@@ -27,7 +28,7 @@ from netalloc.dynamics import (
     _redraw,
 )
 from netalloc.model import SCREEN_MARGIN, sigmoid
-from tests.conftest import protocol_instance, random_instance
+from tests.conftest import all_steps_redraw, protocol_instance, random_instance
 from tests.test_exact import _dense_enumeration
 from tests.test_storage import csr_twin
 
@@ -65,7 +66,7 @@ def _paired_chains(w, y, calls, rng, draw=None):
         sites = rng.integers(0, w.n, size=w.n).tolist()
         draws = rng.random(w.n).tolist() if draw is None else draw(sites, rng)
         before = y.copy()
-        ones, read = _redraw(y, w, sites, draws, w.n)
+        ones, read, _ = _redraw(y, w, sites, draws, w.n)
         _reference_redraw(y_ref, w, sites, draws)
         assert ones == [int(y.sum())]
         lo, hi = w.screen[:2]
@@ -127,11 +128,12 @@ class TestStep:
         w = weights(inst, np.zeros(1, dtype=int))
         chain_rng = np.random.default_rng(42)
         y = chain_rng.integers(0, 2, size=1).astype(np.int8)
-        hits = 0
         n_steps = 20000
-        for _ in range(n_steps):
-            _step(y, w, chain_rng)
-            hits += int(y[0])
+        # The draws of 20,000 calls of _step, run as one call of one-step sweeps.
+        sites, draws = zip(*[(chain_rng.integers(0, 1, size=1), chain_rng.random(1))
+                             for _ in range(n_steps)])
+        ones, _, _ = _redraw(y, w, np.concatenate(sites), np.concatenate(draws), 1)
+        hits = int(ones.sum())
         target = float(expit(-0.5))
         se = np.sqrt(target * (1 - target) / n_steps) * 3  # ignores autocorrelation
         assert abs(hits / n_steps - target) < 6 * se
@@ -148,11 +150,17 @@ class TestStep:
         step_rng = np.random.default_rng(7)
         sites = step_rng.integers(0, 2, size=trials).tolist()
         draws = step_rng.random(trials).tolist()
-        for i, u in zip(sites, draws):
+        # One call per unit runs that unit's trials as one-step sweeps: the
+        # other unit keeps its start value, and a unit's own value does not
+        # enter its conditional, so every step redraws it from the start.
+        sites, draws = np.array(sites), np.array(draws)
+        for i in (0, 1):
             y = start.copy()
-            _redraw(y, w, [i], [u], 1)
-            key = tuple(y)
-            counts[key] = counts.get(key, 0) + 1
+            ones, _, _ = _redraw(y, w, sites[sites == i], draws[sites == i], 1)
+            for redrawn in (ones - start[1 - i]).tolist():
+                y[i] = redrawn
+                key = tuple(y)
+                counts[key] = counts.get(key, 0) + 1
         # Each unit is picked with probability 1/2 and redrawn given the other.
         p0 = conditional_choice_prob(0, start, inst, d)
         p1 = conditional_choice_prob(1, start, inst, d)
@@ -278,23 +286,23 @@ class TestMcmcWelfare:
         assert abs(est - exact_pp) <= 0.005
 
     def test_empirical_marginals_near_exact(self):
-        # Per-site occupation frequencies over a million steps sit within
-        # 0.02 of the enumerated stationary marginals.
+        # Per-site occupation frequencies over a million steps, the state
+        # recorded every 50 steps, sit within 0.02 of the enumerated
+        # stationary marginals.
         inst = protocol_instance(5, seed=29)
         d = np.array([0, 1, 0, 0, 1])
         w = weights(inst, d)
         chain_rng = np.random.default_rng(13)
         y = chain_rng.integers(0, 2, size=5).astype(np.int8)
-        total_steps = 1_000_000
-        burn = 50_000
-        sites = chain_rng.integers(0, 5, size=total_steps).tolist()
-        draws = chain_rng.random(total_steps).tolist()
+        total_steps, burn, every = 1_000_000, 50_000, 50
+        sites = chain_rng.integers(0, 5, size=total_steps)
+        draws = chain_rng.random(total_steps)
         counts = np.zeros(5)
-        for t, (i, u) in enumerate(zip(sites, draws)):
-            _redraw(y, w, [i], [u], 1)
+        for t in range(0, total_steps, every):
+            _redraw(y, w, sites[t:t + every], draws[t:t + every], every)
             if t >= burn:
                 counts += y
-        empirical = counts / (total_steps - burn)
+        empirical = counts / ((total_steps - burn) // every)
         exact = enumerate_gibbs(weights(inst, d)).marginals
         assert np.abs(empirical - exact).max() <= 0.02
 
@@ -348,9 +356,9 @@ class TestMcmcWelfare:
             mcmc_welfare(np.zeros(5, dtype=int), inst, seed=0, **args)
 
     @pytest.mark.parametrize("sweeps,burn_in,steps_per_sweep", [
-        (45, 11, None),  # blocks of 8 sweeps: 45 ends inside a block, as does 11
-        (300, 100, 1),  # blocks of 96
-        (77, 40, 3),  # blocks of 32
+        (45, 11, None),  # each chain is one block of BLOCK_STEPS or more steps;
+        (300, 100, 1),  # test_block_length_leaves_the_chain_alone moves the
+        (77, 40, 3),  # block ends
         (9, 8, None),  # one sweep kept
     ])
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -375,6 +383,9 @@ class TestMcmcWelfare:
         assert record.steps == 30 * 7 and 0 < kept < 20
         assert record.kept_field_units == kept
         assert 0.0 < record.screened_share < 1.0 and record.steps_per_s > 0
+        # Every read step is visited; screened steps that repeat a unit's
+        # value are not.
+        assert 1.0 - record.screened_share <= record.visited_share < 1.0
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="netalloc.dynamics"):
             mcmc_welfare(d, inst, sweeps=30, burn_in=10, seed=2)
@@ -443,6 +454,18 @@ class TestFlipOnlyRedraw:
         assert len(ids) < 12
 
 
+def _edge_draws(w, sites, draw_rng):
+    """A draw per site on p_lo or p_hi of its unit, or up to 3 ULP to either
+    side of it."""
+    lo, hi = w.screen[:2]
+    edge = np.where(draw_rng.random(len(sites)) < 0.5, np.take(lo, sites), np.take(hi, sites))
+    for _ in range(3):
+        shift = draw_rng.integers(-1, 2, size=len(sites))
+        edge = np.where(shift < 0, np.nextafter(edge, -np.inf),
+                        np.where(shift > 0, np.nextafter(edge, np.inf), edge))
+    return edge
+
+
 SCREEN_CASES = [
     pytest.param(30, 0.3, 4, None, id="weak"),
     pytest.param(30, 0.5, 3, 1.0, id="strong"),
@@ -461,19 +484,9 @@ class TestScreen:
         if storage == "csr":
             inst = csr_twin(inst)
         w = weights(inst, rng.integers(0, 2, size=n))
-        lo, hi, _, _, _ = w.screen
-
-        def on_edges(sites, draw_rng):
-            edge = np.where(draw_rng.random(len(sites)) < 0.5, np.take(lo, sites),
-                            np.take(hi, sites))
-            for _ in range(3):
-                shift = draw_rng.integers(-1, 2, size=len(sites))
-                edge = np.where(shift < 0, np.nextafter(edge, -np.inf),
-                                np.where(shift > 0, np.nextafter(edge, np.inf), edge))
-            return edge.tolist()
-
-        y, y_ref, flips, read = _paired_chains(w, rng.integers(0, 2, size=n).astype(float),
-                                               100, np.random.default_rng(seed), on_edges)
+        y, y_ref, flips, read = _paired_chains(
+            w, rng.integers(0, 2, size=n).astype(float), 100, np.random.default_rng(seed),
+            lambda sites, draw_rng: _edge_draws(w, sites, draw_rng).tolist())
         assert np.array_equal(y, y_ref) and flips > 0
         kept = w.screen[2]
         assert read == set(kept)
@@ -491,6 +504,83 @@ class TestScreen:
         assert (lo <= p.min(axis=0)).all() and (p.max(axis=0) < hi).all()
         np.testing.assert_allclose(p.min(axis=0) - lo, SCREEN_MARGIN, rtol=0, atol=1e-15)
         np.testing.assert_allclose(hi - p.max(axis=0), SCREEN_MARGIN, rtol=0, atol=1e-15)
+
+
+class TestVisitedSteps:
+    """``_redraw`` runs only the steps that can change the state; the loop
+    over every step, ``tests.conftest.all_steps_redraw``, is its reference
+    to the bit: counts of ones, read steps and final state."""
+
+    @staticmethod
+    def _check(w, y, sites, draws, per_sweep):
+        """Run both loops from y on the same steps; return the visited count."""
+        y_ref = y.copy()
+        ones, read, visited = _redraw(y, w, sites, draws, per_sweep)
+        ones_ref, read_ref = all_steps_redraw(y_ref, w, sites.tolist(), draws.tolist(),
+                                              per_sweep)
+        assert ones.tolist() == ones_ref and read == read_ref
+        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+        assert read <= visited <= len(sites) // per_sweep * per_sweep
+        return visited
+
+    # 2,000 steps: whole sweeps of 1, but not of 7 or N (the last 5 or 20
+    # steps are not run by either loop).
+    @pytest.mark.parametrize("n,density,seed,a_n", SCREEN_CASES)
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("dtype", [float, np.int8])
+    @pytest.mark.parametrize("per_sweep", [None, 7, 1])
+    @pytest.mark.parametrize("on_edges", [False, True], ids=["uniform", "edges"])
+    def test_equals_all_steps_loop(self, rng, n, density, seed, a_n, storage, dtype,
+                                   per_sweep, on_edges):
+        inst = protocol_instance(n, density=density, seed=seed, a_n=a_n)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        w = weights(inst, rng.integers(0, 2, size=n))
+        draw_rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=n).astype(dtype)
+        for _ in range(3):
+            sites = draw_rng.integers(0, n, size=2000)
+            draws = _edge_draws(w, sites, draw_rng) if on_edges else draw_rng.random(2000)
+            visited = self._check(w, y, sites, draws, per_sweep or n)
+            assert visited < 2000
+        # The weak case sums every read unit's row; the others keep some.
+        assert any(w.screen[2]) == (a_n is not None)
+
+    @pytest.mark.parametrize("n,density,seed,a_n", SCREEN_CASES)
+    def test_one_step_blocks(self, rng, n, density, seed, a_n):
+        inst = protocol_instance(n, density=density, seed=seed, a_n=a_n)
+        w = weights(inst, rng.integers(0, 2, size=n))
+        y = rng.integers(0, 2, size=n).astype(float)
+        draw_rng = np.random.default_rng(seed)
+        visited = sum(self._check(w, y, draw_rng.integers(0, n, size=1), draw_rng.random(1), 1)
+                      for _ in range(300))
+        assert 0 < visited <= 300
+
+    def test_fewer_steps_than_a_sweep(self, rng):
+        inst = protocol_instance(30, density=0.5, seed=3, a_n=1.0)
+        w = weights(inst, rng.integers(0, 2, size=30))
+        y = rng.integers(0, 2, size=30).astype(float)
+        assert self._check(w, y, np.arange(5), np.zeros(5), 7) == 0
+
+    @pytest.mark.parametrize("steps_per_sweep", [None, 3])
+    def test_block_length_leaves_the_chain_alone(self, rng, monkeypatch, steps_per_sweep):
+        # Without kept units no value outlives a block, so the chain is the
+        # same for blocks of 8 sweeps (the floor that BLOCK_STEPS = 1 leaves),
+        # the default length and one block for the whole chain; and it is
+        # the sweep-by-sweep reference's.
+        inst = protocol_instance(30, density=0.3, seed=4)
+        d = rng.integers(0, 2, size=30)
+        assert not any(weights(inst, d).screen[2])
+        sweeps, burn_in = 200, 50
+        steps = sweeps * (steps_per_sweep or 30)
+        got = set()
+        for block in (1, dynamics.BLOCK_STEPS, steps):
+            monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+            got.add(tuple(v.hex() for v in mcmc_welfare(
+                d, inst, sweeps=sweeps, burn_in=burn_in, seed=8,
+                steps_per_sweep=steps_per_sweep)))
+        want = _reference_mcmc(d, inst, sweeps, burn_in, 8, steps_per_sweep)
+        assert got == {tuple(v.hex() for v in want)}
 
 
 class TestRows:

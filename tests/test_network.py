@@ -15,6 +15,7 @@ from netalloc import (
     erdos_renyi,
     load_covariates,
     load_network,
+    network,
     similarity_matrix,
 )
 
@@ -349,6 +350,51 @@ class TestFileLoading:
         path.write_text(f"# i,j\n0,1\n{bad}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 'i,j', got '{bad}'")):
             load_network(path)
+
+    @pytest.mark.parametrize("text", [
+        "0,1\n   \n\t\n1,2\n",  # whitespace-only lines
+        "0,1\n 3 , 4 \n",
+        "+1,2\n0,1\n",
+        "1_0,2\n0,1\n",  # int() reads 10; numpy refuses it
+        "# i,j\n1.0,2\n",  # both refuse it, at line 2
+        "0,1\n1,2 # note\n",  # no comments after a pair: refused at line 2
+        "0,1\n2,2\n-1,3\n",  # the first of two bad lines is named
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_parse_equals_line_loop(self, tmp_path, text):
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        try:
+            edges = network._edge_lines(path)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                load_network(path)
+            assert str(err).startswith(f"{path}:2: ")
+            return
+        want = Network.from_edges(max(map(max, edges)) + 1, edges)
+        got = load_network(path)
+        assert got.n == want.n
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_file_takes_one_numpy_parse(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        i = rng.integers(0, 3000, size=10_000)
+        j = (i + rng.integers(1, 3000, size=10_000)) % 3000
+        path = tmp_path / "net.txt"
+        path.write_text("# i,j\n" + "".join(f"{a},{b}\n\n" for a, b in zip(i, j)))
+        edges = network._edge_lines(path)
+        want = Network.from_edges(max(map(max, edges)) + 1, edges)
+
+        def refuse(path):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(network, "_edge_lines", refuse)
+        got = load_network(path)
+        assert got.n == want.n == 3000
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
 
     def test_covariates_csv(self, tmp_path):
         path = tmp_path / "cov.csv"

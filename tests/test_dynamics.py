@@ -148,12 +148,11 @@ class TestStep:
         counts = {}
         trials = 100_000
         step_rng = np.random.default_rng(7)
-        sites = step_rng.integers(0, 2, size=trials).tolist()
-        draws = step_rng.random(trials).tolist()
+        sites = step_rng.integers(0, 2, size=trials)
+        draws = step_rng.random(trials)
         # One call per unit runs that unit's trials as one-step sweeps: the
         # other unit keeps its start value, and a unit's own value does not
         # enter its conditional, so every step redraws it from the start.
-        sites, draws = np.array(sites), np.array(draws)
         for i in (0, 1):
             y = start.copy()
             ones, _, _ = _redraw(y, w, sites[sites == i], draws[sites == i], 1)
@@ -355,10 +354,12 @@ class TestMcmcWelfare:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             mcmc_welfare(np.zeros(5, dtype=int), inst, seed=0, **args)
 
+    # Each chain here is one block of BLOCK_STEPS steps or more;
+    # test_block_length_leaves_the_chain_alone moves the block ends.
     @pytest.mark.parametrize("sweeps,burn_in,steps_per_sweep", [
-        (45, 11, None),  # each chain is one block of BLOCK_STEPS or more steps;
-        (300, 100, 1),  # test_block_length_leaves_the_chain_alone moves the
-        (77, 40, 3),  # block ends
+        (45, 11, None),
+        (300, 100, 1),
+        (77, 40, 3),
         (9, 8, None),  # one sweep kept
     ])
     @pytest.mark.parametrize("storage", ["dense", "csr"])

@@ -24,7 +24,8 @@ from .meanfield import (
     instance_certified,
     solve_allocation,
 )
-from .model import Allocation, Instance, check_capacity, derive_seed, feasible_allocations
+from .model import (Allocation, Instance, check_capacity, check_count, derive_seed,
+                     feasible_allocations)
 
 log = logging.getLogger(__name__)
 # Most allocations bfva evaluates; above it, bfva raises EnumerationCapError.
@@ -161,6 +162,7 @@ def random_allocation_welfare(
 ) -> float:
     """Average welfare of uniformly drawn allocations with exactly kappa
     treated units, under a caller-supplied welfare evaluator d -> float."""
+    check_count("draws", draws)
     if draws < 1:
         raise ValueError("draws must be at least 1")
     check_capacity(instance.n, kappa)

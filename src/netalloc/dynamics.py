@@ -6,13 +6,14 @@ choice. Long-run time averages of the resulting single-site Markov chain
 estimate equilibrium welfare. Most steps need no neighbour state: a uniform
 draw outside the unit's reachable choice-probability interval
 (``WeightSystem.screen``) decides the step alone. Only the other steps read
-the unit's logit argument, summed from its row over the current state or,
-for units whose interval is wide, kept up to date as their neighbours flip.
-``mcmc_welfare`` runs the chain in blocks of whole sweeps, at least 8N and
-``BLOCK_STEPS`` steps, one call each. A call classifies its steps in numpy
-and its loop visits only those that can change the state: steps that read,
-and screened steps that set a unit to a value it may not hold. The count of
-ones at every sweep end comes from the sweeps of the flips. For small
+the unit's logit argument, which they sum from its row over the current
+state. ``mcmc_welfare`` runs the chain in blocks of whole sweeps, at least 8N
+and ``BLOCK_STEPS`` steps, one call each; nothing but the state outlives a
+call, so the block length does not change the chain. A call classifies its
+steps in numpy and its loop visits only those that can change the state:
+steps that read, and screened steps that set a unit to a value it may not
+hold. The count of ones at every sweep end comes from the sweeps of the
+flips. For small
 networks the one-step image of the enumerated Gibbs distribution is
 computed directly from the choice probabilities, without the transition
 matrix, to verify stationarity.
@@ -46,18 +47,18 @@ def _redraw(y: np.ndarray, w: WeightSystem, sites: np.ndarray, draws: np.ndarray
     past the last whole sweep of ``per_sweep`` steps are not run.
 
     A step whose draw the screen does not decide reads unit i's logit
-    argument w1_i + (2 w2 y)_i: a kept unit's comes from a vector built once
-    per call and updated when a neighbour flips, any other unit's is summed
-    from its row of ``w.row_lists``. Every other step sets the unit to the
-    screen's value, which changes nothing when the unit holds it already.
-    So the loop visits only the read steps and the screened steps whose
-    value differs from the unit's value before them, known from its previous
-    screened step or from y, or not known because its previous step read.
+    argument w1_i + (2 w2 y)_i, summed from its row of ``w.row_lists`` over
+    the current state; nothing is carried from one step to the next but the
+    state. Every other step sets the unit to the screen's value, which
+    changes nothing when the unit holds it already. So the loop visits only
+    the read steps and the screened steps whose value differs from the
+    unit's value before them, known from its previous screened step or from
+    y, or not known because its previous step read.
 
     Returns the count of ones in y after every sweep, the number of read
     steps and the number of visited steps."""
     cols, vals = w.row_lists
-    lo, hi, kept, push_cols, push_vals = w.screen
+    lo, hi = w.screen
     sweeps = len(sites) // per_sweep
     size = sweeps * per_sweep
     sites = np.asarray(sites, dtype=np.intp)[:size]
@@ -78,28 +79,16 @@ def _redraw(y: np.ndarray, w: WeightSystem, sites: np.ndarray, draws: np.ndarray
     visit[order] = (after != before) | (after < 0)
     steps = np.flatnonzero(visit)
     w1 = w.w1.tolist()
-    h = (w.w1 + 2.0 * (w.w2 @ y)).tolist() if any(kept) else []
     state = y.tolist()
     ups, downs = [], []  # the sweep of each flip to 1 and to 0
     for sweep, i, new, u in zip((steps // per_sweep).tolist(), sites[steps].tolist(),
                                 code[steps].tolist(), draws[steps].tolist()):
         if new < 0:
-            if kept[i]:
-                a = h[i]
-            else:
-                a = w1[i] + sum(compress(vals[i], map(state.__getitem__, cols[i])))
-            new = u < sigmoid(a)
+            new = u < sigmoid(w1[i] + sum(compress(vals[i], map(state.__getitem__, cols[i]))))
         if new == state[i]:
             continue
         state[i] = new
         (ups if new else downs).append(sweep)
-        if push_cols[i]:  # most units have no kept neighbour: skip the zip
-            if new:
-                for j, v in zip(push_cols[i], push_vals[i]):
-                    h[j] += v
-            else:
-                for j, v in zip(push_cols[i], push_vals[i]):
-                    h[j] -= v
     ones = np.count_nonzero(y) + np.cumsum(
         np.bincount(ups, minlength=sweeps) - np.bincount(downs, minlength=sweeps))
     y[:] = state
@@ -166,7 +155,6 @@ def mcmc_welfare(
         share = 1.0 - read / steps
         log.debug("sampler: %d steps, %.4f decided by the draw alone", steps, share, extra={
             "steps": steps, "screened_share": share, "visited_share": visited / steps,
-            "kept_field_units": sum(w.screen[2]),
             "steps_per_s": steps / (time.perf_counter() - start)})
     return estimate, stderr
 

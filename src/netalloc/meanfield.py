@@ -121,6 +121,17 @@ def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
     return mu
 
 
+def _checked_init(init, n: int) -> np.ndarray:
+    """A solver's start ``init`` as a float vector, after checking that it
+    has shape (n,) and finite entries; a NaN start never converges."""
+    start = np.asarray(init, dtype=float)
+    if start.shape != (n,):
+        raise ValueError(f"init must have shape ({n},), got {start.shape}")
+    if not np.isfinite(start).all():
+        raise ValueError("init must be finite")
+    return start
+
+
 def fixed_point_solve(
     w: WeightSystem,
     settings: SolverSettings | None = None,
@@ -129,7 +140,8 @@ def fixed_point_solve(
 ) -> MeanFieldSolution:
     """Iterate the first-order-condition map to a fixed point.
 
-    Starts from ``init`` when given, otherwise from a uniform random draw
+    Starts from ``init`` when given (a finite vector of length N, clipped
+    into [CLAMP, 1 - CLAMP]), otherwise from a uniform random draw
     controlled by ``seed``. A sweep updates the units in place one colour
     class at a time (chromatic Gauss-Seidel, ``_sweep_gauss_seidel``);
     iteration stops once the FOC residual is at most foc_tol, or at max_iter
@@ -138,8 +150,9 @@ def fixed_point_solve(
     colours, the residual and whether the solve converged.
     """
     settings = settings or SolverSettings()
-    start = np.random.default_rng(seed).uniform(size=w.n) if init is None else init
-    mu = np.clip(np.asarray(start, dtype=float), CLAMP, 1.0 - CLAMP)
+    start = (np.random.default_rng(seed).uniform(size=w.n) if init is None
+             else _checked_init(init, w.n))
+    mu = np.clip(start, CLAMP, 1.0 - CLAMP)
     converged = False
     for iterations in range(1, settings.max_iter + 1):
         mu = _sweep_gauss_seidel(mu, w)
@@ -221,7 +234,9 @@ def batch_fixed_point(
     Runs the simultaneous-update iteration on an (n, batch) matrix of
     marginals, which turns a candidate sweep into a handful of coupling
     products (dense BLAS, or CSR for a sparse coupling). ``allocations`` is
-    one allocation or a (batch, n) block of them. Intended for certified
+    one allocation or a (batch, n) block of them. Every column starts from
+    ``init`` when given (a finite vector of length n), otherwise from its
+    own uniform random draw controlled by ``seed``. Intended for certified
     instances, where the fixed point is unique and independent of the
     update schedule; callers should fall back to per-allocation solves
     when the certificate fails.
@@ -259,7 +274,7 @@ def batch_fixed_point(
         sm_d, support = sm, slice(None)
     w1 = linear_weights(instance, dt, coupled=sm_d @ dt[support])
     if init is not None:
-        mu = np.tile(np.asarray(init, dtype=float)[:, None], (1, batch))
+        mu = np.tile(_checked_init(init, n)[:, None], (1, batch))
     else:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(size=(n, batch))

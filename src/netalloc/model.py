@@ -44,17 +44,17 @@ SPARSE_DENSITY = 0.05
 
 # Widening of each unit's choice-probability interval in
 # ``WeightSystem.screen``. The sampler's unscreened decision is
-# u < sigmoid(a) for a computed logit argument a. For any state of the other
-# units, a differs from the exact argument by at most t 2^-53 A_i, where t
-# counts the additions behind a (the row length, plus one per neighbour flip
-# since the sampler built it) and A_i = |w1_i| + sum_j |2 w2_ij| bounds every
+# u < sigmoid(a) for the logit argument a summed from the unit's row over the
+# current state. For any state of the other units, a differs from the exact
+# argument by at most t 2^-53 A_i, where t, the row length plus one, bounds
+# the additions behind a and A_i = |w1_i| + sum_j |2 w2_ij| bounds every
 # partial sum. The logistic is 1/4-Lipschitz, and ``sigmoid`` and ``expit``
 # are good to a few 2^-53; the bounds' own sums add at most the row length to
 # t. So u < p_lo[i] implies u < sigmoid(a), and u >= p_hi[i] implies the
-# opposite, while (t + row length) A_i < 4e-9 2^53, about 3.6e7. A call of
-# ``mcmc_welfare``'s chain takes about max(8N, 2^14) steps, so that holds up
-# to N in the millions for A_i of order one (about 2.5 at most on
-# ``sparse_allocate``).
+# opposite, while (t + row length) A_i < 4e-9 2^53, about 3.6e7: for A_i of
+# order one (about 2.5 at most on ``sparse_allocate``) that holds for rows of
+# millions of entries. No sum outlives its step, so the bound does not depend
+# on how long the sampler runs or on its block length.
 SCREEN_MARGIN = 1e-9
 
 
@@ -251,7 +251,8 @@ def check_count(name: str, value) -> None:
 
 
 def check_capacity(n: int, kappa: int) -> int:
-    """kappa, after checking that it lies between 0 and n."""
+    """kappa, after checking that it is an integer between 0 and n."""
+    check_count("kappa", kappa)
     if not 0 <= kappa <= n:
         raise ValueError(f"kappa must be between 0 and n, got {kappa} for n = {n}")
     return kappa
@@ -310,13 +311,6 @@ class WeightSystem:
         r, c, v = nonzero_entries(self.w2)
         return r, c, 2.0 * v
 
-    def _split(self, r: np.ndarray, *flat: list) -> tuple[list, ...]:
-        """Each of the lists ``flat``, entry k in row r[k] (r sorted), cut
-        into one piece per unit; the empty rows share one empty list."""
-        ptr = np.searchsorted(r, np.arange(self.n + 1)).tolist()
-        empty = []
-        return tuple([f[a:b] if a < b else empty for a, b in zip(ptr, ptr[1:])] for f in flat)
-
     @cached_property
     def colour_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """``(units, w1[units], w2[units])`` per class of the instance's
@@ -335,40 +329,23 @@ class WeightSystem:
         argument is w1_i + sum_k vals[i][k] y[cols[i][k]]. Either storage gives
         the same rows. Cached on the system itself, so they live and die with it."""
         r, c, v = self.entries
-        return self._split(r, c.tolist(), v.tolist())
+        ptr = np.searchsorted(r, np.arange(self.n + 1)).tolist()
+        empty = []  # shared by the empty rows
+        return tuple([f[a:b] if a < b else empty for a, b in zip(ptr, ptr[1:])]
+                     for f in (c.tolist(), v.tolist()))
 
     @cached_property
-    def screen(self) -> tuple[np.ndarray, np.ndarray, list[bool], list[list[int]],
-                              list[list[float]]]:
-        """What the single-site sampler needs besides ``row_lists``, per unit i:
-        ``(p_lo, p_hi, kept, push_cols, push_vals)``.
-
-        p_lo[i] <= P(y_i = 1 | y_-i) < p_hi[i] for every state of the other
-        units: the logistic of w1_i plus the sum of the negative (positive)
-        entries of row i, widened by ``SCREEN_MARGIN``. A draw below p_lo[i]
-        or at least p_hi[i] decides unit i's step without its logit argument.
-        p_lo and p_hi are arrays, to screen a block of draws at once; the
-        rest are Python lists, read one step at a time.
-
-        kept[i] says the sampler keeps unit i's argument up to date as its
-        neighbours flip, rather than summing row i over the state when a step
-        needs it. Summing costs the row length per unscreened step, which
-        happens with probability about p_hi - p_lo; keeping costs one update
-        per neighbour flip, and a neighbour j flips with probability about
-        2 m_j (1 - m_j) per step at j, m_j the midpoint of its interval. The
-        cheaper one is taken. push_cols[j], push_vals[j] are the entries of
-        row j whose column is a kept unit: the updates a flip of j makes.
-        """
-        r, c, v = self.entries
-        n = self.n
-        lo = expit(self.w1 + np.bincount(r, np.minimum(v, 0.0), n)) - SCREEN_MARGIN
-        hi = expit(self.w1 + np.bincount(r, np.maximum(v, 0.0), n)) + SCREEN_MARGIN
-        mid = 0.5 * (lo + hi)
-        neighbour_flips = np.bincount(r, (2.0 * mid * (1.0 - mid))[c], n)
-        kept = (hi - lo) * np.bincount(r, minlength=n) > neighbour_flips
-        push = kept[c]
-        return (lo, hi, kept.tolist(),
-                *self._split(r[push], c[push].tolist(), v[push].tolist()))
+    def screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """What the single-site sampler needs besides ``row_lists``: arrays
+        ``(p_lo, p_hi)`` with p_lo[i] <= P(y_i = 1 | y_-i) < p_hi[i] for every
+        state of the other units. Each is the logistic of w1_i plus the sum of
+        the negative (positive) entries of row i, widened by ``SCREEN_MARGIN``.
+        A draw below p_lo[i] or at least p_hi[i] decides unit i's step without
+        its logit argument; the sampler screens a block of draws at once."""
+        r, _, v = self.entries
+        lo = expit(self.w1 + np.bincount(r, np.minimum(v, 0.0), self.n)) - SCREEN_MARGIN
+        hi = expit(self.w1 + np.bincount(r, np.maximum(v, 0.0), self.n)) + SCREEN_MARGIN
+        return lo, hi
 
 
 @dataclass(frozen=True)

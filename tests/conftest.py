@@ -70,16 +70,14 @@ def index_order_sweep(mu, w):
 
 
 def all_steps_redraw(y, w, sites, draws, per_sweep):
-    """``dynamics._redraw`` visiting every step: the same screen, kept fields
-    and pushes, with the screen's decision made in the loop, step by step.
+    """``dynamics._redraw`` visiting every step: the same screen and row
+    sums, with the screen's decision made in the loop, step by step.
     Returns the count of ones after every sweep of ``per_sweep`` steps, and
     the number of steps the screen did not decide; steps past the last whole
     sweep are not run."""
     cols, vals = w.row_lists
-    lo, hi, kept, push_cols, push_vals = w.screen
-    lo, hi = lo.tolist(), hi.tolist()
+    lo, hi = (b.tolist() for b in w.screen)
     w1 = w.w1.tolist()
-    h = (w.w1 + 2.0 * (w.w2 @ y)).tolist() if any(kept) else []
     state = y.tolist()
     ones = int(np.count_nonzero(y))
     counts, read = [], 0
@@ -87,31 +85,15 @@ def all_steps_redraw(y, w, sites, draws, per_sweep):
     for _ in range(len(sites) // per_sweep):
         for i, u in islice(steps, per_sweep):
             if u < lo[i]:
-                if state[i]:
-                    continue
                 new = True
             elif u >= hi[i]:
-                if not state[i]:
-                    continue
                 new = False
             else:
                 read += 1
-                if kept[i]:
-                    a = h[i]
-                else:
-                    a = w1[i] + sum(compress(vals[i], map(state.__getitem__, cols[i])))
-                new = u < sigmoid(a)
-                if new == state[i]:
-                    continue
-            state[i] = new
-            ones += 1 if new else -1
-            if push_cols[i]:
-                if new:
-                    for j, v in zip(push_cols[i], push_vals[i]):
-                        h[j] += v
-                else:
-                    for j, v in zip(push_cols[i], push_vals[i]):
-                        h[j] -= v
+                new = u < sigmoid(w1[i] + sum(compress(vals[i], map(state.__getitem__, cols[i]))))
+            if new != state[i]:
+                state[i] = new
+                ones += 1 if new else -1
         counts.append(ones)
     y[:] = state
     return counts, read

@@ -212,6 +212,26 @@ def test_capacity_errors_share_one_message(check):
         calls[check]()
 
 
+@pytest.mark.parametrize("entry,name,value", [
+    (entry, "kappa", value)
+    for entry in ("greedy", "bfva", "brute_force_optimal", "random") for value in (True, 2.0)
+] + [("random", "draws", 2.5), ("random", "draws", True)])
+def test_counts_must_be_integers(entry, name, value):
+    # kappa=True ran as a capacity of 1, and kappa=2.0 or draws=2.5 failed
+    # inside range() with a bare TypeError.
+    inst = protocol_instance(4, seed=1)
+    args = dict(kappa=2, draws=1) | {name: value}
+    calls = {
+        "greedy": lambda: greedy(inst, args["kappa"], SETTINGS),
+        "bfva": lambda: bfva(inst, args["kappa"], SETTINGS),
+        "brute_force_optimal": lambda: brute_force_optimal(inst, args["kappa"]),
+        "random": lambda: random_allocation_welfare(inst, args["kappa"], args["draws"], 0,
+                                                    lambda d: 0.0),
+    }
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        calls[entry]()
+
+
 class TestOrdering:
     def test_none_below_random_below_greedy(self):
         # Positive-effect benchmark profile: targeted treatment beats

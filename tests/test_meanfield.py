@@ -33,6 +33,14 @@ from tests.conftest import index_order_sweep, protocol_instance, random_instance
 from tests.test_storage import csr_twin
 
 SETTINGS = SolverSettings()
+# Solver starts for 10 units that ``init`` rejects, with the message's pattern.
+BAD_STARTS = [
+    pytest.param(np.full(10, np.nan), r"^init must be finite$", id="nan"),
+    pytest.param(np.r_[np.full(9, 0.5), np.inf], r"^init must be finite$", id="inf"),
+    pytest.param(np.full(9, 0.5), r"^init must have shape \(10,\), got \(9,\)$", id="short"),
+    pytest.param(np.full((10, 1), 0.5), r"^init must have shape \(10,\), got \(10, 1\)$",
+                 id="column"),
+]
 
 
 def _three_product_kernel(instance, allocations, settings, seed=None, init=None):
@@ -272,6 +280,26 @@ class TestFixedPoint:
         for seed in range(1, 30):
             mu = fixed_point_solve(w, SETTINGS, seed=seed).mu
             assert np.abs(mu - reference).max() <= 1e-8
+
+    @pytest.mark.parametrize("solver", ["fixed_point_solve", "solve_allocation"])
+    @pytest.mark.parametrize("init,message", BAD_STARTS)
+    def test_rejects_a_bad_start(self, solver, init, message):
+        # A NaN start ran all max_iter sweeps and never converged; a start of
+        # the wrong length failed inside numpy.
+        inst = protocol_instance(10, seed=2)
+        d = np.zeros(10, dtype=int)
+        with pytest.raises(ValueError, match=message):
+            if solver == "fixed_point_solve":
+                fixed_point_solve(weights(inst, d), SETTINGS, init=init)
+            else:
+                solve_allocation(inst, d, SETTINGS, init=init)
+
+    def test_start_outside_the_unit_interval_is_clipped(self):
+        inst = protocol_instance(10, seed=2)
+        w = weights(inst, np.zeros(10, dtype=int))
+        sol = fixed_point_solve(w, SETTINGS, init=np.linspace(-3.0, 4.0, 10))
+        assert sol.converged
+        assert np.abs(sol.mu - fixed_point_solve(w, SETTINGS, seed=0).mu).max() <= 1e-8
 
     def test_nonconvergence_reported(self, rng):
         inst = protocol_instance(10, seed=2)
@@ -557,6 +585,12 @@ class TestBatchSolver:
                              ThetaParams.from_set(1))
         sol = batch_fixed_point(inst, rng.integers(0, 2, size=(4, 6)), SETTINGS, seed=0)
         assert sol.iterations == 1 and sol.converged.all()
+
+    @pytest.mark.parametrize("init,message", BAD_STARTS)
+    def test_rejects_a_bad_start(self, rng, init, message):
+        inst = protocol_instance(10, seed=2)
+        with pytest.raises(ValueError, match=message):
+            batch_fixed_point(inst, rng.integers(0, 2, size=(3, 10)), SETTINGS, init=init)
 
     @pytest.mark.parametrize("bad", [[[2, 0, 0, 0, 0, 0]], [[0.5, 1, 0, 0, 0, 0]],
                                      [[0, 1, 0, 0, 0]], [[[0] * 6]]])

@@ -368,21 +368,21 @@ class TestMcmcWelfare:
         want = _reference_mcmc(d, inst, sweeps, burn_in, 21, steps_per_sweep)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    # (estimate, stderr) in hex of chains whose screen leaves many steps to
-    # read, frozen while the sampler still kept the logit arguments of 23 and
-    # 45 of their units up to date across neighbour flips: summing each read
-    # step's row instead gives the same chain to the bit.
-    @pytest.mark.parametrize("n,density,set_id,a_n,storage,sweeps,burn_in,want", [
-        pytest.param(30, 0.5, 1, 1.0, "dense", 2000, 500,
+    # (estimate, stderr) in hex of strongly coupled chains, frozen from the
+    # sampler that kept the logit arguments of 23 and 45 of their units up to
+    # date across neighbour flips: summing every read step's row gives the
+    # same bits.
+    @pytest.mark.parametrize("n,density,set_id,seed,a_n,storage,sweeps,burn_in,want", [
+        pytest.param(30, 0.5, 1, 3, 1.0, "dense", 2000, 500,
                      ("0x1.fa5e353f7ced9p-1", "0x1.74a33326224a9p-11"), id="strong-dense"),
-        pytest.param(30, 0.5, 1, 1.0, "csr", 2000, 500,
+        pytest.param(30, 0.5, 1, 3, 1.0, "csr", 2000, 500,
                      ("0x1.fa5e353f7ced9p-1", "0x1.74a33326224a9p-11"), id="strong-csr"),
-        pytest.param(100, 0.6, 2, None, "dense", 1000, 200,
+        pytest.param(100, 0.6, 2, 0, None, "dense", 1000, 200,
                      ("0x1.28ebedfa43fe6p-2", "0x1.bc9030fc850bep-9"), id="set2-100-0.6"),
     ])
-    def test_pinned_chains(self, n, density, set_id, a_n, storage, sweeps, burn_in, want):
-        inst = protocol_instance(n, density=density, set_id=set_id,
-                                 seed=3 if set_id == 1 else 0, a_n=a_n)
+    def test_pinned_chains(self, n, density, set_id, seed, a_n, storage, sweeps, burn_in,
+                           want):
+        inst = protocol_instance(n, density=density, set_id=set_id, seed=seed, a_n=a_n)
         if storage == "csr":
             inst = csr_twin(inst)
         d = (np.arange(n) % 10 < 3).astype(int)  # 30% treated
@@ -575,8 +575,8 @@ class TestVisitedSteps:
         # No value but the state outlives a block, so the chain is the same
         # for blocks of 8 sweeps (the floor that BLOCK_STEPS = 1 leaves), the
         # default length and one block for the whole chain; and it is the
-        # sweep-by-sweep reference's. The a_n = 1 chain reads the argument of
-        # about a third of its steps.
+        # sweep-by-sweep reference's. The weak chain reads the logit argument
+        # at about 3% of its steps, the a_n = 1 chain at about half.
         sweeps, burn_in = 200, 50
         steps = sweeps * (steps_per_sweep or 30)
         default = dynamics.BLOCK_STEPS

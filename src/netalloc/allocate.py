@@ -17,7 +17,6 @@ import numpy as np
 from .exact import _argmax_lexicographic
 from .meanfield import (
     SolverSettings,
-    _coupling_constants,
     _linear_response,
     _tie_tolerance,
     batch_fixed_point,
@@ -77,16 +76,14 @@ def greedy(
     base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
     base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
     certified = instance_certified(instance)
-    constants = _coupling_constants(instance.coupling) if certified else None
-    tie = _tie_tolerance(instance, settings, constants[0]) if certified else 0.0
+    tie = _tie_tolerance(instance, settings)
     for round_idx in range(1, kappa + 1):
         untreated = np.flatnonzero(incumbent.d == 0)
         rows = untreated
-        if certified and base_converged:
-            screen = _linear_response(instance, incumbent.d, base_mu, settings, *constants)
-            if screen is not None:
-                scores, eps, margin = screen
-                rows = untreated[scores + eps >= np.max(scores - eps) - margin - tie]
+        screen = base_converged and _linear_response(instance, incumbent.d, base_mu, settings)
+        if screen:
+            scores, eps, margin = screen
+            rows = untreated[scores + eps >= np.max(scores - eps) - margin - tie]
         candidates = np.tile(incumbent.d, (len(rows), 1))
         candidates[np.arange(len(rows)), rows] = 1
         if certified:
@@ -130,9 +127,7 @@ def bfva(
     settings = settings or SolverSettings()
     allocations = feasible_allocations(instance.n, kappa, max_count=BFVA_MAX_ALLOCATIONS)
     count = allocations.shape[0]
-    tie = 0.0
     if instance_certified(instance):
-        tie = _tie_tolerance(instance, settings, _coupling_constants(instance.coupling)[0])
         values = np.empty(count)
         chunk = 1024
         for start in range(0, count, chunk):
@@ -149,7 +144,7 @@ def bfva(
                 for k in range(count)
             ]
         )
-    best = _argmax_lexicographic(values, allocations, tie=tie)
+    best = _argmax_lexicographic(values, allocations, tie=_tie_tolerance(instance, settings))
     return Allocation.from_vector(allocations[best]), float(values[best])
 
 
@@ -162,9 +157,7 @@ def random_allocation_welfare(
 ) -> float:
     """Average welfare of uniformly drawn allocations with exactly kappa
     treated units, under a caller-supplied welfare evaluator d -> float."""
-    check_count("draws", draws)
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
+    check_count("draws", draws, minimum=1)
     check_capacity(instance.n, kappa)
     rng = np.random.default_rng(seed)
     total = 0.0

@@ -113,13 +113,11 @@ def mcmc_welfare(
     check_count("sweeps", sweeps)
     check_count("burn_in", burn_in)
     if steps_per_sweep is not None:
-        check_count("steps_per_sweep", steps_per_sweep)
+        check_count("steps_per_sweep", steps_per_sweep, minimum=1)
     if sweeps <= burn_in:
         raise ValueError("sweeps must exceed burn_in")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    if steps_per_sweep is not None and steps_per_sweep < 1:
-        raise ValueError(f"steps_per_sweep must be at least 1, got {steps_per_sweep}")
     start = time.perf_counter()
     w = weights(instance, d)
     n = w.n

@@ -246,6 +246,8 @@ class ExperimentConfig:
                 f"unknown allocation method {self.method!r}; "
                 f"choose one of {sorted(ALLOCATORS)}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.kappa is not None and self.kappa < 0:

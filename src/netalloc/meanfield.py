@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, check_count,
-                    linear_weights, to_dense, weights)
+                    linear_weights, weights)
 
 CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
 RESTARTS = 10  # random starts of a per-allocation solve without the certificate
@@ -49,9 +49,7 @@ class SolverSettings:
     def __post_init__(self):
         if not 0 <= self.foc_tol < math.inf:
             raise ValueError(f"foc_tol must be finite and nonnegative, got {self.foc_tol}")
-        check_count("max_iter", self.max_iter)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -317,17 +315,15 @@ def batch_fixed_point(
 _HALF_CURVATURE = 1.0 / (12.0 * math.sqrt(3.0))
 
 
-def _coupling_constants(sm) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums and column maxima of a dense or CSR coupling."""
-    return np.asarray(sm.sum(axis=1)).ravel(), to_dense(sm.max(axis=0)).ravel()
-
-
-def _tie_tolerance(instance: Instance, settings: SolverSettings, row_sums) -> float:
+def _tie_tolerance(instance: Instance, settings: SolverSettings) -> float:
     """2 tau, tau = N (foc_tol + CLAMP) / (1 - R/4) with R as in
     ``_linear_response``: under the certificate a converged solve's welfare
-    lies within tau of the exact one, so values within 2 tau are ties."""
+    lies within tau of the exact one, so values within 2 tau are ties.
+    Without the certificate values compare exactly: 0."""
+    if not instance_certified(instance):
+        return 0.0
     th = instance.theta
-    reach = th.a_n * (abs(th.theta5) + abs(th.theta6)) * row_sums.max()
+    reach = th.a_n * (abs(th.theta5) + abs(th.theta6)) * instance.coupling_bounds[0].max()
     return 2.0 * instance.n * (settings.foc_tol + CLAMP) / (1.0 - reach / 4.0)
 
 
@@ -336,19 +332,17 @@ def _linear_response(
     d: np.ndarray,
     mu: np.ndarray,
     settings: SolverSettings,
-    row_sums: np.ndarray,
-    col_max: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Linear-response scores of treating each untreated unit, with proven
     error bounds, from the incumbent fixed point alone.
 
     Returns ``(s, eps, margin)`` over the units ``np.flatnonzero(d == 0)``,
-    or None when the bound certifies nothing: a denominator below is not
-    positive, or a bound is not finite. ``row_sums`` and ``col_max`` come
-    from ``_coupling_constants(instance.coupling)``. The cost is one product
-    of the coupling for the incumbent (a block of three vectors, which also
-    gives its w1), one per iteration of the v solve and one for u; nothing of size N x N
-    or N x candidates is built.
+    or None when the bound certifies nothing: the instance is not
+    certified, a denominator below is not positive, or a bound is not
+    finite. S_k and C_k below are ``instance.coupling_bounds``. The cost is
+    one product of the coupling for the incumbent (a block of three
+    vectors, which also gives its w1), one per iteration of the v solve and
+    one for u; nothing of size N x N or N x candidates is built.
 
     Notation: sm is the coupling (nonnegative, symmetric, zero diagonal),
     a = a_n, S_k and C_k the row sum and column maximum of sm,
@@ -418,7 +412,9 @@ def _linear_response(
         sum_{i != k} |rho_i| <= a |theta6| (E_k q / 4) (sm d)_k / 4
                                 + 16 q p / (12 sqrt 3).
 
-    The iterated v differs from the exact one by at most err = L / (1 - L)
+    The v iteration stops once its last step is at most foc_tol in the sup
+    norm, or at max_iter, like every solver loop. Wherever it stops, the
+    iterated v differs from the exact one by at most err = L / (1 - L)
     times its last step, where L = R max D bounds the sup-norm Lipschitz
     constant of v -> M (D o v); s_k then moves by at most
     err sum |beta| <= err (|J_k| + a B_k / 4). So
@@ -437,8 +433,11 @@ def _linear_response(
     therefore cannot win the round, and one below that less 2 tau cannot
     come within 2 tau of the winner (``_tie_tolerance``).
     """
+    if not instance_certified(instance):
+        return None
     th = instance.theta
     sm = instance.coupling
+    row_sums, col_max = instance.coupling_bounds
     a, t5, t6 = th.a_n, abs(th.theta5), abs(th.theta6)
     n = mu.shape[0]
     reach = a * (t5 + t6) * row_sums.max()  # R
@@ -454,17 +453,14 @@ def _linear_response(
            - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))
 
     v = np.ones(n)
-    change = last = math.inf
     for _ in range(settings.max_iter):
         dv = slope * v
         p5, p6 = (sm @ np.stack([dv, dd * dv], axis=1)).T
         new = 1.0 + a * (th.theta5 * p5 + th.theta6 * dd * p6)
         change = float(np.abs(new - v).max())
         v = new
-        # Stop at the target or once rounding stalls the contraction.
-        if change <= 1e-14 or change >= last:
+        if change <= settings.foc_tol:
             break
-        last = change
     err = lip / (1.0 - lip) * change
 
     u = slope * v
@@ -491,7 +487,7 @@ def _linear_response(
     eps = ((np.abs(v) + err) * rho_own + (np.abs(v).max() + err) * rho_rest
            + err * (np.abs(jump) + a * b_sum / 4.0))
     tau_eta = n * float(np.abs(eta).max()) / gap
-    margin = _tie_tolerance(instance, settings, row_sums) + 2.0 * tau_eta
+    margin = _tie_tolerance(instance, settings) + 2.0 * tau_eta
     keep = np.flatnonzero(d == 0)
     scores, eps = scores[keep], eps[keep]
     if not (np.isfinite(scores).all() and np.isfinite(eps).all() and math.isfinite(margin)):

@@ -24,6 +24,7 @@ from scipy.special import expit
 from .network import (
     Network,
     SimilarityKernel,
+    check_count,
     check_covariates,
     pair_similarity,
     similarity_bounds,
@@ -244,12 +245,6 @@ class EnumerationCapError(ValueError):
     """Raised when a capacity admits more allocations than may be listed."""
 
 
-def check_count(name: str, value) -> None:
-    """Reject a count that is not an integer, a bool included, by name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def check_capacity(n: int, kappa: int) -> int:
     """kappa, after checking that it is an integer between 0 and n."""
     check_count("kappa", kappa)
@@ -294,6 +289,7 @@ class WeightSystem:
     w2: np.ndarray | sparse.csr_array
     # The instance whose coupling's pattern holds w2's (set by ``weights``):
     # its colouring serves this system, and is not redone per allocation.
+    # A system built without one colours its own w2.
     instance: Instance | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -314,12 +310,13 @@ class WeightSystem:
     @cached_property
     def colour_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """``(units, w1[units], w2[units])`` per class of the instance's
-        ``colour_classes``, for sweeps that update one class at a time: no
-        unit of a class has a w2 entry with another unit of it. Needs the
-        system's instance, so only systems built by ``weights`` have them.
-        The rows keep w2's storage, dense or CSR."""
-        return tuple((units, self.w1[units], self.w2[units])
-                     for units in self.instance.colour_classes)
+        ``colour_classes``, or of ``greedy_colouring(w2)`` for a system built
+        without an instance, for sweeps that update one class at a time: no
+        unit of a class has a w2 entry with another unit of it. The rows keep
+        w2's storage, dense or CSR."""
+        classes = (greedy_colouring(self.w2) if self.instance is None
+                   else self.instance.colour_classes)
+        return tuple((units, self.w1[units], self.w2[units]) for units in classes)
 
     @cached_property
     def row_lists(self) -> tuple[list[list[int]], list[list[float]]]:
@@ -410,6 +407,13 @@ class Instance:
         its nonzero entries among the coupling's, so the classes serve the
         weight system of every allocation."""
         return greedy_colouring(self.coupling)
+
+    @cached_property
+    def coupling_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums and column maxima of the coupling, from either storage:
+        the constants of greedy's candidate screen."""
+        sm = self.coupling
+        return np.asarray(sm.sum(axis=1)).ravel(), to_dense(sm.max(axis=0)).ravel()
 
     @cached_property
     def x_effect2(self) -> np.ndarray:

@@ -19,6 +19,15 @@ from functools import cached_property
 import numpy as np
 
 
+def check_count(name: str, value, minimum: int | None = None) -> None:
+    """Reject, by name, a count that is not an integer (a bool included) or
+    that is below ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class Network:
     """Undirected simple graph on units 0..n-1.
@@ -42,10 +51,12 @@ class Network:
     def from_edges(cls, n: int, edges) -> "Network":
         """Build a network from an iterable of integer (i, j) pairs.
 
-        Duplicate and reversed pairs collapse to a single undirected edge.
-        Integer-valued floats are accepted. The first bad pair, in input
-        order, is the one reported.
+        ``n`` must be a nonnegative integer. Duplicate and reversed pairs
+        collapse to a single undirected edge. Integer-valued floats are
+        accepted as indices. The first bad pair, in input order, is the one
+        reported.
         """
+        check_count("n", n, minimum=0)
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         e = e.reshape(0, 2) if e.size == 0 else e
         if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iuf":
@@ -111,8 +122,7 @@ def erdos_renyi(n: int, density: float, seed: int) -> Network:
     times P, rounded half up. The edge set is drawn uniformly without
     replacement from all unordered pairs. Deterministic given the seed.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_count("n", n, minimum=2)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     n_pairs = n * (n - 1) // 2
@@ -196,11 +206,13 @@ def check_covariates(x) -> np.ndarray:
     return x
 
 
-def _from_l1(l1: np.ndarray, kernel: SimilarityKernel) -> np.ndarray:
-    """Similarity from L1 distances for the distance-based kernels."""
-    if kernel.kind == "absdiff":
-        return l1
-    return 1.0 / (1.0 + l1)
+def _similarity(a, b, kernel: SimilarityKernel) -> np.ndarray:
+    """Similarity of covariate rows a and b, broadcast against each other:
+    the kernel applied to their L1 distance over the last axis."""
+    if kernel.kind == "constant":
+        return np.full(np.broadcast_shapes(a.shape, b.shape)[:-1], kernel.value, dtype=float)
+    l1 = np.abs(a - b).sum(axis=-1)
+    return l1 if kernel.kind == "absdiff" else 1.0 / (1.0 + l1)
 
 
 def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
@@ -211,10 +223,7 @@ def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
     have no self-links.
     """
     x = check_covariates(x)
-    n = x.shape[0]
-    if kernel.kind == "constant":
-        return np.full((n, n), kernel.value, dtype=float)
-    return _from_l1(np.abs(x[:, None, :] - x[None, :, :]).sum(axis=-1), kernel)
+    return _similarity(x[:, None, :], x[None, :, :], kernel)
 
 
 def pair_similarity(x, kernel: SimilarityKernel, rows, cols) -> np.ndarray:
@@ -224,9 +233,7 @@ def pair_similarity(x, kernel: SimilarityKernel, rows, cols) -> np.ndarray:
     for bit: the same differences are summed over the same covariate axis.
     """
     x = check_covariates(x)
-    if kernel.kind == "constant":
-        return np.full(len(rows), kernel.value, dtype=float)
-    return _from_l1(np.abs(x[rows] - x[cols]).sum(axis=-1), kernel)
+    return _similarity(x[rows], x[cols], kernel)
 
 
 # Elements per row block of similarity_bounds: 1 MiB of float64.
@@ -246,15 +253,13 @@ def similarity_bounds(x, kernel: SimilarityKernel) -> tuple[float, float]:
     n = x.shape[0]
     if n < 2:
         return 0.0, 0.0
-    if kernel.kind == "constant":
-        return kernel.value, kernel.value
     rows = np.unique(x, axis=0)
     u, k = rows.shape
-    found = [_from_l1(np.zeros(1), kernel)] if u < n else []  # a repeated row
+    found = [_similarity(rows[:1], rows[:1], kernel)] if u < n else []  # a repeated row
     step = max(1, _BOUNDS_BLOCK // (u * max(k, 1)))
     for start in range(0, u if u > 1 else 0, step):
         idx = np.arange(start, min(start + step, u))
-        block = _from_l1(np.abs(rows[idx, None, :] - rows[None, :, :]).sum(axis=-1), kernel)
+        block = _similarity(rows[idx, None, :], rows[None, :, :], kernel)
         block[idx - start, idx] = np.nan  # the diagonal is not a pair
         found.append([np.nanmin(block), np.nanmax(block)])
     both = np.concatenate(found)

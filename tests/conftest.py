@@ -12,13 +12,7 @@ from netalloc import Allocation, SimilarityKernel, SolverSettings, ThetaParams, 
 from netalloc.allocate import GreedyStep
 from netalloc.exact import _argmax_lexicographic
 from netalloc.experiments import simulation_instance
-from netalloc.meanfield import (
-    CLAMP,
-    _coupling_constants,
-    _tie_tolerance,
-    instance_certified,
-    solve_allocation,
-)
+from netalloc.meanfield import CLAMP, _tie_tolerance, solve_allocation
 from netalloc.model import derive_seed, sigmoid
 from netalloc.network import erdos_renyi
 
@@ -115,9 +109,7 @@ def _unscreened_greedy(instance, kappa, settings=None, seed=0, warm=False):
         return incumbent, trace
     base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
     base_mu, base_welfare = base.mu, base.welfare
-    tie = 0.0
-    if instance_certified(instance):
-        tie = _tie_tolerance(instance, settings, _coupling_constants(instance.coupling)[0])
+    tie = _tie_tolerance(instance, settings)
     for round_idx in range(1, kappa + 1):
         rows = np.flatnonzero(incumbent.d == 0)
         candidates = np.tile(incumbent.d, (len(rows), 1))

@@ -281,6 +281,15 @@ class TestAllocate:
         assert "clamp" in str(result.exception)
         assert not (tmp_path / "allocation.json").exists()
 
+    def test_negative_seed_flag_is_named(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["simulate", "--n", "6", "--reps", "1", "--seed", "-1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert str(result.exception) == "seed must be nonnegative, got -1"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "# i,j\n"])
     def test_edge_file_without_edges_is_named(self, runner, tmp_path, text):
         # Read as a 0-unit network, this used to fail on the covariate count.
@@ -594,6 +603,7 @@ class TestConfigParsing:
             ({"tolerances": {"va_mcmc": float("nan")}}, r"unknown config keys: \['tolerances'\]"),
             ({"tolerances": {"va_mcmc": float("inf")}}, r"unknown config keys: \['tolerances'\]"),
             ({"solver": {"mode": "jacobi"}}, r"unknown solver keys: \['mode'\]"),
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
         ],
     )
     def test_settings_that_would_break_the_run_are_named(self, raw, message):
@@ -637,7 +647,7 @@ class TestConfigParsing:
                                      {"solver": {"restarts": "3"}},
                                      {"sampler": {"sweeps": 60.5, "burn_in": 20}},
                                      {"theta": {"theta0": -2.0}}, {"a_n": -1},
-                                     {"kappa": 9, "sizes": [5]}])
+                                     {"kappa": 9, "sizes": [5]}, {"seed": -1}])
     def test_bad_config_file_fails_before_the_output_directory(self, runner, tmp_path, raw):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))

@@ -258,6 +258,29 @@ class TestFixedPoint:
             assert chromatic.converged and foc_residual(mu, w) <= tight.foc_tol
             assert np.abs(chromatic.mu - mu).max() <= 1e-8
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_hand_built_system_solves_like_the_one_weights_builds(self, rng, storage):
+        # A system built without ``weights`` colours its own w2. Set 1 keeps
+        # every coupling entry in w2, so its classes, and so every sweep, are
+        # the instance's.
+        from netalloc import WeightSystem
+
+        inst = protocol_instance(30, density=0.3, seed=1)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        w = weights(inst, rng.integers(0, 2, size=30))
+        built = fixed_point_solve(w, SETTINGS, seed=0)
+        hand = fixed_point_solve(WeightSystem(w.w1, w.w2), SETTINGS, seed=0)
+        assert hand.converged and hand.iterations == built.iterations
+        np.testing.assert_array_equal(hand.mu, built.mu)
+
+    def test_hand_built_uncoupled_system_solves(self):
+        from netalloc import WeightSystem
+
+        sol = fixed_point_solve(WeightSystem(np.zeros(3), np.zeros((3, 3))))
+        assert sol.converged and sol.iterations == 1
+        np.testing.assert_array_equal(sol.mu, np.full(3, 0.5))
+
     def test_debug_record_reports_the_solve(self, caplog):
         inst = protocol_instance(20, seed=5)
         w = weights(inst, np.zeros(20, dtype=int))

@@ -71,6 +71,8 @@ class TestErdosRenyi:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             erdos_renyi(1, 0.5, seed=0)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 5.0$"):
+            erdos_renyi(5.0, 0.5, seed=0)
         with pytest.raises(ValueError):
             erdos_renyi(5, 0.0, seed=0)
         with pytest.raises(ValueError):
@@ -136,6 +138,19 @@ class TestNetworkValidation:
     def test_rejects_self_links(self):
         with pytest.raises(ValueError, match="self-links"):
             Network.from_edges(3, [(0, 1), (2, 2)])
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (-1, [], r"^n must be at least 0, got -1$"),
+        (-1, [(0, 1)], r"^n must be at least 0, got -1$"),
+        (2.5, [(0, 1)], r"^n must be an integer, got 2.5$"),
+        (True, [], r"^n must be an integer, got True$"),
+    ])
+    def test_rejects_a_bad_size_by_name(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Network.from_edges(n, edges)
+
+    def test_numpy_integer_size_is_accepted(self):
+        assert Network.from_edges(np.int64(3), [(0, 2)]).edge_count == 1
 
 
 class TestFromEdges:

@@ -26,7 +26,7 @@ from netalloc import (
     greedy,
     make_instance,
 )
-from netalloc.meanfield import _coupling_constants, _linear_response, instance_certified
+from netalloc.meanfield import _linear_response, _tie_tolerance, instance_certified
 from netalloc.network import erdos_renyi
 from tests.conftest import _unscreened_greedy, protocol_instance, random_theta
 
@@ -79,12 +79,11 @@ def assert_bound_holds(inst, kappa):
     exact batch gains. The incumbent is column 0 of the candidates' batch,
     so the drift the stopping rule leaves in units a candidate barely moves
     cancels in the difference."""
-    constants = _coupling_constants(inst.coupling)
     _, trace = greedy(inst, kappa, TIGHT, seed=0)
     d = np.zeros(inst.n, dtype=np.int8)
     for step in trace:
         mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=1).mu[:, 0]
-        screen = _linear_response(inst, d, mu, TIGHT, *constants)
+        screen = _linear_response(inst, d, mu, TIGHT)
         assert screen is not None
         scores, eps, margin = screen
         untreated = np.flatnonzero(d == 0)
@@ -129,12 +128,11 @@ def test_error_bound_holds_on_protocol_instance(storage):
 def test_shortlist_is_small_and_keeps_the_winner():
     inst = protocol_instance(150, density=0.3, seed=7)
     settings_ = SolverSettings()
-    constants = _coupling_constants(inst.coupling)
     _, trace = greedy(inst, 8, settings_, seed=0)
     d = np.zeros(inst.n, dtype=np.int8)
     for step in trace:
         mu = batch_fixed_point(inst, d[None, :], settings_, seed=0).mu[:, 0]
-        scores, eps, margin = _linear_response(inst, d, mu, settings_, *constants)
+        scores, eps, margin = _linear_response(inst, d, mu, settings_)
         untreated = np.flatnonzero(d == 0)
         kept = untreated[scores + eps >= np.max(scores - eps) - margin]
         block = np.tile(d, (len(untreated), 1))
@@ -165,15 +163,32 @@ def test_certificate_boundary_solves_every_candidate():
     assert not instance_certified(inst)
     d = np.zeros(n, dtype=np.int8)
     mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=0).mu[:, 0]
-    assert _linear_response(inst, d, mu, TIGHT, *_coupling_constants(inst.coupling)) is None
+    assert _linear_response(inst, d, mu, TIGHT) is None
     _, trace = greedy(inst, 2, seed=0)
     assert [s.screened for s in trace] == [5, 4]
 
 
+def test_uncertified_instance_gets_no_screen_and_no_tie():
+    # Path 0 - 1 - 2 with invdist similarities 1 and 1/11: the certificate
+    # reads m_upper max_degree = 2, the bound's R the row sum 12/11. With
+    # a_n (|theta5| + |theta6|) = 3 the instance is not certified although
+    # R < 4, so the screen steps aside and values compare exactly.
+    net = Network.from_edges(3, [(0, 1), (1, 2)])
+    theta = ThetaParams(-1.0, 0.5, 0.1, 0.2, 0.7, 1.0, 2.0, a_n=1.0)
+    inst = make_instance(net, np.array([[0.0], [0.0], [10.0]]), theta,
+                         kernel=SimilarityKernel.inverse_distance())
+    assert not instance_certified(inst)
+    assert 3.0 * inst.coupling_bounds[0].max() < 4.0
+    d = np.zeros(3, dtype=np.int8)
+    mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=0).mu[:, 0]
+    assert _linear_response(inst, d, mu, TIGHT) is None
+    assert _tie_tolerance(inst, TIGHT) == 0.0
+
+
 def test_coupling_constants_match_for_both_storages():
     inst = protocol_instance(40, density=0.3, seed=1)
-    dense = _coupling_constants(inst.coupling)
-    csr = _coupling_constants(csr_twin(inst).coupling)
+    dense = inst.coupling_bounds
+    csr = csr_twin(inst).coupling_bounds
     for a, b in zip(dense, csr):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(dense[1], inst.coupling.max(axis=0))

@@ -16,7 +16,9 @@ import numpy as np
 
 from .exact import _argmax_lexicographic
 from .meanfield import (
+    Incumbent,
     SolverSettings,
+    _coupling_products,
     _linear_response,
     _tie_tolerance,
     batch_fixed_point,
@@ -65,6 +67,11 @@ def greedy(
     exactly, in one batched iteration. When the incumbent solve did not
     converge or the bound certifies nothing, every candidate is solved.
     ``GreedyStep.nonconverged`` lists only candidates solved exactly.
+    The incumbent's coupling products (``meanfield.Incumbent``) come from
+    one stacked product after the round-0 solve, then from the winning
+    column of each round's batch; the screen and the next batch start from
+    them. At DEBUG level one record per round reports the screened and
+    candidate counts and the batch iterations.
     """
     settings = settings or SolverSettings()
     n = instance.n
@@ -76,29 +83,36 @@ def greedy(
     base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
     base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
     certified = instance_certified(instance)
+    products = _coupling_products(instance, incumbent.d, base_mu) if certified else None
     tie = _tie_tolerance(instance, settings)
     for round_idx in range(1, kappa + 1):
         untreated = np.flatnonzero(incumbent.d == 0)
         rows = untreated
-        screen = base_converged and _linear_response(instance, incumbent.d, base_mu, settings)
+        screen = base_converged and _linear_response(instance, incumbent.d, base_mu, settings,
+                                                     products)
         if screen:
             scores, eps, margin = screen
             rows = untreated[scores + eps >= np.max(scores - eps) - margin - tie]
         candidates = np.tile(incumbent.d, (len(rows), 1))
         candidates[np.arange(len(rows)), rows] = 1
         if certified:
-            batch = batch_fixed_point(instance, candidates, settings, init=base_mu)
+            batch = batch_fixed_point(instance, candidates, settings,
+                                      init=Incumbent(incumbent.d, base_mu, products))
             values, mus, converged = batch.welfare, batch.mu, batch.converged
+            iterations = batch.iterations
         else:
             sols = [solve_allocation(instance, c, settings, init=base_mu) for c in candidates]
             values = np.array([sol.welfare for sol in sols])
             mus = np.column_stack([sol.mu for sol in sols])
             converged = np.array([sol.converged for sol in sols])
+            iterations = None
         best = _argmax_lexicographic(values, candidates, tie=tie)
         unit = int(rows[best])
         delta = float(values[best] - base_welfare)
         log.debug("greedy round %d: %d of %d candidates solved exactly",
-                  round_idx, len(rows), len(untreated))
+                  round_idx, len(rows), len(untreated), extra={
+                      "round": round_idx, "screened": len(rows), "candidates": len(untreated),
+                      "batch_iterations": iterations})
         trace.append(
             GreedyStep(round=round_idx, unit=unit, delta=delta,
                        nonconverged=tuple(int(i) for i in rows[~converged]),
@@ -108,6 +122,8 @@ def greedy(
         base_welfare = float(values[best])
         base_mu = mus[:, best].copy()
         base_converged = bool(converged[best])
+        if certified:
+            products = tuple(p[:, best].copy() for p in batch.products)
     return incumbent, trace
 
 
@@ -123,27 +139,28 @@ def bfva(
     the best, breaking welfare ties toward the lexicographically smallest
     treated set (within ``meanfield._tie_tolerance`` on certified
     instances, whose whole enumeration is solved in batched chunks).
+    Solves that stopped at max_iter are counted in one WARNING record.
     """
     settings = settings or SolverSettings()
     allocations = feasible_allocations(instance.n, kappa, max_count=BFVA_MAX_ALLOCATIONS)
     count = allocations.shape[0]
+    values = np.empty(count)
+    converged = np.empty(count, dtype=bool)
     if instance_certified(instance):
-        values = np.empty(count)
         chunk = 1024
         for start in range(0, count, chunk):
             block = allocations[start : start + chunk]
-            values[start : start + chunk] = batch_fixed_point(
-                instance, block, settings, seed=seed
-            ).welfare
+            batch = batch_fixed_point(instance, block, settings, seed=seed)
+            values[start : start + chunk] = batch.welfare
+            converged[start : start + chunk] = batch.converged
     else:
-        values = np.array(
-            [
-                solve_allocation(
-                    instance, allocations[k], settings, seed=derive_seed(seed, k)
-                ).welfare
-                for k in range(count)
-            ]
-        )
+        for k in range(count):
+            sol = solve_allocation(instance, allocations[k], settings, seed=derive_seed(seed, k))
+            values[k], converged[k] = sol.welfare, sol.converged
+    failed = int(count - converged.sum())
+    if failed:
+        log.warning("bfva: %d of %d allocation solves stopped at max_iter", failed, count,
+                    extra={"nonconverged": failed})
     best = _argmax_lexicographic(values, allocations, tie=_tie_tolerance(instance, settings))
     return Allocation.from_vector(allocations[best]), float(values[best])
 

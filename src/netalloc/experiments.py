@@ -39,6 +39,7 @@ from .model import (
     Instance,
     ThetaParams,
     check_capacity,
+    check_count,
     derive_seed,
     make_instance,
     weights,
@@ -136,6 +137,8 @@ class SamplerSettings:
     burn_in: int = 5_000
 
     def __post_init__(self):
+        check_count("sweeps", self.sweeps)
+        check_count("burn_in", self.burn_in)
         if not self.sweeps > self.burn_in >= 0:
             raise ValueError(
                 f"sampler needs sweeps > burn_in >= 0, got sweeps={self.sweeps}, "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -206,18 +207,44 @@ def approx_welfare(
     settings: SolverSettings | None = None,
     seed: int | None = None,
 ) -> float:
-    """Approximated equilibrium welfare, the sum of mean-field marginals."""
-    return solve_allocation(instance, d, settings, seed=seed).welfare
+    """Approximated equilibrium welfare, the sum of mean-field marginals.
+    A solve that stopped at max_iter is reported in one WARNING record."""
+    sol = solve_allocation(instance, d, settings, seed=seed)
+    if not sol.converged:
+        log.warning("approximate welfare from a solve that stopped at max_iter, residual %.3g",
+                    sol.foc_residual, extra={"nonconverged": 1})
+    return sol.welfare
 
 
 @dataclass(frozen=True)
 class BatchSolution:
-    """Mean-field fixed points for a batch of allocations, one per column."""
+    """Mean-field fixed points for a batch of allocations, one per column.
+    ``products`` are the coupling products of the returned marginals, each
+    (n, batch): ``sm @ (d * mu)``, ``sm @ mu`` and ``sm @ d``."""
 
     mu: np.ndarray  # (n, batch)
     welfare: np.ndarray
     converged: np.ndarray
     iterations: int
+    products: tuple
+
+
+class Incumbent(NamedTuple):
+    """A solved allocation that ``batch_fixed_point`` can start from: the
+    allocation d, its marginals mu, and the coupling products
+    (sm @ (d * mu), sm @ mu, sm @ d) of that mu, as ``_coupling_products``
+    or a ``BatchSolution`` column gives them."""
+
+    d: np.ndarray
+    mu: np.ndarray
+    products: tuple
+
+
+def _coupling_products(instance: Instance, d, mu: np.ndarray) -> tuple:
+    """(sm @ (d * mu), sm @ mu, sm @ d) for one allocation and its
+    marginals, from one stacked product."""
+    dd = np.asarray(d, dtype=float)
+    return tuple((instance.coupling @ np.stack([dd * mu, mu, dd], axis=1)).T)
 
 
 def batch_fixed_point(
@@ -225,7 +252,7 @@ def batch_fixed_point(
     allocations: np.ndarray,
     settings: SolverSettings | None = None,
     seed: int | None = None,
-    init: np.ndarray | None = None,
+    init: np.ndarray | Incumbent | None = None,
 ) -> BatchSolution:
     """Solve the fixed-point conditions for many allocations at once.
 
@@ -233,11 +260,12 @@ def batch_fixed_point(
     marginals, which turns a candidate sweep into a handful of coupling
     products (dense BLAS, or CSR for a sparse coupling). ``allocations`` is
     one allocation or a (batch, n) block of them. Every column starts from
-    ``init`` when given (a finite vector of length n), otherwise from its
-    own uniform random draw controlled by ``seed``. Intended for certified
-    instances, where the fixed point is unique and independent of the
-    update schedule; callers should fall back to per-allocation solves
-    when the certificate fails.
+    ``init`` when given (a finite vector of length n, or an ``Incumbent``
+    whose marginals are the start), otherwise from its own uniform random
+    draw controlled by ``seed``. Intended for certified instances, where
+    the fixed point is unique and independent of the update schedule;
+    callers should fall back to per-allocation solves when the certificate
+    fails.
 
     A column has converged once one more step moves it by at most foc_tol
     in the sup norm, and the call returns when every column has, or at
@@ -249,16 +277,25 @@ def batch_fixed_point(
     w1 (``linear_weights``) takes one coupling product. Each iteration
     does two more, ``sm @ mu`` and ``sm @ (d * mu)``, for the iterate it
     checks, and takes the next iterate from them: a call does
-    ``3 + 2 * iterations`` products. w1's ``sm @ d`` and ``sm @ (d * mu)``
-    only need the block's treated support (the units some column treats),
-    so they read only those columns of the coupling, gathered once per
-    call: an iteration costs n (n + |support|) multiply-adds per column
-    against 2 n^2, and a greedy round (an incumbent of r units plus one
-    unit per column) has |support| <= r + batch. A block that treats every
-    unit uses the coupling itself. Besides the products and the gathered
-    arrays, every (n, batch) array lives in one of five buffers allocated
-    up front: the allocations, w1, the current and the next iterate, and
-    one scratch array.
+    ``3 + 2 * iterations`` products. ``BatchSolution.products`` keeps the
+    last ones, which are those of the returned marginals. w1's ``sm @ d``
+    and ``sm @ (d * mu)`` only need the block's treated support (the units
+    some column treats), so they read only those columns of the coupling,
+    gathered once per call: an iteration costs n (n + |support|)
+    multiply-adds per column against 2 n^2, and a greedy round (an
+    incumbent of r units plus one unit per column) has |support| <= r +
+    batch. A block that treats every unit uses the coupling itself.
+
+    An ``Incumbent`` start (d0, x0, products) replaces the products of w1
+    and of the first step: ``sm @ d`` and ``sm @ (d * x0)`` are the
+    incumbent's plus one product with the coupling's columns of the units
+    where some column differs from d0, and ``sm @ x0`` is the incumbent's.
+    The call then does ``1 + 2 * iterations`` products, and its marginals
+    differ from a start at the vector x0 by rounding alone.
+
+    Besides the products and the gathered arrays, every (n, batch) array
+    lives in one of five buffers allocated up front: the allocations, w1,
+    the current and the next iterate, and one scratch array.
     """
     settings = settings or SolverSettings()
     th = instance.theta
@@ -270,9 +307,21 @@ def batch_fixed_point(
         sm_d = sm[:, support]
     else:
         sm_d, support = sm, slice(None)
-    w1 = linear_weights(instance, dt, coupled=sm_d @ dt[support])
-    if init is not None:
-        mu = np.tile(_checked_init(init, n)[:, None], (1, batch))
+    if isinstance(init, Incumbent):
+        start = _checked_init(init.mu, n)
+        moved = dt - allocation_vector(init.d, n).astype(float)[:, None]
+        diff = np.flatnonzero(moved.any(axis=1))
+        moved = moved[diff]
+        shift = sm[:, diff] @ np.hstack([moved, moved * start[diff, None]])
+        d_mu, mu_sum, d_sum = init.products
+        coupled = d_sum[:, None] + shift[:, :batch]
+        first = (mu_sum[:, None], d_mu[:, None] + shift[:, batch:])
+    else:
+        coupled = sm_d @ dt[support]
+        start = None if init is None else _checked_init(init, n)
+    w1 = linear_weights(instance, dt, coupled=coupled)
+    if start is not None:
+        mu = np.tile(start[:, None], (1, batch))
     else:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(size=(n, batch))
@@ -281,32 +330,41 @@ def batch_fixed_point(
     nxt = np.empty_like(cur)
     tmp = np.empty_like(cur)
 
-    def step(mu, out):
-        """The iterate after ``mu``, into ``out``. The order of the
-        elementwise operations fixes every rounding; tests pin the output
-        bit for bit to a reference."""
-        np.multiply(dt, mu, out=tmp)
-        p2 = sm_d @ tmp[support]
-        p1 = sm @ mu
-        np.multiply(p1, th.theta5, out=p1)
+    def advance(p1, p2, out):
+        """The iterate whose ``sm @ mu`` is p1 and ``sm @ (d * mu)`` p2,
+        into ``out``. The order of the elementwise operations fixes every
+        rounding; tests pin the output bit for bit to a reference."""
+        np.multiply(p1, th.theta5, out=out)
         np.multiply(dt, th.theta6, out=tmp)
-        np.multiply(tmp, p2, out=p2)
-        np.add(p1, p2, out=p1)
-        np.multiply(p1, th.a_n, out=p1)
-        np.add(w1, p1, out=out)
+        np.multiply(tmp, p2, out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(out, th.a_n, out=out)
+        np.add(w1, out, out=out)
         expit(out, out=out)
         np.clip(out, lo, hi, out=out)
 
-    step(cur, nxt)
+    def step(mu, out):
+        """The iterate after ``mu``, into ``out``; returns mu's products."""
+        np.multiply(dt, mu, out=tmp)
+        p2 = sm_d @ tmp[support]
+        p1 = sm @ mu
+        advance(p1, p2, out)
+        return p2, p1
+
+    if isinstance(init, Incumbent):
+        advance(*first, nxt)
+    else:
+        step(cur, nxt)
     for iterations in range(1, settings.max_iter + 1):
         cur, nxt = nxt, cur  # cur: the iterate this iteration checks
-        step(cur, nxt)
+        d_mu, mu_sum = step(cur, nxt)
         residual = np.abs(np.subtract(nxt, cur, out=tmp), out=tmp).max(axis=0)
         done = residual <= settings.foc_tol
         if done.all():
             break
     return BatchSolution(
-        mu=cur, welfare=cur.sum(axis=0), converged=done, iterations=iterations
+        mu=cur, welfare=cur.sum(axis=0), converged=done, iterations=iterations,
+        products=(d_mu, mu_sum, coupled),
     )
 
 
@@ -332,6 +390,7 @@ def _linear_response(
     d: np.ndarray,
     mu: np.ndarray,
     settings: SolverSettings,
+    products: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Linear-response scores of treating each untreated unit, with proven
     error bounds, from the incumbent fixed point alone.
@@ -340,9 +399,12 @@ def _linear_response(
     or None when the bound certifies nothing: the instance is not
     certified, a denominator below is not positive, or a bound is not
     finite. S_k and C_k below are ``instance.coupling_bounds``. The cost is
-    one product of the coupling for the incumbent (a block of three
-    vectors, which also gives its w1), one per iteration of the v solve and
-    one for u; nothing of size N x N or N x candidates is built.
+    one product of the coupling (a block of two vectors) per iteration of
+    the v solve, whose last input gives u's products too. ``products`` are
+    the incumbent's (sm @ (d o mu), sm @ mu, sm @ d), which also give its
+    w1; when None, one stacked product computes them
+    (``_coupling_products``). Nothing of size N x N or N x candidates is
+    built.
 
     Notation: sm is the coupling (nonnegative, symmetric, zero diagonal),
     a = a_n, S_k and C_k the row sum and column maximum of sm,
@@ -413,10 +475,11 @@ def _linear_response(
                                 + 16 q p / (12 sqrt 3).
 
     The v iteration stops once its last step is at most foc_tol in the sup
-    norm, or at max_iter, like every solver loop. Wherever it stops, the
-    iterated v differs from the exact one by at most err = L / (1 - L)
-    times its last step, where L = R max D bounds the sup-norm Lipschitz
-    constant of v -> M (D o v); s_k then moves by at most
+    norm, or at max_iter, like every solver loop, and keeps that step's
+    input v. Wherever it stops, that v differs from the exact one by at
+    most err = change / (1 - L), with change the sup norm of its last step
+    and L = R max D the sup-norm Lipschitz constant bound of
+    v -> M (D o v); s_k then moves by at most
     err sum |beta| <= err (|J_k| + a B_k / 4). So
 
         |g_k - s_k| <= eps_k = (|v_k| + err) |rho_k|
@@ -447,24 +510,23 @@ def _linear_response(
     if not (gap > 0 and lip < 1):
         return None
     dd = d.astype(float)
-    dmu_sum, mu_sum, d_sum = (sm @ np.stack([dd * mu, mu, dd], axis=1)).T
+    dmu_sum, mu_sum, d_sum = (_coupling_products(instance, dd, mu) if products is None
+                               else products)
     logit = np.log(mu) - np.log1p(-mu)
     eta = (logit - linear_weights(instance, dd, coupled=d_sum)
            - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))
 
-    v = np.ones(n)
+    new = np.ones(n)
     for _ in range(settings.max_iter):
-        dv = slope * v
-        p5, p6 = (sm @ np.stack([dv, dd * dv], axis=1)).T
-        new = 1.0 + a * (th.theta5 * p5 + th.theta6 * dd * p6)
-        change = float(np.abs(new - v).max())
         v = new
+        u = slope * v
+        u_sum, du_sum = (sm @ np.stack([u, dd * u], axis=1)).T
+        new = 1.0 + a * (th.theta5 * u_sum + th.theta6 * dd * du_sum)
+        change = float(np.abs(new - v).max())
         if change <= settings.foc_tol:
             break
-    err = lip / (1.0 - lip) * change
+    err = change / (1.0 - lip)
 
-    u = slope * v
-    u_sum, du_sum = (sm @ np.stack([u, dd * u], axis=1)).T
     mu_hat = expit(logit + th.theta1 + instance.x_effect3 + a * th.theta6 * dmu_sum)
     jump = mu_hat - mu
     scores = v * jump + a * (th.theta4 * u_sum + th.theta6 * mu_hat * du_sum)

@@ -1,5 +1,6 @@
 """Greedy, exhaustive, random, and baseline allocation strategies."""
 
+import logging
 import math
 
 import numpy as np
@@ -12,13 +13,15 @@ from netalloc import (
     SolverSettings,
     ThetaParams,
     approx_welfare,
+    batch_fixed_point,
     bfva,
     brute_force_optimal,
     greedy,
     make_instance,
     random_allocation_welfare,
 )
-from netalloc.meanfield import instance_certified
+from netalloc.meanfield import instance_certified, solve_allocation
+from netalloc.model import derive_seed, feasible_allocations
 from tests.conftest import _unscreened_greedy, protocol_instance, random_instance
 
 SETTINGS = SolverSettings()
@@ -152,6 +155,29 @@ class TestBfva:
         inst = ring_instance()
         allocation, _ = bfva(inst, 2, SETTINGS, seed=seed)
         assert allocation.treated == brute_force_optimal(inst, 2)[0].treated == (0, 1)
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_stopped_solves_are_reported(self, caplog, certified):
+        inst = (protocol_instance(10, seed=1) if certified
+                else protocol_instance(6, set_id=2, seed=2, a_n=1.0))
+        assert instance_certified(inst) is certified
+        settings = SolverSettings(max_iter=1)
+        allocations = feasible_allocations(inst.n, 2)
+        if certified:
+            stopped = int((~batch_fixed_point(inst, allocations, settings, seed=0).converged).sum())
+        else:
+            stopped = sum(not solve_allocation(inst, a, settings, seed=derive_seed(0, k)).converged
+                          for k, a in enumerate(allocations))
+        assert stopped > 0
+        with caplog.at_level(logging.WARNING, logger="netalloc.allocate"):
+            bfva(inst, 2, settings)
+        (record,) = caplog.records
+        assert record.levelname == "WARNING" and record.name == "netalloc.allocate"
+        assert record.nonconverged == stopped
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="netalloc.allocate"):
+            bfva(inst, 2, SETTINGS)
+        assert caplog.records == []
 
     def test_uncertified_instance_uses_per_allocation_solves(self):
         inst = protocol_instance(6, set_id=2, seed=2, a_n=1.0)

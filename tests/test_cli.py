@@ -612,6 +612,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("sweeps,burn_in,message", [
+        (100.5, 10, "sweeps must be an integer, got 100.5"),
+        (True, 0, "sweeps must be an integer, got True"),
+        (100, 10.0, "burn_in must be an integer, got 10.0"),
+        (100, False, "burn_in must be an integer, got False"),
+    ])
+    def test_sampler_counts_must_be_integers(self, sweeps, burn_in, message):
+        from netalloc.experiments import SamplerSettings
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SamplerSettings(sweeps=sweeps, burn_in=burn_in)
+        assert SamplerSettings(sweeps=np.int64(100), burn_in=np.int32(10)).sweeps == 100
+
     def test_constants_are_not_settings(self):
         # The restart count, the sweep length and validate's tolerances are
         # module constants, not config keys.

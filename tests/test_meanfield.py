@@ -27,7 +27,7 @@ from netalloc import (
     weights,
 )
 from netalloc import meanfield
-from netalloc.meanfield import instance_certified
+from netalloc.meanfield import Incumbent, _coupling_products, instance_certified
 from netalloc.model import sigmoid
 from tests.conftest import index_order_sweep, protocol_instance, random_instance
 from tests.test_storage import csr_twin
@@ -123,6 +123,33 @@ def _greedy_block(n, treated, rng):
     block = np.tile(incumbent, (len(candidates), 1))
     block[np.arange(len(candidates)), candidates] = 1
     return block
+
+
+def _incumbent_block(n, treated, change, rng):
+    """An incumbent treating ``treated`` random units, and five columns that
+    differ from it: each adds one unit (``one``), adds two or three
+    (``several``), or drops a treated unit, every other column also adding
+    one (``removed``)."""
+    units = rng.permutation(n)
+    incumbent = np.zeros(n, dtype=np.int8)
+    incumbent[units[:treated]] = 1
+    free = units[treated:]
+    block = np.tile(incumbent, (5, 1))
+    for j in range(5):
+        if change == "one":
+            block[j, free[j]] = 1
+        elif change == "several":
+            block[j, free[3 * j:3 * j + 2 + j % 2]] = 1
+        else:
+            block[j, units[j % treated]] = 0
+            block[j, free[j]] = j % 2
+    return incumbent, block
+
+
+# (treated units of the incumbent, how the columns differ from it)
+HANDOFF_CASES = [(treated, change) for treated in (0, 1, 9)
+                 for change in ("one", "several", "removed")
+                 if treated or change != "removed"]
 
 
 class TestObjective:
@@ -412,6 +439,18 @@ class TestApproxWelfare:
             kl = exact_kl(sol.mu, dist)
             assert abs(dist.welfare - sol.welfare) <= math.sqrt(2 * max(kl, 0)) + 1e-9
 
+    def test_stopped_solve_is_reported(self, caplog):
+        inst = protocol_instance(10, seed=1)
+        d = np.zeros(10, dtype=int)
+        with caplog.at_level("WARNING", logger="netalloc.meanfield"):
+            approx_welfare(d, inst, SolverSettings(max_iter=1), seed=0)
+        (record,) = caplog.records
+        assert record.levelname == "WARNING" and record.nonconverged == 1
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="netalloc.meanfield"):
+            approx_welfare(d, inst, SETTINGS, seed=0)
+        assert caplog.records == []
+
     def test_restarts_deterministic_without_certificate(self):
         inst = protocol_instance(8, set_id=2, seed=1, a_n=1.0)
         assert not instance_certified(inst)
@@ -565,6 +604,73 @@ class TestBatchSolver:
         assert len(counting.widths) == 3 + 2 * sol.iterations
         assert sorted(counting.widths) == [support] * (2 + sol.iterations) + [n] * (
             1 + sol.iterations)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("max_iter", [1, 100_000])
+    def test_products_are_those_of_the_returned_marginals(self, rng, storage, max_iter):
+        n = 30
+        inst = protocol_instance(n, seed=3)
+        dense = inst.coupling
+        if storage == "csr":
+            inst = csr_twin(inst)
+        allocations = _greedy_block(n, 5, rng)
+        sol = batch_fixed_point(inst, allocations, SolverSettings(max_iter=max_iter), seed=2)
+        dt = allocations.T.astype(float)
+        expected = (dense @ (dt * sol.mu), dense @ sol.mu, dense @ dt)
+        for got, want in zip(sol.products, expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("treated,change", HANDOFF_CASES)
+    def test_incumbent_start_matches_the_vector_start(self, storage, set_id, treated, change):
+        # The incumbent and its products come from a solve, as greedy hands
+        # them on; only the rounding of the first products differs.
+        n = 30
+        inst = protocol_instance(n, set_id=set_id, seed=set_id)
+        if storage == "csr":
+            inst = csr_twin(inst)
+        incumbent, block = _incumbent_block(n, treated, change, np.random.default_rng(treated))
+        solved = batch_fixed_point(inst, incumbent, SETTINGS, seed=4)
+        start = solved.mu[:, 0]
+        held = Incumbent(incumbent, start, tuple(p[:, 0] for p in solved.products))
+        plain = batch_fixed_point(inst, block, SETTINGS, init=start)
+        sol = batch_fixed_point(inst, block, SETTINGS, init=held)
+        assert sol.iterations == plain.iterations
+        assert sol.converged.tobytes() == plain.converged.tobytes()
+        np.testing.assert_allclose(sol.mu, plain.mu, rtol=0, atol=1e-12)
+        for got, want in zip(sol.products, plain.products):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 100_000])
+    def test_incumbent_start_takes_one_product_before_the_iterations(
+            self, rng, storage, max_iter):
+        # One product reads the columns of the units where a column differs
+        # from the incumbent; each iteration then reads the gathered treated
+        # columns and the whole coupling.
+        n = 20
+        inst = protocol_instance(n, seed=6)
+        incumbent, block = _incumbent_block(n, 4, "several", rng)
+        start = rng.uniform(size=n)
+        held = Incumbent(incumbent, start, _coupling_products(inst, incumbent, start))
+        dense = inst.coupling
+        counting = (dense.view(_SharedCountCoupling) if storage == "dense"
+                    else _SharedCountCSR(dense))
+        counting.widths = []
+        inst.__dict__["coupling"] = counting
+        sol = batch_fixed_point(inst, block, SolverSettings(max_iter=max_iter), init=held)
+        diff = int((block != incumbent).any(axis=0).sum())
+        support = int(block.any(axis=0).sum())
+        assert diff < support < n
+        assert counting.widths == [diff] + [support, n] * sol.iterations
+
+    @pytest.mark.parametrize("init,message", BAD_STARTS)
+    def test_rejects_a_bad_incumbent_start(self, rng, init, message):
+        inst = protocol_instance(10, seed=2)
+        held = Incumbent(np.zeros(10, dtype=np.int8), init, None)
+        with pytest.raises(ValueError, match=message):
+            batch_fixed_point(inst, rng.integers(0, 2, size=(3, 10)), SETTINGS, init=held)
 
     @pytest.mark.parametrize("start", ["random", "init1d"])
     def test_invariant_under_batch_split(self, rng, start):

@@ -26,6 +26,7 @@ from netalloc import (
     greedy,
     make_instance,
 )
+from netalloc import allocate
 from netalloc.meanfield import _linear_response, _tie_tolerance, instance_certified
 from netalloc.network import erdos_renyi
 from tests.conftest import _unscreened_greedy, protocol_instance, random_theta
@@ -74,16 +75,17 @@ def csr_twin(inst):
     return twin
 
 
-def assert_bound_holds(inst, kappa):
+def assert_bound_holds(inst, kappa, screen_settings=TIGHT):
     """|s_k - g_k| <= eps_k at every round of a greedy run, with g_k the
-    exact batch gains. The incumbent is column 0 of the candidates' batch,
-    so the drift the stopping rule leaves in units a candidate barely moves
-    cancels in the difference."""
+    exact batch gains and the screen run with ``screen_settings``. The
+    incumbent is column 0 of the candidates' batch, so the drift the
+    stopping rule leaves in units a candidate barely moves cancels in the
+    difference."""
     _, trace = greedy(inst, kappa, TIGHT, seed=0)
     d = np.zeros(inst.n, dtype=np.int8)
     for step in trace:
         mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=1).mu[:, 0]
-        screen = _linear_response(inst, d, mu, TIGHT)
+        screen = _linear_response(inst, d, mu, screen_settings)
         assert screen is not None
         scores, eps, margin = screen
         untreated = np.flatnonzero(d == 0)
@@ -123,6 +125,52 @@ def test_error_bound_holds_on_random_instances(inst, kappa):
 def test_error_bound_holds_on_protocol_instance(storage):
     inst = protocol_instance(120, density=0.3, seed=5)
     assert_bound_holds(inst if storage == "dense" else csr_twin(inst), 6)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_error_bound_holds_when_the_v_solve_is_cut(storage, max_iter):
+    # err = change / (1 - L) bounds the last input v wherever the loop stops.
+    inst = protocol_instance(80, density=0.3, seed=5)
+    assert_bound_holds(inst if storage == "dense" else csr_twin(inst), 4,
+                       replace(TIGHT, max_iter=max_iter))
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_handed_in_products_give_the_screen_it_computes(storage):
+    # Greedy hands the screen the products its last batch made for the
+    # winning column.
+    inst = protocol_instance(60, density=0.3, seed=2)
+    if storage == "csr":
+        inst = csr_twin(inst)
+    d = np.zeros(inst.n, dtype=np.int8)
+    d[[3, 17, 40]] = 1
+    solved = batch_fixed_point(inst, d, TIGHT, seed=0)
+    mu = solved.mu[:, 0]
+    handed = _linear_response(inst, d, mu, TIGHT, tuple(p[:, 0] for p in solved.products))
+    for got, want in zip(handed, _linear_response(inst, d, mu, TIGHT)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_round_records_carry_the_counts(caplog, monkeypatch, certified):
+    inst = (protocol_instance(30, density=0.3, seed=4) if certified
+            else protocol_instance(12, density=0.4, set_id=2, seed=0))
+    assert instance_certified(inst) is certified
+    iterations = []
+
+    def batch(*args, **kwargs):
+        sol = batch_fixed_point(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(allocate, "batch_fixed_point", batch)
+    with caplog.at_level(logging.DEBUG, logger="netalloc.allocate"):
+        _, trace = greedy(inst, 3, seed=0)
+    records = [r for r in caplog.records if r.name == "netalloc.allocate"]
+    assert [(r.round, r.screened, r.candidates, r.batch_iterations) for r in records] == [
+        (s.round, s.screened, inst.n - s.round + 1, it)
+        for s, it in zip(trace, iterations if certified else [None] * 3)]
 
 
 def test_shortlist_is_small_and_keeps_the_winner():

@@ -2,8 +2,14 @@
 
 The stationary law p(y) ~ exp(w1'y + y'w2y) has a pair term only where
 m_ij * G_ij is nonzero. One routine, ``_eliminate``, sums the units out in
-min-fill order over that coupled-pair graph (bucket elimination), in
-O(N 2^(w+1)) work per allocation for elimination width w. From it come
+min-fill order over that coupled-pair graph (bucket elimination; Dechter,
+1999), in O(N 2^(w+1)) work per allocation for elimination width w. The
+order is the instance's ``elimination_order``, computed once, since every
+allocation's pairs are among the coupling's. Factors keep a batch's
+allocations on their last axis, so every elementwise loop runs along them,
+and a unit is summed out by a log-sum-exp of exp, log and a maximum,
+without ``np.logaddexp`` (over ten times dearer per element than
+``np.exp``). From it come
 log Z and the choice marginals, exact welfare of one or a batch of
 allocations, exact KL divergences against independent-Bernoulli laws, and
 the exact optimal allocation under a capacity: the ground truth every
@@ -24,6 +30,7 @@ from .model import (
     allocation_vector,
     feasible_allocations,
     linear_weights,
+    min_fill_order,
     nonzero_entries,
     pair_weights,
     weights,
@@ -63,76 +70,84 @@ def _check_size(n: int, cap: int):
         )
 
 
-def _min_fill_order(n: int, iu, ju) -> list[tuple[int, list[int]]]:
-    """(unit, its neighbours) per min-fill elimination step over the graph with
-    edges (iu[k], ju[k]): the unit whose neighbours have the fewest unlinked
-    pairs goes next (then fewest neighbours, lowest index); they get linked."""
-    nbrs = [set() for _ in range(n)]
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    order, left = [], set(range(n))
-    while left:
-        # A neighbour a of u misses len(nbrs[u] - nbrs[a]) - 1 others.
-        v = min(left, key=lambda u: (
-            sum(len(nbrs[u] - nbrs[a]) - 1 for a in nbrs[u]), len(nbrs[u]), u))
-        for a in nbrs[v]:
-            nbrs[a] = (nbrs[a] | nbrs[v]) - {a, v}
-        order.append((v, sorted(nbrs[v])))
-        left.remove(v)
-    return order
-
-
-def _sum_out(v: int, rest: list[int], mine: list, stat: np.ndarray) -> tuple:
-    """The factor over ``rest`` left by summing unit v out of the factors
-    ``mine`` (every factor that holds v): log-weights by ``logaddexp`` over
+def _sum_out(v: int, mine: list, stat: np.ndarray) -> tuple:
+    """The factor over the other units of ``mine`` (every factor that holds
+    v) left by summing unit v out of them: log-weights by a log-sum-exp over
     y_v, statistics averaged under the conditional law of y_v, with v's own
-    row of ``stat`` added where y_v = 1."""
-    scope = sorted([v, *rest])
-    logw, parts = 0.0, []
+    row of ``stat`` added where y_v = 1.
+
+    Each factor is aligned to the joint scope by a copy-free reshape that
+    gives it a length-1 axis for every unit it lacks. The factors in
+    ``mine`` are spent, so their sum may be one of them, and it is
+    overwritten in place.
+    """
+    scope = sorted({u for units, _, _ in mine for u in units})
+    tables, parts = [], []
     for units, table, part in mine:
-        missing = [1 + k for k, u in enumerate(scope) if u not in units]
-        logw = logw + np.expand_dims(table, missing)
+        lead = tuple([2 if u in units else 1 for u in scope])
+        tables.append(table.reshape(lead + table.shape[len(units):]))
         if part is not None:
-            parts.append(np.expand_dims(part, missing))
-    axis = (slice(None),) * (1 + scope.index(v))
-    new = np.logaddexp(logw[axis + (0,)], logw[axis + (1,)])
-    p1 = np.exp(logw[axis + (1,)] - new)[..., None]
-    st = np.broadcast_to(sum(parts[1:], parts[0]) if parts else 0.0, logw.shape + stat.shape[1:])
-    st0, st1 = st[axis + (0,)], st[axis + (1,)]
-    # E[statistic | rest] = st0 + P(y_v = 1 | rest) (st1 + stat_v - st0)
-    out = st1 + stat[v]
-    out -= st0
-    out *= p1
-    out += st0
-    return tuple(rest), new, out
+            parts.append(part.reshape(lead + part.shape[len(units):]))
+    logw = tables[0]
+    if len(tables) > 1:  # summed in place into one table over the whole scope
+        logw = np.add(logw, tables[1], out=np.empty((2,) * len(scope) + logw.shape[-1:]))
+        for table in tables[2:]:
+            logw += table
+    axis = (slice(None),) * scope.index(v)
+    l0, l1 = logw[axis + (0,)], logw[axis + (1,)]
+    # log(e^l0 + e^l1) = hi + log(s) for hi = max(l0, l1) and s = e^(l0 - hi)
+    # + e^(l1 - hi) in [1, 2], and P(y_v = 1 | rest) = e^(l1 - hi) / s: the
+    # halves of logw hold the exponentials, then s and that probability.
+    new = np.maximum(l0, l1)
+    np.exp(np.subtract(l0, new, out=l0), out=l0)
+    np.exp(np.subtract(l1, new, out=l1), out=l1)
+    s = np.add(l0, l1, out=l0)
+    p1 = np.divide(l1, s, out=l1)[..., None]
+    new += np.log(s, out=s)
+    # E[statistic | rest] = st0 + P(y_v = 1 | rest) (st1 + stat_v - st0),
+    # where st0 = st1 = 0 if no factor carries a statistic yet.
+    if parts:
+        st = sum(parts[1:], parts[0])
+        st0, st1 = st[axis + (0,)], st[axis + (1,)]
+        out = st1 + stat[v]
+        out -= st0
+        out = p1 * out
+        out += st0
+    else:
+        out = p1 * stat[v]
+    scope.remove(v)
+    return tuple(scope), new, out
 
 
-def _eliminate(w1, iu, ju, pair_w, stat):
+def _eliminate(w1, iu, ju, pair_w, stat, order=None):
     """log Z, shape (B,), and E[y @ stat], shape (B, L), of the laws
     p(y) ~ exp(w1[b] @ y + sum_k pair_w[b, k] y[iu[k]] y[ju[k]]), one per row b.
 
-    A factor is (sorted units, log-weight table with an axis of length 2 per
-    unit after the row axis, expected statistic of the units summed into it
-    or None, with length-1 axes for units it does not depend on). Rows run
-    in blocks whose largest factor stays within ``_BUDGET`` entries.
+    Units are summed out in ``order``, a ``min_fill_order`` of a graph that
+    holds every pair (iu[k], ju[k]); by default that of these pairs. A
+    factor is (sorted units, log-weight table with an axis of length 2 per
+    unit and the rows last, and None or the expected statistic of the units
+    summed into it, with axes (units, rows, L)): every elementwise loop runs
+    along the rows. Rows run in blocks whose largest factor stays within
+    ``_BUDGET`` entries.
     """
     (n_rows, n), n_stat = w1.shape, stat.shape[1]
-    order = _min_fill_order(n, iu, ju)
+    if order is None:
+        order = min_fill_order(n, iu, ju)
     widest = max((len(rest) for _, rest in order), default=0) + 1
     block = max(1, _BUDGET // ((1 << widest) * n_stat))
     log_z, mean = np.empty(n_rows), np.empty((n_rows, n_stat))
     for start in range(0, n_rows, block):
         rows = slice(start, start + block)
         b = w1[rows].shape[0]
-        unary, pairs = np.zeros((n, b, 2)), np.zeros((len(iu), b, 2, 2))
-        unary[..., 1], pairs[..., 1, 1] = w1[rows].T, pair_w[rows].T
+        unary, pairs = np.zeros((n, 2, b)), np.zeros((len(iu), 2, 2, b))
+        unary[:, 1], pairs[:, 1, 1] = w1[rows].T, pair_w[rows].T
         factors = [((i,), t, None) for i, t in enumerate(unary)]
         factors += [((i, j), t, None) for i, j, t in zip(iu.tolist(), ju.tolist(), pairs)]
-        for v, rest in order:
+        for v, _ in order:
             mine = [f for f in factors if v in f[0]]
             factors = [f for f in factors if v not in f[0]]
-            factors.append(_sum_out(v, rest, mine, stat))
+            factors.append(_sum_out(v, mine, stat))
         # Every unit is summed out: one scalar factor per connected component.
         log_z[rows] = sum(f[1] for f in factors)
         mean[rows] = sum(f[2] for f in factors)
@@ -143,7 +158,8 @@ def _moments(w: WeightSystem, stat: np.ndarray) -> tuple[float, np.ndarray]:
     """log Z and the expectation of y @ stat under one weight system."""
     r, c, v = w.entries
     upper = r < c  # the pairs i < j, with their pair weights 2 w2_ij
-    log_z, mean = _eliminate(w.w1[None], r[upper], c[upper], v[upper][None], stat)
+    order = None if w.instance is None else w.instance.elimination_order
+    log_z, mean = _eliminate(w.w1[None], r[upper], c[upper], v[upper][None], stat, order)
     return float(log_z[0]), mean[0]
 
 
@@ -169,8 +185,9 @@ def welfare_of_allocations(
     """Exact welfare for a batch of allocations (rows of a 0/1 matrix).
 
     Only the coupled pairs i < j, where m_ij * G_ij is nonzero, enter the
-    energy, so every allocation shares one elimination order; the
-    allocations ride along as the leading axis of every factor.
+    energy, so every allocation shares the instance's
+    ``elimination_order``; the allocations ride along as the last axis of
+    every factor.
     """
     n = instance.n
     _check_size(n, max_units)
@@ -182,7 +199,7 @@ def welfare_of_allocations(
     dd = allocations[:, iu] * allocations[:, ju]
     # 2 w2_ij: doubling is exact, so this is the pair term of ``weights``.
     pair_w = 2.0 * pair_weights(instance.theta, coupled[upper], dd)
-    _, mean = _eliminate(w1, iu, ju, pair_w, np.ones((n, 1)))
+    _, mean = _eliminate(w1, iu, ju, pair_w, np.ones((n, 1)), instance.elimination_order)
     return mean[:, 0]
 
 

@@ -119,6 +119,27 @@ def greedy_colouring(a) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(colour == k) for k in range(count))
 
 
+def min_fill_order(n: int, iu, ju) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(unit, its neighbours) per min-fill elimination step over the graph on
+    n units with edges (iu[k], ju[k]): the unit whose neighbours have the
+    fewest unlinked pairs goes next (then fewest neighbours, lowest index);
+    they get linked."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in zip(iu.tolist(), ju.tolist()):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    order, left = [], set(range(n))
+    while left:
+        # A neighbour a of u misses len(nbrs[u] - nbrs[a]) - 1 others.
+        v = min(left, key=lambda u: (
+            sum(len(nbrs[u] - nbrs[a]) - 1 for a in nbrs[u]), len(nbrs[u]), u))
+        for a in nbrs[v]:
+            nbrs[a] = (nbrs[a] | nbrs[v]) - {a, v}
+        order.append((v, tuple(sorted(nbrs[v]))))
+        left.remove(v)
+    return tuple(order)
+
+
 def logistic_slope(x):
     """Derivative of the logistic function, logistic(x) * (1 - logistic(x))."""
     p = expit(x)
@@ -282,15 +303,36 @@ class WeightSystem:
 
     w2 has zero diagonal; the potential of a configuration y is
     w1'y + y' w2 y. w2 has the storage of the instance's coupling: a dense
-    array or a ``scipy.sparse.csr_array`` of its nonzero entries.
+    array or a ``scipy.sparse.csr_array`` of its nonzero entries. Systems
+    from ``weights`` are symmetric by construction; one built without an
+    instance is checked: w2 must be square of side len(w1), finite,
+    symmetric and zero on the diagonal, since the solvers and the exact
+    oracle read only its pairs i < j.
     """
 
     w1: np.ndarray
     w2: np.ndarray | sparse.csr_array
     # The instance whose coupling's pattern holds w2's (set by ``weights``):
-    # its colouring serves this system, and is not redone per allocation.
-    # A system built without one colours its own w2.
+    # its colouring and elimination order serve this system, and are not
+    # redone per allocation. A system built without one is checked, and
+    # colours and orders its own w2.
     instance: Instance | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.instance is not None:
+            return
+        w1, w2 = self.w1, self.w2
+        if np.ndim(w1) != 1 or w2.shape != (len(w1), len(w1)):
+            raise ValueError(f"w2 must be square with side len(w1); got w1 of shape "
+                             f"{np.shape(w1)} and w2 of shape {w2.shape}")
+        dense = isinstance(w2, np.ndarray)
+        if not (np.isfinite(w1).all() and np.isfinite(w2 if dense else w2.data).all()):
+            raise ValueError("weights must be finite")
+        asymmetric = w2 != w2.T
+        if asymmetric.any() if dense else asymmetric.nnz:
+            raise ValueError("w2 must be symmetric")
+        if w2.diagonal().any():
+            raise ValueError("w2 must have a zero diagonal")
 
     @property
     def n(self) -> int:
@@ -298,7 +340,7 @@ class WeightSystem:
 
     def dense(self) -> "WeightSystem":
         """This system with a dense w2, for ``exact_kl`` and the stationarity check."""
-        return WeightSystem(w1=self.w1, w2=to_dense(self.w2))
+        return WeightSystem(w1=self.w1, w2=to_dense(self.w2), instance=self.instance)
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,6 +449,15 @@ class Instance:
         its nonzero entries among the coupling's, so the classes serve the
         weight system of every allocation."""
         return greedy_colouring(self.coupling)
+
+    @cached_property
+    def elimination_order(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``min_fill_order`` of the coupled pairs i < j. Every w2 of this
+        instance has its pairs among the coupling's, so the exact oracle sums
+        the units out in this one order for every allocation."""
+        r, c, _ = nonzero_entries(self.coupling)
+        upper = r < c
+        return min_fill_order(self.n, r[upper], c[upper])
 
     @cached_property
     def coupling_bounds(self) -> tuple[np.ndarray, np.ndarray]:

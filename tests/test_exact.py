@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from netalloc import (
     enumerate_gibbs,
     exact_kl,
     exact_welfare,
+    feasible_allocations,
     make_instance,
     potential,
     weights,
@@ -25,7 +27,14 @@ from netalloc import (
 )
 from netalloc.exact import MAX_EXACT_UNITS, ExactSizeError
 from netalloc.experiments import simulation_instance
-from netalloc.model import linear_weights, pair_weights, to_dense
+from netalloc import model
+from netalloc.model import (
+    linear_weights,
+    min_fill_order,
+    nonzero_entries,
+    pair_weights,
+    to_dense,
+)
 from tests.conftest import protocol_instance, random_instance, random_theta
 from tests.test_storage import csr_twin
 
@@ -214,8 +223,7 @@ class TestExactWelfare:
         inst = random_instance(rng, 9, density=0.5)
         allocations = rng.integers(0, 2, size=(300, 9))
         default = welfare_of_allocations(inst, allocations)
-        iu, ju = np.nonzero(np.triu(to_dense(inst.coupling), k=1))
-        widest = max((len(rest) for _, rest in ex._min_fill_order(9, iu, ju)), default=0) + 1
+        widest = max((len(rest) for _, rest in inst.elimination_order), default=0) + 1
         monkeypatch.setattr(ex, "_BUDGET", 7 << widest)
         small = welfare_of_allocations(inst, allocations)
         assert np.abs(small - default).max() <= 1e-12
@@ -315,6 +323,178 @@ class TestPairsFromEntries:
         _, mean = ex._eliminate(w1, iu, ju, pair_w, np.ones((12, 1)))
         for inst in (dense, csr_twin(dense)):
             assert welfare_of_allocations(inst, allocations).tobytes() == mean[:, 0].tobytes()
+
+
+def _frozen_sum_out(v, rest, mine, stat):
+    """``exact._sum_out`` as it was with the allocations on the leading axis
+    of every factor and ``np.logaddexp`` over y_v: the reference the engine
+    must match to rounding."""
+    scope = sorted([v, *rest])
+    logw, parts = 0.0, []
+    for units, table, part in mine:
+        missing = [1 + k for k, u in enumerate(scope) if u not in units]
+        logw = logw + np.expand_dims(table, missing)
+        if part is not None:
+            parts.append(np.expand_dims(part, missing))
+    axis = (slice(None),) * (1 + scope.index(v))
+    new = np.logaddexp(logw[axis + (0,)], logw[axis + (1,)])
+    p1 = np.exp(logw[axis + (1,)] - new)[..., None]
+    st = np.broadcast_to(sum(parts[1:], parts[0]) if parts else 0.0, logw.shape + stat.shape[1:])
+    st0, st1 = st[axis + (0,)], st[axis + (1,)]
+    out = st1 + stat[v]
+    out -= st0
+    out *= p1
+    out += st0
+    return tuple(rest), new, out
+
+
+def _frozen_eliminate(w1, iu, ju, pair_w, stat):
+    """``exact._eliminate`` with rows-first factors, one block of rows."""
+    n = w1.shape[1]
+    unary, pairs = np.zeros((n, w1.shape[0], 2)), np.zeros((len(iu), w1.shape[0], 2, 2))
+    unary[..., 1], pairs[..., 1, 1] = w1.T, pair_w.T
+    factors = [((i,), t, None) for i, t in enumerate(unary)]
+    factors += [((i, j), t, None) for i, j, t in zip(iu.tolist(), ju.tolist(), pairs)]
+    for v, rest in min_fill_order(n, iu, ju):
+        mine = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append(_frozen_sum_out(v, rest, mine, stat))
+    return sum(f[1] for f in factors), sum(f[2] for f in factors)
+
+
+def _frozen_welfare(inst, allocations):
+    allocations = np.asarray(allocations, dtype=float)
+    r, c, coupled = nonzero_entries(inst.coupling)
+    upper = r < c
+    iu, ju = r[upper], c[upper]
+    w1 = linear_weights(inst, allocations.T).T
+    dd = allocations[:, iu] * allocations[:, ju]
+    pair_w = 2.0 * pair_weights(inst.theta, coupled[upper], dd)
+    return _frozen_eliminate(w1, iu, ju, pair_w, np.ones((inst.n, 1)))[1][:, 0]
+
+
+def _frozen_moments(w, stat):
+    r, c, v = w.entries
+    upper = r < c
+    log_z, mean = _frozen_eliminate(w.w1[None], r[upper], c[upper], v[upper][None], stat)
+    return float(log_z[0]), mean[0]
+
+
+class TestAgainstFrozenEngine:
+    """The engine with the rows last and a log-sum-exp against the frozen
+    rows-first ``logaddexp`` engine: equal to 1e-12, and the same argmax."""
+
+    @pytest.mark.parametrize("set_id", [1, 2])
+    @pytest.mark.parametrize("n, density, seed", [(2, 0.5, 2), (5, 0.5, 5), (9, 0.5, 9),
+                                                  (12, 0.5, 12), (15, 0.5, 15), (15, 0.8, 0)])
+    def test_matches_frozen_engine(self, n, density, seed, set_id, monkeypatch):
+        inst = protocol_instance(n, density=density, set_id=set_id, seed=seed)
+        widest = max(len(rest) for _, rest in inst.elimination_order) + 1
+        if density == 0.8:
+            assert widest - 1 >= 8  # elimination width 8: tables of 2^9 entries a row
+        rng = np.random.default_rng(n)
+        allocations = np.vstack([feasible_allocations(n, min(n, 2)),
+                                 rng.integers(0, 2, size=(100, n))])
+        frozen = _frozen_welfare(inst, allocations)
+        assert np.abs(welfare_of_allocations(inst, allocations) - frozen).max() <= 1e-12
+        for d in allocations[-5:]:
+            w = weights(inst, d)
+            assert abs(exact_welfare(d, inst) - _frozen_moments(w, np.ones((n, 1)))[1][0]) <= 1e-12
+            log_z, marginals = _frozen_moments(w, np.eye(n))
+            dist = enumerate_gibbs(w)
+            assert abs(dist.log_partition - log_z) <= 1e-12
+            assert np.abs(dist.marginals - marginals).max() <= 1e-12
+        # 16 rows a block: the allocations run in several blocks.
+        monkeypatch.setattr(ex, "_BUDGET", 16 << widest)
+        assert np.abs(welfare_of_allocations(inst, allocations) - frozen).max() <= 1e-12
+
+    @pytest.mark.parametrize("density", [0.3, 0.6])
+    def test_brute_force_picks_the_frozen_treated_set(self, density):
+        allocations = feasible_allocations(15, 4)
+        for seed in range(20):
+            inst = protocol_instance(15, density=density, set_id=1, seed=seed)
+            frozen = _frozen_welfare(inst, allocations)
+            best = ex._argmax_lexicographic(frozen, allocations, tie=ex._TIE)
+            allocation, value = brute_force_optimal(inst, 4)
+            assert allocation.treated == tuple(np.flatnonzero(allocations[best]).tolist())
+            assert abs(value - frozen[best]) <= 1e-12
+
+
+def _listing(w1, w2):
+    """log Z and the marginals by a ``logsumexp`` over all 2^N states."""
+    y = _configs(len(w1))
+    e = y @ w1 + ((y @ w2) * y).sum(axis=1)
+    log_z = logsumexp(e)
+    return log_z, np.exp(e - log_z) @ y
+
+
+class TestLogSumExpStability:
+    """Weights of order 1e3 put log Z near 1e4, far beyond what exp can take;
+    the elimination must stay finite and warning-free."""
+
+    def test_large_weights_of_both_signs_match_the_listing(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(2, 11))
+            # Multiples of 1/64, so the listing's energies are exact.
+            w1 = np.round(rng.uniform(-1e3, 1e3, n) * 64) / 64
+            pairs = np.round(rng.uniform(-1e3, 1e3, (n, n)) * 64) / 64
+            upper = np.triu(pairs * (rng.random((n, n)) < 0.5), k=1)
+            w2 = upper + upper.T
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                dist = enumerate_gibbs(WeightSystem(w1, w2))
+            log_z, marginals = _listing(w1, w2)
+            assert np.isfinite(dist.log_partition) and np.isfinite(dist.marginals).all()
+            assert abs(dist.log_partition - log_z) <= 1e-12 * max(1.0, abs(log_z))
+            # The marginals' scale is 1. A log-weight near 1e4 carries a
+            # rounding of ulp(1e4) = 1.8e-12, which moves a conditional
+            # probability p by about that times p (1 - p).
+            np.testing.assert_allclose(dist.marginals, marginals, rtol=1e-12, atol=1e-12)
+
+    def test_three_states_tied_at_a_large_weight(self):
+        # States 10, 01 and 11 all weigh e^1000; state 00 weighs 1.
+        w = WeightSystem(np.array([1e3, 1e3]), np.array([[0.0, -500.0], [-500.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dist = enumerate_gibbs(w)
+        assert dist.log_partition == pytest.approx(1e3 + math.log(3.0), rel=1e-15)
+        np.testing.assert_allclose(dist.marginals, [2 / 3, 2 / 3], rtol=1e-12)
+
+
+class TestEliminationOrder:
+    def test_computed_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return min_fill_order(*args)
+
+        monkeypatch.setattr(model, "min_fill_order", counting)
+        monkeypatch.setattr(ex, "min_fill_order", counting)
+        inst = protocol_instance(9, density=0.5, seed=4)
+        allocation, _ = brute_force_optimal(inst, 2)
+        for d in (allocation.d, np.zeros(9, dtype=int), np.ones(9, dtype=int)):
+            exact_welfare(d, inst)
+        enumerate_gibbs(weights(inst, allocation.d))
+        assert calls == [9]
+
+    @pytest.mark.parametrize("density", [0.2, 0.5])
+    def test_dense_and_csr_twins_share_it(self, density):
+        for seed in range(5):
+            inst = protocol_instance(12, density=density, seed=seed)
+            assert csr_twin(inst).elimination_order == inst.elimination_order
+
+    def test_hand_built_system_orders_its_own_pairs(self):
+        # A path 0 - 1 - 2: the ends go first, then the middle alone.
+        w2 = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.2], [0.0, 0.2, 0.0]])
+        w = WeightSystem(np.array([0.1, -0.2, 0.3]), w2)
+        assert ex.min_fill_order(3, *np.nonzero(np.triu(w2, k=1))) == (
+            (0, (1,)), (1, (2,)), (2, ()))
+        log_z, marginals = _listing(w.w1, w2)
+        dist = enumerate_gibbs(w)
+        assert dist.log_partition == pytest.approx(log_z, abs=1e-14)
+        np.testing.assert_allclose(dist.marginals, marginals, atol=1e-14)
 
 
 class TestBruteForce:

@@ -477,6 +477,40 @@ class TestInputContract:
         with pytest.raises(ValueError, match=message):
             Instance(net, x, SET1, kernel=SimilarityKernel.abs_diff())
 
+    # Hand-built systems: the oracle reads only the pairs i < j, doubled,
+    # and no diagonal. Unchecked, the upper-only HALF read log Z 2.6964
+    # against 2.4040 from listing all 8 states, and PATH plus 0.7 at (0, 0)
+    # read 2.4040 against 2.8739.
+    W1 = np.array([0.1, -0.2, 0.3])
+    HALF = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.2], [0.0, 0.0, 0.0]])
+    PATH = (HALF + HALF.T) / 2
+
+    @pytest.mark.parametrize("w1, w2, message", [
+        (W1, HALF, "symmetric"),
+        (W1, PATH + np.diag([0.7, 0.0, 0.0]), "zero diagonal"),
+        (W1, np.zeros((3, 2)), "square"),
+        (W1, np.zeros((2, 2)), "len\\(w1\\)"),
+        (np.zeros((3, 1)), np.zeros((3, 3)), "len\\(w1\\)"),
+        (np.array([0.1, np.nan, 0.3]), PATH, "finite"),
+        (W1, np.where(PATH > 0.2, np.inf, PATH), "finite"),
+        (W1, sparse.csr_array(HALF), "symmetric"),
+        (W1, sparse.csr_array(np.diag([0.0, 0.0, 0.7])), "zero diagonal"),
+        (W1, sparse.csr_array(np.where(PATH > 0.2, np.nan, PATH)), "finite"),
+    ], ids=["upper-only", "diagonal", "not-square", "short-w2", "2d-w1", "nan-w1", "inf-w2",
+            "csr-upper-only", "csr-diagonal", "csr-nan"])
+    def test_hand_built_weight_system_rejected(self, w1, w2, message):
+        with pytest.raises(ValueError, match=message):
+            WeightSystem(w1, w2)
+
+    def test_hand_built_weight_system_accepted(self):
+        for w2 in (self.PATH, sparse.csr_array(self.PATH)):
+            assert WeightSystem(self.W1, w2).n == 3
+
+    def test_systems_from_weights_carry_their_instance(self):
+        inst = protocol_instance(6, seed=1)
+        w = weights(inst, np.ones(6, dtype=int))
+        assert w.instance is inst and w.dense().instance is inst
+
     def test_instance_stores_float_arrays(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         inst = Instance(net, [1, 0, 2], SET1, kernel=SimilarityKernel.constant(1.0))

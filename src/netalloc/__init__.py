@@ -44,7 +44,6 @@ from .model import (
     Instance,
     ThetaParams,
     WeightSystem,
-    conditional_choice_prob,
     feasible_allocations,
     make_instance,
     potential,
@@ -81,7 +80,6 @@ __all__ = [
     "bfva",
     "bounds_report",
     "brute_force_optimal",
-    "conditional_choice_prob",
     "contraction_certificate",
     "curvature_margin",
     "enumerate_gibbs",

@@ -194,15 +194,25 @@ def regret_upper_bound(instance: Instance, bfva_welfare: float | None = None) ->
     Combines the approximation penalty sqrt(8 * KL bound) with the greedy
     shortfall (1 - guarantee) * U, where U is the exhaustive mean-field
     optimum when supplied and otherwise the trivial cap N (every marginal
-    is below one)."""
-    margin = curvature_margin(instance)
-    if not 0.0 < margin < 1.0:
-        raise ValueError(
-            "regret bound requires a margin in (0, 1); check the positivity "
-            "profile and network-size condition"
-        )
-    factor = guarantee_factor(1.0 - margin, margin)
+    is below one). Raises ValueError naming the first premise of the
+    guarantee that fails (``_guarantee``)."""
+    factor, failed = _guarantee(instance, curvature_margin(instance))
+    if failed:
+        raise ValueError(f"regret bound does not hold: {failed}")
     return _regret(instance, kl_upper_bound(instance), factor, bfva_welfare)
+
+
+def _guarantee(instance: Instance, margin: float) -> tuple[float, str | None]:
+    """The greedy guarantee factor and None when its premises hold: a
+    margin in (0, 1), the positivity profile and the network-size
+    condition. Otherwise 0 and the first of them that fails, in words."""
+    if not 0.0 < margin < 1.0:
+        return 0.0, f"the margin {margin:.6g} is not in (0, 1)"
+    if not positivity_profile_holds(instance.theta):
+        return 0.0, "the positivity profile fails"
+    if not sample_size_ok(instance):
+        return 0.0, "the network-size condition fails"
+    return guarantee_factor(1.0 - margin, margin), None
 
 
 def _regret(
@@ -215,14 +225,7 @@ def _regret(
 def bounds_report(instance: Instance) -> BoundsReport:
     """Assemble every guarantee quantity with its validity flags."""
     margin = curvature_margin(instance)
-    positivity = positivity_profile_holds(instance.theta)
-    size_ok = sample_size_ok(instance)
-    contraction = instance_certified(instance)
-    valid = positivity and size_ok and 0.0 < margin < 1.0
-    if valid:
-        factor = guarantee_factor(1.0 - margin, margin)
-    else:
-        factor = 0.0
+    factor, _ = _guarantee(instance, margin)
     klub = kl_upper_bound(instance)
     return BoundsReport(
         margin=margin,
@@ -231,7 +234,7 @@ def bounds_report(instance: Instance) -> BoundsReport:
         guarantee_factor=factor,
         kl_upper_bound=klub,
         regret_upper_bound=_regret(instance, klub, factor, None),
-        positivity_holds=positivity,
-        sample_size_ok=size_ok,
-        contraction_holds=contraction,
+        positivity_holds=positivity_profile_holds(instance.theta),
+        sample_size_ok=sample_size_ok(instance),
+        contraction_holds=instance_certified(instance),
     )

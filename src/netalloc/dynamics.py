@@ -28,6 +28,7 @@ from itertools import compress
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from .exact import ExactSizeError
 from .model import Instance, WeightSystem, check_count, sigmoid, weights
 
 log = logging.getLogger(__name__)
@@ -162,9 +163,9 @@ def _chain(instance: Instance, d) -> tuple[np.ndarray, np.ndarray]:
     each of the 2^N configurations c, in code order: y_i = (c >> i) & 1."""
     n = instance.n
     if n > STATIONARITY_MAX_UNITS:
-        raise ValueError(f"stationarity check infeasible for {n} units "
-                         f"(cap {STATIONARITY_MAX_UNITS})")
-    w = weights(instance, d).dense()
+        raise ExactSizeError(f"stationarity check infeasible for {n} units "
+                             f"(cap {STATIONARITY_MAX_UNITS})")
+    w = weights(instance, d)
     codes = np.arange(1 << n)
     y = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
     # The choice probabilities do not read y_i because w2 has a zero diagonal.

@@ -36,7 +36,7 @@ from .model import (
     weights,
 )
 
-# Above this many units exact computation is refused outright.
+# Above this many units exact computation of one allocation is refused.
 MAX_EXACT_UNITS = 20
 # brute_force_optimal ties: rounding moves a welfare by up to ~1e-13, and
 # distinct allocations of the benchmark instances differ by 1e-9 or more.
@@ -119,12 +119,12 @@ def _sum_out(v: int, mine: list, stat: np.ndarray) -> tuple:
     return tuple(scope), new, out
 
 
-def _eliminate(w1, iu, ju, pair_w, stat, order=None):
+def _eliminate(w1, iu, ju, pair_w, stat, order):
     """log Z, shape (B,), and E[y @ stat], shape (B, L), of the laws
     p(y) ~ exp(w1[b] @ y + sum_k pair_w[b, k] y[iu[k]] y[ju[k]]), one per row b.
 
-    Units are summed out in ``order``, a ``min_fill_order`` of a graph that
-    holds every pair (iu[k], ju[k]); by default that of these pairs. A
+    Units are summed out in ``order``, which the caller chooses: a
+    ``min_fill_order`` of a graph that holds every pair (iu[k], ju[k]). A
     factor is (sorted units, log-weight table with an axis of length 2 per
     unit and the rows last, and None or the expected statistic of the units
     summed into it, with axes (units, rows, L)): every elementwise loop runs
@@ -132,8 +132,6 @@ def _eliminate(w1, iu, ju, pair_w, stat, order=None):
     ``_BUDGET`` entries.
     """
     (n_rows, n), n_stat = w1.shape, stat.shape[1]
-    if order is None:
-        order = min_fill_order(n, iu, ju)
     widest = max((len(rest) for _, rest in order), default=0) + 1
     block = max(1, _BUDGET // ((1 << widest) * n_stat))
     log_z, mean = np.empty(n_rows), np.empty((n_rows, n_stat))
@@ -158,17 +156,20 @@ def _moments(w: WeightSystem, stat: np.ndarray) -> tuple[float, np.ndarray]:
     """log Z and the expectation of y @ stat under one weight system."""
     r, c, v = w.entries
     upper = r < c  # the pairs i < j, with their pair weights 2 w2_ij
-    order = None if w.instance is None else w.instance.elimination_order
-    log_z, mean = _eliminate(w.w1[None], r[upper], c[upper], v[upper][None], stat, order)
+    iu, ju = r[upper], c[upper]
+    order = (min_fill_order(w.n, iu, ju) if w.instance is None
+             else w.instance.elimination_order)
+    log_z, mean = _eliminate(w.w1[None], iu, ju, v[upper][None], stat, order)
     return float(log_z[0]), mean[0]
 
 
 def enumerate_gibbs(w: WeightSystem) -> ExactDistribution:
     """Exact stationary distribution for a weight system: log Z and the
-    choice marginals. The result carries the system with a dense w2."""
+    choice marginals. The result carries the system as given, with w2 in
+    its own storage, dense or CSR."""
     _check_size(w.n, MAX_EXACT_UNITS)
     log_z, marginals = _moments(w, np.eye(w.n))
-    return ExactDistribution(log_partition=log_z, marginals=marginals, weights=w.dense())
+    return ExactDistribution(log_partition=log_z, marginals=marginals, weights=w)
 
 
 def exact_welfare(d, instance: Instance, max_units: int = MAX_EXACT_UNITS) -> float:
@@ -180,6 +181,8 @@ def exact_welfare(d, instance: Instance, max_units: int = MAX_EXACT_UNITS) -> fl
 def welfare_of_allocations(
     instance: Instance,
     allocations: np.ndarray,
+    # 15, not MAX_EXACT_UNITS: a batch costs allocations x 2^(width + 1)
+    # table entries, and the allocations to score grow with N.
     max_units: int = 15,
 ) -> np.ndarray:
     """Exact welfare for a batch of allocations (rows of a 0/1 matrix).
@@ -206,7 +209,7 @@ def welfare_of_allocations(
 def brute_force_optimal(
     instance: Instance,
     kappa: int,
-    max_units: int = 15,
+    max_units: int = 15,  # the batch cap of ``welfare_of_allocations``
 ) -> tuple[Allocation, float]:
     """Exact argmax of equilibrium welfare over allocations of size <= kappa.
 
@@ -224,7 +227,7 @@ def brute_force_optimal(
     return Allocation.from_vector(allocations[best]), float(values[best])
 
 
-def _argmax_lexicographic(values: np.ndarray, allocations: np.ndarray, tie: float = 0.0) -> int:
+def _argmax_lexicographic(values: np.ndarray, allocations: np.ndarray, tie: float) -> int:
     """Index of the maximal value; values within ``tie`` of the maximum
     resolve to the row whose treated index tuple is lexicographically
     smallest."""

@@ -123,7 +123,7 @@ def simulation_instance(
     net = erdos_renyi(n, density, seed=derive_seed(seed, 0))
     rng = np.random.default_rng(derive_seed(seed, 1))
     x = rng.integers(0, 2, size=(n, 1)).astype(float)
-    return make_instance(net, x, theta, kernel=kernel or SimilarityKernel.abs_diff())
+    return make_instance(net, x, theta, kernel=kernel)
 
 
 def capacity(n: int, kappa: int | None, kappa_frac: float) -> int:
@@ -354,6 +354,15 @@ def _reason(exc: ValueError) -> str:
     raise exc
 
 
+def _replication(cfg: ExperimentConfig, set_id: int, density: float, n: int, rep: int):
+    """(instance, kappa, seed) of one replication of a simulate or validate
+    cell, where seed(tag) derives the replication's child seed for a tag."""
+    seed = functools.partial(derive_seed, cfg.seed, *_cell_key(set_id, density, n), rep)
+    theta = cfg.resolved_theta(set_id, n, generated=True)
+    instance = simulation_instance(n, density, theta, seed(0), cfg.similarity_kernel)
+    return instance, capacity(n, cfg.kappa, cfg.kappa_frac), seed
+
+
 def _replication_task(payload) -> dict:
     """Welfare of every requested (method, evaluator) pair for one replication.
 
@@ -361,11 +370,7 @@ def _replication_task(payload) -> dict:
     map to a reason string instead of a number.
     """
     cfg, (set_id, density, n), rep = payload
-    key = _cell_key(set_id, density, n)
-    theta = cfg.resolved_theta(set_id, n, generated=True)
-    seed = functools.partial(derive_seed, cfg.seed, *key, rep)  # seed(tag)
-    instance = simulation_instance(n, density, theta, seed(0), cfg.similarity_kernel)
-    kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
+    instance, kappa, seed = _replication(cfg, set_id, density, n, rep)
 
     def per_person(call):
         try:
@@ -469,10 +474,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
         cfg.param_sets, cfg.densities, cfg.sizes, range(cfg.replications)
     )
     for set_id, density, n, rep in grid:
-        seed = functools.partial(derive_seed, cfg.seed, *_cell_key(set_id, density, n), rep)
-        theta = cfg.resolved_theta(set_id, n, generated=True)
-        instance = simulation_instance(n, density, theta, seed(0), cfg.similarity_kernel)
-        kappa = capacity(n, cfg.kappa, cfg.kappa_frac)
+        instance, kappa, seed = _replication(cfg, set_id, density, n, rep)
         checks = {}
         entries.append({
             "param_set": set_id,

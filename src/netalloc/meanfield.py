@@ -373,16 +373,20 @@ def batch_fixed_point(
 _HALF_CURVATURE = 1.0 / (12.0 * math.sqrt(3.0))
 
 
+def _reach(instance: Instance) -> float:
+    """R of the proof in ``_linear_response``: R/4 bounds the map's sup-norm slope."""
+    th = instance.theta
+    return th.a_n * (abs(th.theta5) + abs(th.theta6)) * instance.coupling_bounds[0].max()
+
+
 def _tie_tolerance(instance: Instance, settings: SolverSettings) -> float:
-    """2 tau, tau = N (foc_tol + CLAMP) / (1 - R/4) with R as in
-    ``_linear_response``: under the certificate a converged solve's welfare
-    lies within tau of the exact one, so values within 2 tau are ties.
-    Without the certificate values compare exactly: 0."""
+    """2 tau, tau = N (foc_tol + CLAMP) / (1 - R/4) with R = ``_reach``:
+    under the certificate a converged solve's welfare lies within tau of
+    the exact one, so values within 2 tau are ties. Without the certificate
+    values compare exactly: 0."""
     if not instance_certified(instance):
         return 0.0
-    th = instance.theta
-    reach = th.a_n * (abs(th.theta5) + abs(th.theta6)) * instance.coupling_bounds[0].max()
-    return 2.0 * instance.n * (settings.foc_tol + CLAMP) / (1.0 - reach / 4.0)
+    return 2.0 * instance.n * (settings.foc_tol + CLAMP) / (1.0 - _reach(instance) / 4.0)
 
 
 def _linear_response(
@@ -390,7 +394,7 @@ def _linear_response(
     d: np.ndarray,
     mu: np.ndarray,
     settings: SolverSettings,
-    products: tuple | None = None,
+    products: tuple | None,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Linear-response scores of treating each untreated unit, with proven
     error bounds, from the incumbent fixed point alone.
@@ -401,14 +405,14 @@ def _linear_response(
     finite. S_k and C_k below are ``instance.coupling_bounds``. The cost is
     one product of the coupling (a block of two vectors) per iteration of
     the v solve, whose last input gives u's products too. ``products`` are
-    the incumbent's (sm @ (d o mu), sm @ mu, sm @ d), which also give its
-    w1; when None, one stacked product computes them
-    (``_coupling_products``). Nothing of size N x N or N x candidates is
-    built.
+    the incumbent's (sm @ (d o mu), sm @ mu, sm @ d) (``_coupling_products``),
+    which also give its w1; they may be None only on an uncertified
+    instance, where they are not read. Nothing of size N x N or
+    N x candidates is built.
 
     Notation: sm is the coupling (nonnegative, symmetric, zero diagonal),
     a = a_n, S_k and C_k the row sum and column maximum of sm,
-    R = a (|theta5| + |theta6|) max_k S_k, sigma the logistic function,
+    R = a (|theta5| + |theta6|) max_k S_k (``_reach``), sigma the logistic function,
     D = mu (1 - mu), and M x = a (theta5 sm x + theta6 d o sm (d o x)), the
     coupling term of the first-order argument at the incumbent d. The
     first-order-condition map mu -> sigma(w1 + M mu) is R/4-Lipschitz in
@@ -503,15 +507,14 @@ def _linear_response(
     row_sums, col_max = instance.coupling_bounds
     a, t5, t6 = th.a_n, abs(th.theta5), abs(th.theta6)
     n = mu.shape[0]
-    reach = a * (t5 + t6) * row_sums.max()  # R
+    reach = _reach(instance)  # R
     gap = 4.0 - reach
     slope = mu * (1.0 - mu)  # D
     lip = reach * float(slope.max())  # L
     if not (gap > 0 and lip < 1):
         return None
     dd = d.astype(float)
-    dmu_sum, mu_sum, d_sum = (_coupling_products(instance, dd, mu) if products is None
-                               else products)
+    dmu_sum, mu_sum, d_sum = products
     logit = np.log(mu) - np.log1p(-mu)
     eta = (logit - linear_weights(instance, dd, coupled=d_sum)
            - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))

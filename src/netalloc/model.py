@@ -2,8 +2,8 @@
 
 Houses the structural parameters, problem instances, per-unit utilities,
 the potential function whose Gibbs measure is the stationary outcome
-distribution, logit choice probabilities, and the linear/quadratic weight
-system (w1, w2) that the potential factors through:
+distribution, and the linear/quadratic weight system (w1, w2) that the
+potential factors through:
 
     Phi(y) = w1'y + y' w2 y.
 """
@@ -338,10 +338,6 @@ class WeightSystem:
     def n(self) -> int:
         return self.w1.shape[0]
 
-    def dense(self) -> "WeightSystem":
-        """This system with a dense w2, for ``exact_kl`` and the stationarity check."""
-        return WeightSystem(w1=self.w1, w2=to_dense(self.w2), instance=self.instance)
-
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and weights 2 w2_ij of the entries w2_ij != 0, row by
@@ -595,14 +591,3 @@ def potential(y, instance: Instance, d) -> float:
     y = np.asarray(y, dtype=float)
     return float(w.w1 @ y + y @ w.w2 @ y)
 
-
-def conditional_choice_prob(i: int, y, instance: Instance, d) -> float:
-    """Probability unit i chooses 1 given the other units' choices y.
-
-    Equals logistic(U_i(1, y_-i)) because the utility of choosing 0 is
-    normalized to zero. The entry y[i] is ignored; only unit i's coupling
-    row is read.
-    """
-    y = np.array(y, dtype=float)
-    y[i] = 1.0
-    return float(expit(utility(i, y, instance, d)))

@@ -266,13 +266,14 @@ def similarity_bounds(x, kernel: SimilarityKernel) -> tuple[float, float]:
     return float(both.min()), float(both.max())
 
 
-def load_network(path, n: int | None = None) -> Network:
-    """Read an edge list file into a Network.
+def load_network(path, n: int) -> Network:
+    """Read an edge list file into a Network of ``n`` units.
 
-    The file holds one "i,j" pair per line with 0-based unit indices.
-    Blank lines and lines starting with '#' are ignored. Duplicate and
-    reversed pairs are deduplicated. If ``n`` is omitted it is inferred
-    as one plus the largest index seen. A file with no edges is rejected.
+    The file holds one "i,j" pair per line with 0-based unit indices below
+    n. Blank lines and lines starting with '#' are ignored. Duplicate and
+    reversed pairs are deduplicated. The caller gives n (``load_instance``
+    takes the covariate row count), since units without edges appear in no
+    line. A file with no edges is rejected.
     """
     with open(path) as fh:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
@@ -289,7 +290,7 @@ def load_network(path, n: int | None = None) -> Network:
         valid = False
     if not valid:
         edges = np.array(_edge_lines(path))
-    return Network.from_edges(int(edges.max()) + 1 if n is None else n, edges)
+    return Network.from_edges(n, edges)
 
 
 def _edge_lines(path) -> list[tuple[int, int]]:

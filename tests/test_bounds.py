@@ -26,6 +26,7 @@ from netalloc import (
     weights,
 )
 from netalloc.bounds import direct_effect_scale, positivity_profile_holds, sample_size_ok
+from netalloc.experiments import simulation_instance
 from netalloc.network import erdos_renyi
 from tests.conftest import protocol_instance, random_instance
 
@@ -217,6 +218,22 @@ class TestRegretBound:
         with pytest.raises(ValueError, match="margin"):
             regret_upper_bound(inst)
 
+    @pytest.mark.parametrize("n,theta1,theta5,premise,regret", [
+        # theta5 < 0 breaks positivity while the margin is 0.00525.
+        (10, 0.5, -0.8, "positivity profile", 37.343763027022916),
+        # theta1 = 20 asks for N >= 5 units.
+        (4, 20.0, 0.8, "network-size condition", 45.37003024137187),
+    ])
+    def test_requires_the_premises_of_the_report(self, n, theta1, theta5, premise, regret):
+        # Outside the premises bounds_report gives a guarantee factor of 0,
+        # and regret_upper_bound refuses, although the margin is in (0, 1).
+        theta = ThetaParams(-2.0, theta1, 0.1, 0.6, 0.7, theta5, 0.9, a_n=0.1)
+        inst = simulation_instance(n, 0.4, theta, seed=3)
+        report = bounds_report(inst)
+        assert 0.0 < report.margin < 1.0 and report.guarantee_factor == 0.0
+        assert report.regret_upper_bound == pytest.approx(regret, rel=1e-12)
+        with pytest.raises(ValueError, match=premise):
+            regret_upper_bound(inst)
 
 class TestReport:
     def test_fields_and_flags(self):

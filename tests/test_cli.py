@@ -169,7 +169,7 @@ class TestAllocate:
         from netalloc import SimilarityKernel, ThetaParams, brute_force_optimal, make_instance
         from netalloc.network import load_covariates, load_network
 
-        net = load_network(tmp_path / "net.txt")
+        net = load_network(tmp_path / "net.txt", n=3)
         x = load_covariates(tmp_path / "cov.csv")
         theta = ThetaParams(-2.0, 0.5, 0.1, 0.6, 0.7, 0.8, 0.9, a_n=0.5)
         inst = make_instance(net, x, theta, kernel=SimilarityKernel.constant(1.0))

@@ -12,11 +12,11 @@ from scipy.special import expit
 from netalloc import (
     Network,
     ThetaParams,
-    conditional_choice_prob,
     enumerate_gibbs,
     make_instance,
     mcmc_welfare,
     stationarity_check,
+    utility,
     weights,
 )
 from netalloc import dynamics
@@ -27,7 +27,8 @@ from netalloc.dynamics import (
     _one_step_image,
     _redraw,
 )
-from netalloc.model import SCREEN_MARGIN, sigmoid
+from netalloc.exact import ExactSizeError
+from netalloc.model import SCREEN_MARGIN, sigmoid, to_dense
 from tests.conftest import all_steps_redraw, protocol_instance, random_instance
 from tests.test_exact import _dense_enumeration
 from tests.test_storage import csr_twin
@@ -42,7 +43,7 @@ def _reference_redraw(y, w, sites, draws):
     """``_redraw`` as one dot product per step: each step reads unit i's
     logit argument w1[i] + vals[i] @ y[cols[i]] from the current y, over
     array rows built here from the dense w2, not from the table it checks."""
-    w2 = w.dense().w2
+    w2 = to_dense(w.w2)
     cols = [np.flatnonzero(row) for row in w2]
     vals = [2.0 * row[c] for row, c in zip(w2, cols)]
     for i, u in zip(sites, draws):
@@ -94,10 +95,10 @@ def _reference_kernel(instance, d):
     """Full 2^N x 2^N transition matrix of the single-site chain, assembled
     entry by entry; row c is the configuration with y_i = (c >> i) & 1."""
     n = instance.n
-    w = weights(instance, d).dense()
+    w = weights(instance, d)
     codes = np.arange(1 << n)
     y = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
-    p1 = expit(w.w1 + 2.0 * (y @ w.w2))
+    p1 = expit(w.w1 + 2.0 * (y @ to_dense(w.w2)))
     kernel = np.zeros((1 << n, 1 << n))
     for i in range(n):
         np.add.at(kernel, (codes, codes | (1 << i)), p1[:, i] / n)
@@ -155,8 +156,9 @@ class TestStep:
                 key = tuple(y)
                 counts[key] = counts.get(key, 0) + 1
         # Each unit is picked with probability 1/2 and redrawn given the other.
-        p0 = conditional_choice_prob(0, start, inst, d)
-        p1 = conditional_choice_prob(1, start, inst, d)
+        # P(y_i = 1 | y_-i) = logistic(U_i(1, y_-i)) at the start state.
+        p0 = expit(utility(0, [1, start[1]], inst, d))
+        p1 = expit(utility(1, [start[0], 1], inst, d))
         expected = {(0, 0): (1 - p0) / 2, (1, 0): (p0 + 1 - p1) / 2, (1, 1): p1 / 2}
         for key, p in expected.items():
             freq = counts.get(key, 0) / trials
@@ -178,7 +180,9 @@ class TestKernel:
         code = 0b0101
         i = 1
         flipped = code | (1 << i)
-        p = conditional_choice_prob(i, y, inst, d)
+        y1 = y.copy()
+        y1[i] = 1
+        p = expit(utility(i, y1, inst, d))
         assert kernel[code, flipped] == pytest.approx(p / 4, abs=1e-12)
 
     def test_detailed_balance(self, rng):
@@ -201,6 +205,11 @@ class TestKernel:
         inst = random_instance(rng, n)
         with pytest.raises(ValueError, match=rf"infeasible for {n} units \(cap {n - 1}\)"):
             stationarity_check(inst, np.zeros(n, dtype=int))
+
+    def test_size_cap_refuses_as_every_exact_computation(self, rng):
+        n = STATIONARITY_MAX_UNITS + 1
+        with pytest.raises(ExactSizeError):
+            stationarity_check(random_instance(rng, n), np.zeros(n, dtype=int))
 
 
 class TestStationarity:
@@ -231,8 +240,8 @@ class TestStationarity:
             p1, e = _chain(inst, d)
             if law == "half_pair":  # the Gibbs energy with its pair term halved
                 y = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-                w = weights(inst, d).dense()
-                e = y @ w.w1 + 0.5 * ((y @ w.w2) * y).sum(axis=1)
+                w = weights(inst, d)
+                e = y @ w.w1 + 0.5 * ((y @ to_dense(w.w2)) * y).sum(axis=1)
             elif law == "uniform":
                 e = np.zeros(1 << n)
             pi = np.exp(e - e.max())
@@ -509,7 +518,7 @@ class TestScreen:
         inst = protocol_instance(10, density=density, seed=seed, a_n=a_n)
         w = weights(inst, rng.integers(0, 2, size=10))
         y = ((np.arange(1 << 10)[:, None] >> np.arange(10)) & 1).astype(float)
-        p = expit(w.w1 + 2.0 * (y @ w.dense().w2))
+        p = expit(w.w1 + 2.0 * (y @ to_dense(w.w2)))
         lo, hi = w.screen
         assert (lo <= p.min(axis=0)).all() and (p.max(axis=0) < hi).all()
         np.testing.assert_allclose(p.min(axis=0) - lo, SCREEN_MARGIN, rtol=0, atol=1e-15)
@@ -617,7 +626,7 @@ class TestRows:
         no_theta5 = replace(inst, theta=replace(inst.theta, theta5=0.0))
         for case in (inst, csr_twin(inst), no_theta5, csr_twin(no_theta5)):
             w = weights(case, d)
-            w2 = w.dense().w2
+            w2 = to_dense(w.w2)
             cols, vals = w.row_lists
             for i in range(n):
                 want = np.flatnonzero(w2[i])

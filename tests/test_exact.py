@@ -304,7 +304,8 @@ class TestPairsFromEntries:
         w = weights(dense, d)
         iu, ju = self._upper_pairs(w.w2)
         stat = np.eye(12)
-        log_z, mean = ex._eliminate(w.w1[None], iu, ju, 2.0 * w.w2[iu, ju][None], stat)
+        log_z, mean = ex._eliminate(w.w1[None], iu, ju, 2.0 * w.w2[iu, ju][None], stat,
+                                    min_fill_order(12, iu, ju))
         for inst in (dense, csr_twin(dense)):
             got_z, got_mean = ex._moments(weights(inst, d), stat)
             assert np.float64(got_z).tobytes() == log_z[0].tobytes()
@@ -320,7 +321,7 @@ class TestPairsFromEntries:
         w1 = linear_weights(dense, allocations.T).T
         dd = allocations[:, iu] * allocations[:, ju]
         pair_w = 2.0 * pair_weights(dense.theta, sm[iu, ju], dd)
-        _, mean = ex._eliminate(w1, iu, ju, pair_w, np.ones((12, 1)))
+        _, mean = ex._eliminate(w1, iu, ju, pair_w, np.ones((12, 1)), min_fill_order(12, iu, ju))
         for inst in (dense, csr_twin(dense)):
             assert welfare_of_allocations(inst, allocations).tobytes() == mean[:, 0].tobytes()
 

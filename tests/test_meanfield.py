@@ -28,7 +28,7 @@ from netalloc import (
 )
 from netalloc import meanfield
 from netalloc.meanfield import Incumbent, _coupling_products, instance_certified
-from netalloc.model import sigmoid
+from netalloc.model import sigmoid, to_dense
 from tests.conftest import index_order_sweep, protocol_instance, random_instance
 from tests.test_storage import csr_twin
 
@@ -252,7 +252,7 @@ class TestFixedPoint:
             inst = csr_twin(inst)
         w = weights(inst, rng.integers(0, 2, size=40))
         assert isinstance(w.w2, np.ndarray) == (storage == "dense")
-        w2 = w.dense().w2
+        w2 = to_dense(w.w2)
         mu = rng.uniform(size=40)
         want = mu.copy()
         for units in inst.colour_classes:

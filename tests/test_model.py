@@ -16,7 +16,6 @@ from netalloc import (
     SimilarityKernel,
     ThetaParams,
     WeightSystem,
-    conditional_choice_prob,
     feasible_allocations,
     make_instance,
     potential,
@@ -24,7 +23,7 @@ from netalloc import (
     weights,
 )
 from netalloc import model
-from netalloc.model import allocation_vector, derive_seed, nonzero_entries, sigmoid
+from netalloc.model import allocation_vector, derive_seed, nonzero_entries, sigmoid, to_dense
 from tests.conftest import protocol_instance, random_instance
 from tests.test_storage import csr_twin
 
@@ -156,7 +155,7 @@ class TestWeights:
         w = weights(inst, d)
         # No edges: the coupling, hence w2, is CSR with nothing stored.
         assert w.w2.nnz == 0
-        assert np.all(w.dense().w2 == 0.0)
+        assert np.all(to_dense(w.w2) == 0.0)
         expected = SET1.theta0 + SET1.theta1 * d + x[:, 0] * (SET1.theta2 + SET1.theta3 * d)
         np.testing.assert_allclose(w.w1, expected, atol=1e-14)
 
@@ -191,17 +190,20 @@ class TestWeights:
 
 
 class TestConditionalChoice:
+    """P(y_i = 1 | y_-i) is the logistic of U_i(1, y_-i), the utility of
+    choosing 1 against 0."""
+
     def test_balanced_isolated_unit(self):
         net = Network.from_edges(1, [])
         theta = ThetaParams(0.0, 0.5, 0.0, 0.0, 0.7, 0.8, 0.9)
         inst = make_instance(net, np.array([[1.0]]), theta)
-        assert conditional_choice_prob(0, [0], inst, [0]) == pytest.approx(0.5)
+        assert expit(utility(0, [1], inst, [0])) == pytest.approx(0.5)
 
     def test_logistic_value(self):
         net = Network.from_edges(1, [])
         theta = ThetaParams(-2.0, 0.5, 0.0, 0.0, 0.7, 0.8, 0.9)
         inst = make_instance(net, np.array([[1.0]]), theta)
-        p = conditional_choice_prob(0, [0], inst, [0])
+        p = expit(utility(0, [1], inst, [0]))
         assert p == pytest.approx(0.11920292202211755, abs=1e-12)
 
     def test_probability_interior(self, rng):
@@ -210,21 +212,10 @@ class TestConditionalChoice:
             inst = random_instance(rng, n)
             y = rng.integers(0, 2, n)
             d = rng.integers(0, 2, n)
-            p = conditional_choice_prob(int(rng.integers(n)), y, inst, d)
-            assert 0.0 < p < 1.0
-
-    def test_matches_utility_log_odds(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            inst = random_instance(rng, n)
-            y = rng.integers(0, 2, n)
-            d = rng.integers(0, 2, n)
             i = int(rng.integers(n))
-            y1 = y.copy()
-            y1[i] = 1
-            assert conditional_choice_prob(i, y, inst, d) == pytest.approx(
-                float(expit(utility(i, y1, inst, d))), abs=1e-12
-            )
+            y[i] = 1
+            p = expit(utility(i, y, inst, d))
+            assert 0.0 < p < 1.0
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_choice_argument_is_the_field(self, rng, storage):
@@ -251,7 +242,9 @@ class TestConditionalChoice:
             w = weights(inst, d)
             field = w.w1 + 2.0 * (w.w2 @ y)
             for i in range(30):
-                assert conditional_choice_prob(i, y, inst, d) == pytest.approx(
+                y1 = y.copy()
+                y1[i] = 1
+                assert expit(utility(i, y1, inst, d)) == pytest.approx(
                     float(expit(field[i])), abs=1e-12)
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -265,8 +258,9 @@ class TestConditionalChoice:
             raise AssertionError("row_lists built")
 
         monkeypatch.setattr(WeightSystem, "row_lists", property(built))
-        p = conditional_choice_prob(3, rng.integers(0, 2, size=30), inst,
-                                    rng.integers(0, 2, size=30))
+        y = rng.integers(0, 2, size=30)
+        y[3] = 1
+        p = expit(utility(3, y, inst, rng.integers(0, 2, size=30)))
         assert 0.0 < p < 1.0
 
 
@@ -509,7 +503,7 @@ class TestInputContract:
     def test_systems_from_weights_carry_their_instance(self):
         inst = protocol_instance(6, seed=1)
         w = weights(inst, np.ones(6, dtype=int))
-        assert w.instance is inst and w.dense().instance is inst
+        assert w.instance is inst
 
     def test_instance_stores_float_arrays(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])

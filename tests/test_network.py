@@ -335,7 +335,7 @@ class TestFileLoading:
     def test_edge_list_roundtrip_with_dedup(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("# comment line\n0,1\n1,0\n\n1,2\n")
-        net = load_network(path)
+        net = load_network(path, n=3)
         assert net.n == 3
         assert net.edge_count == 2
         assert net.adjacency[0, 1] == net.adjacency[1, 0] == 1
@@ -344,14 +344,14 @@ class TestFileLoading:
         path = tmp_path / "net.txt"
         path.write_text("0,0\n")
         with pytest.raises(ValueError, match="self-links not allowed"):
-            load_network(path)
+            load_network(path, n=1)
 
     @pytest.mark.parametrize("text", ["", "# i,j\n\n# nothing else\n"])
     def test_file_without_edges_rejected(self, tmp_path, text):
         path = tmp_path / "net.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{path}: no edges$"):
-            load_network(path)
+            load_network(path, n=1)
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "net.txt"
@@ -364,7 +364,7 @@ class TestFileLoading:
         path = tmp_path / "net.txt"
         path.write_text(f"# i,j\n0,1\n{bad}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 'i,j', got '{bad}'")):
-            load_network(path)
+            load_network(path, n=3)
 
     @pytest.mark.parametrize("text", [
         "0,1\n   \n\t\n1,2\n",  # whitespace-only lines
@@ -383,11 +383,11 @@ class TestFileLoading:
             edges = network._edge_lines(path)
         except ValueError as err:
             with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                load_network(path)
+                load_network(path, n=11)
             assert str(err).startswith(f"{path}:2: ")
             return
         want = Network.from_edges(max(map(max, edges)) + 1, edges)
-        got = load_network(path)
+        got = load_network(path, n=want.n)
         assert got.n == want.n
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -406,7 +406,7 @@ class TestFileLoading:
             raise AssertionError("the line loop ran")
 
         monkeypatch.setattr(network, "_edge_lines", refuse)
-        got = load_network(path)
+        got = load_network(path, n=3000)
         assert got.n == want.n == 3000
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -441,7 +441,7 @@ class TestFileLoading:
         net_path.write_text("0,1\n")
         cov_path = tmp_path / "cov.csv"
         cov_path.write_text("x\n1.0\n0.0\n1.0\n")
-        net = load_network(net_path)
+        net = load_network(net_path, n=2)
         x = load_covariates(cov_path)
         with pytest.raises(ValueError, match="do not match"):
             make_instance(net, x, ThetaParams.from_set(1))

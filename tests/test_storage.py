@@ -29,12 +29,15 @@ from netalloc import (
     brute_force_optimal,
     enumerate_gibbs,
     erdos_renyi,
+    exact_kl,
     exact_welfare,
     fixed_point_solve,
     greedy,
     make_instance,
     mcmc_welfare,
     potential,
+    solve_allocation,
+    stationarity_check,
     utility,
     weights,
     welfare_of_allocations,
@@ -232,15 +235,22 @@ class TestInvariance:
                 w_dense.w1[i] + 2.0 * (w_dense.w2 @ y)[i], abs=1e-12
             )
 
-    def test_exact_oracle_result_carries_dense_w2(self, rng):
-        # ``exact_kl`` evaluates the variational objective on the result's w2.
+    def test_exact_oracle_result_keeps_the_storage(self, rng):
+        # ``exact_kl`` evaluates the variational objective on the result's
+        # w2, and the stationarity check reads the system's own w2: both
+        # take either storage.
         dense = protocol_instance(10, density=0.3, seed=5)
         csr = csr_twin(dense)
         d = rng.integers(0, 2, size=10)
         a = enumerate_gibbs(weights(dense, d))
         b = enumerate_gibbs(weights(csr, d))
-        assert isinstance(b.weights.w2, np.ndarray)
+        assert isinstance(a.weights.w2, np.ndarray)
+        assert isinstance(b.weights.w2, sparse.csr_array)
+        assert abs(a.log_partition - b.log_partition) <= 1e-12
         assert np.abs(a.marginals - b.marginals).max() <= 1e-12
+        mu = solve_allocation(dense, d, seed=0).mu
+        assert abs(exact_kl(mu, a) - exact_kl(mu, b)) <= 1e-12
+        assert abs(stationarity_check(dense, d) - stationarity_check(csr, d)) <= 1e-12
         allocations = rng.integers(0, 2, size=(6, 10))
         assert np.abs(welfare_of_allocations(dense, allocations)
                       - welfare_of_allocations(csr, allocations)).max() <= 1e-12
@@ -264,6 +274,10 @@ def test_exact_oracle_builds_no_square_array(rng, monkeypatch):
     assert welfare_of_allocations(csr, allocations).shape == (6,)
     allocation, value = brute_force_optimal(csr, 2)
     assert len(allocation.treated) <= 2 and 0.0 < value < n
+    dist = enumerate_gibbs(weights(csr, d))
+    assert 0.0 < dist.welfare < n
+    mu = solve_allocation(csr, d, seed=0).mu
+    assert exact_kl(mu, dist) >= 0.0
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])

@@ -49,7 +49,7 @@ class GreedyStep:
 def greedy(
     instance: Instance,
     kappa: int,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
     seed: int = 0,
 ) -> tuple[Allocation, list[GreedyStep]]:
     """Greedy welfare maximization under a capacity constraint.
@@ -67,41 +67,38 @@ def greedy(
     exactly, in one batched iteration. When the incumbent solve did not
     converge or the bound certifies nothing, every candidate is solved.
     ``GreedyStep.nonconverged`` lists only candidates solved exactly.
-    The incumbent's coupling products (``meanfield.Incumbent``) come from
-    one stacked product after the round-0 solve, then from the winning
-    column of each round's batch; the screen and the next batch start from
-    them. At DEBUG level one record per round reports the screened and
-    candidate counts and the batch iterations.
+    Between rounds the incumbent is one ``meanfield.Incumbent``, from the
+    round-0 solve and then the winning row of each round's candidates and
+    column of its batch; the screen and the next batch start from it, and
+    the ``Allocation`` is built at return. At DEBUG level one record per
+    round reports the screened and candidate counts and the batch iterations.
     """
-    settings = settings or SolverSettings()
-    n = instance.n
-    check_capacity(n, kappa)
-    incumbent = Allocation.zeros(n)
+    check_capacity(instance.n, kappa)
     trace: list[GreedyStep] = []
     if kappa == 0:
-        return incumbent, trace
-    base = solve_allocation(instance, incumbent, settings, seed=derive_seed(seed, 0))
-    base_mu, base_welfare, base_converged = base.mu, base.welfare, base.converged
+        return Allocation.zeros(instance.n), trace
+    d = np.zeros(instance.n, dtype=np.int8)
+    base = solve_allocation(instance, d, settings, seed=derive_seed(seed, 0))
+    base_welfare, base_converged = base.welfare, base.converged
     certified = instance_certified(instance)
-    products = _coupling_products(instance, incumbent.d, base_mu) if certified else None
+    incumbent = Incumbent(d, base.mu,
+                          _coupling_products(instance, d, base.mu) if certified else None)
     tie = _tie_tolerance(instance, settings)
     for round_idx in range(1, kappa + 1):
         untreated = np.flatnonzero(incumbent.d == 0)
         rows = untreated
-        screen = base_converged and _linear_response(instance, incumbent.d, base_mu, settings,
-                                                     products)
+        screen = base_converged and _linear_response(instance, incumbent, settings)
         if screen:
             scores, eps, margin = screen
             rows = untreated[scores + eps >= np.max(scores - eps) - margin - tie]
         candidates = np.tile(incumbent.d, (len(rows), 1))
         candidates[np.arange(len(rows)), rows] = 1
         if certified:
-            batch = batch_fixed_point(instance, candidates, settings,
-                                      init=Incumbent(incumbent.d, base_mu, products))
+            batch = batch_fixed_point(instance, candidates, settings, init=incumbent)
             values, mus, converged = batch.welfare, batch.mu, batch.converged
             iterations = batch.iterations
         else:
-            sols = [solve_allocation(instance, c, settings, init=base_mu) for c in candidates]
+            sols = [solve_allocation(instance, c, settings, init=incumbent.mu) for c in candidates]
             values = np.array([sol.welfare for sol in sols])
             mus = np.column_stack([sol.mu for sol in sols])
             converged = np.array([sol.converged for sol in sols])
@@ -118,19 +115,18 @@ def greedy(
                        nonconverged=tuple(int(i) for i in rows[~converged]),
                        screened=len(rows))
         )
-        incumbent = incumbent.with_unit(unit)
+        incumbent = Incumbent(
+            candidates[best].copy(), mus[:, best].copy(),
+            tuple(p[:, best].copy() for p in batch.products) if certified else None)
         base_welfare = float(values[best])
-        base_mu = mus[:, best].copy()
         base_converged = bool(converged[best])
-        if certified:
-            products = tuple(p[:, best].copy() for p in batch.products)
-    return incumbent, trace
+    return Allocation.from_vector(incumbent.d), trace
 
 
 def bfva(
     instance: Instance,
     kappa: int,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
     seed: int = 0,
 ) -> tuple[Allocation, float]:
     """Exhaustive mean-field welfare maximization over feasible allocations.
@@ -141,7 +137,6 @@ def bfva(
     instances, whose whole enumeration is solved in batched chunks).
     Solves that stopped at max_iter are counted in one WARNING record.
     """
-    settings = settings or SolverSettings()
     allocations = feasible_allocations(instance.n, kappa, max_count=BFVA_MAX_ALLOCATIONS)
     count = allocations.shape[0]
     values = np.empty(count)

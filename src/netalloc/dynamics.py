@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -39,6 +40,22 @@ MCMC_BATCHES = 50
 BLOCK_STEPS = 2**14
 # Largest network whose 2^N configurations stationarity_check lists.
 STATIONARITY_MAX_UNITS = 12
+
+
+@dataclass(frozen=True)
+class SamplerSettings:
+    """Length of an ``mcmc_welfare`` chain: ``sweeps`` sweeps, the first
+    ``burn_in`` of them discarded. Building one checks sweeps > burn_in >= 0."""
+
+    sweeps: int = 10_000
+    burn_in: int = 5_000
+
+    def __post_init__(self):
+        check_count("sweeps", self.sweeps)
+        check_count("burn_in", self.burn_in)
+        if not self.sweeps > self.burn_in >= 0:
+            raise ValueError(f"sampler needs sweeps > burn_in >= 0, got sweeps={self.sweeps}, "
+                             f"burn_in={self.burn_in}")
 
 
 def _redraw(y: np.ndarray, w: WeightSystem, sites: np.ndarray, draws: np.ndarray,
@@ -109,16 +126,12 @@ def mcmc_welfare(
     A sweep is ``steps_per_sweep`` single-site updates (defaults to one per
     unit; pass 1 to read the iteration counts literally as single steps).
     The per-sweep population mean is recorded after the burn-in period and
-    averaged; the standard error comes from batch means.
+    averaged; the standard error comes from batch means. ``sweeps`` and
+    ``burn_in`` are checked as ``SamplerSettings`` checks them.
     """
-    check_count("sweeps", sweeps)
-    check_count("burn_in", burn_in)
+    SamplerSettings(sweeps, burn_in)  # checks sweeps > burn_in >= 0
     if steps_per_sweep is not None:
         check_count("steps_per_sweep", steps_per_sweep, minimum=1)
-    if sweeps <= burn_in:
-        raise ValueError("sweeps must exceed burn_in")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
     start = time.perf_counter()
     w = weights(instance, d)
     n = w.n

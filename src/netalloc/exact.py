@@ -38,6 +38,9 @@ from .model import (
 
 # Above this many units exact computation of one allocation is refused.
 MAX_EXACT_UNITS = 20
+# The same cap for a batch of allocations, lower because a batch costs
+# allocations x 2^(width + 1) table entries and the allocations grow with N.
+BATCH_MAX_UNITS = 15
 # brute_force_optimal ties: rounding moves a welfare by up to ~1e-13, and
 # distinct allocations of the benchmark instances differ by 1e-9 or more.
 _TIE = 1e-10
@@ -181,9 +184,7 @@ def exact_welfare(d, instance: Instance, max_units: int = MAX_EXACT_UNITS) -> fl
 def welfare_of_allocations(
     instance: Instance,
     allocations: np.ndarray,
-    # 15, not MAX_EXACT_UNITS: a batch costs allocations x 2^(width + 1)
-    # table entries, and the allocations to score grow with N.
-    max_units: int = 15,
+    max_units: int = BATCH_MAX_UNITS,
 ) -> np.ndarray:
     """Exact welfare for a batch of allocations (rows of a 0/1 matrix).
 
@@ -209,7 +210,7 @@ def welfare_of_allocations(
 def brute_force_optimal(
     instance: Instance,
     kappa: int,
-    max_units: int = 15,  # the batch cap of ``welfare_of_allocations``
+    max_units: int = BATCH_MAX_UNITS,
 ) -> tuple[Allocation, float]:
     """Exact argmax of equilibrium welfare over allocations of size <= kappa.
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import allocate as alloc
 from . import bounds as bnd
 from . import dynamics, exact, meanfield
+from .dynamics import SamplerSettings
 from .model import (
     PARAM_SETS,
     Allocation,
@@ -39,7 +40,6 @@ from .model import (
     Instance,
     ThetaParams,
     check_capacity,
-    check_count,
     derive_seed,
     make_instance,
     weights,
@@ -131,21 +131,6 @@ def capacity(n: int, kappa: int | None, kappa_frac: float) -> int:
     return math.floor(Decimal(str(kappa_frac)) * n) if kappa is None else check_capacity(n, kappa)
 
 
-@dataclass(frozen=True)
-class SamplerSettings:
-    sweeps: int = 10_000
-    burn_in: int = 5_000
-
-    def __post_init__(self):
-        check_count("sweeps", self.sweeps)
-        check_count("burn_in", self.burn_in)
-        if not self.sweeps > self.burn_in >= 0:
-            raise ValueError(
-                f"sampler needs sweeps > burn_in >= 0, got sweeps={self.sweeps}, "
-                f"burn_in={self.burn_in}"
-            )
-
-
 # validate's fixed tolerances: the largest mean-field vs sampler gap per
 # person, the stationarity residual, how far below zero an exact KL may
 # round, and the slack on the Pinsker bound.
@@ -164,8 +149,8 @@ _KINDS = {
 
 def _checked(name: str, value, kind):
     """``value`` of setting ``name`` checked against its annotation ``kind``
-    (a bool is not a number); a list becomes a tuple, and a mapping for a
-    settings dataclass is read into one."""
+    (a bool is not a number); a list becomes a tuple, a numpy scalar its
+    Python value, and a mapping for a settings dataclass is read into one."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:  # X | None
         return None if value is None else _checked(name, value, args[0])
@@ -178,7 +163,7 @@ def _checked(name: str, value, kind):
     accepted, what = _KINDS[kind]
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _read_settings(cls, raw, section: str | None = None):
@@ -214,7 +199,7 @@ class ExperimentConfig:
     a_n: float | None = None
     kernel: str = "absdiff"
     random_draws: int | None = None
-    exact_cap: int = 15
+    exact_cap: int = exact.BATCH_MAX_UNITS
     solver: meanfield.SolverSettings = field(default_factory=meanfield.SolverSettings)
     sampler: SamplerSettings = field(default_factory=SamplerSettings)
     workers: int = 1
@@ -483,8 +468,8 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
             "replication": rep,
             "checks": checks,
         })
-        g_alloc, _ = alloc.greedy(instance, kappa, cfg.solver, seed=seed(1))
-        rules = {"greedy": g_alloc.d, "none": np.zeros(n, dtype=np.int8)}
+        rules = {name: ALLOCATORS[name][1](instance, kappa, cfg, seed(1))[0].d
+                 for name in ("greedy", "none")}
         solutions = {
             name: meanfield.solve_allocation(instance, d, cfg.solver, seed=seed(2))
             for name, d in rules.items()
@@ -523,7 +508,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
                 "pass": bool(stat <= STATIONARITY_TOL),
             }
         if report.positivity_holds and report.sample_size_ok:
-            _, bf_w = alloc.bfva(instance, kappa, cfg.solver, seed=seed(5))
+            bf_w = ALLOCATORS["bfva"][1](instance, kappa, cfg, seed(5))[1]
             lower = report.guarantee_factor * bf_w
             checks["greedy_guarantee"] = {
                 "value": solutions["greedy"].welfare,

@@ -133,7 +133,7 @@ def _checked_init(init, n: int) -> np.ndarray:
 
 def fixed_point_solve(
     w: WeightSystem,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
     seed: int | None = None,
     init: np.ndarray | None = None,
 ) -> MeanFieldSolution:
@@ -148,7 +148,6 @@ def fixed_point_solve(
     returned marginals. At DEBUG level one record reports the sweeps, the
     colours, the residual and whether the solve converged.
     """
-    settings = settings or SolverSettings()
     start = (np.random.default_rng(seed).uniform(size=w.n) if init is None
              else _checked_init(init, w.n))
     mu = np.clip(start, CLAMP, 1.0 - CLAMP)
@@ -177,7 +176,7 @@ def fixed_point_solve(
 def solve_allocation(
     instance: Instance,
     d,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
     seed: int | None = None,
     init: np.ndarray | None = None,
 ) -> MeanFieldSolution:
@@ -188,7 +187,6 @@ def solve_allocation(
     objective is kept; under the certificate a single run finds the unique
     maximizer.
     """
-    settings = settings or SolverSettings()
     w = weights(instance, d)
     if instance_certified(instance) or init is not None:
         return fixed_point_solve(w, settings, seed=seed, init=init)
@@ -204,7 +202,7 @@ def solve_allocation(
 def approx_welfare(
     d,
     instance: Instance,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
     seed: int | None = None,
 ) -> float:
     """Approximated equilibrium welfare, the sum of mean-field marginals.
@@ -230,10 +228,10 @@ class BatchSolution:
 
 
 class Incumbent(NamedTuple):
-    """A solved allocation that ``batch_fixed_point`` can start from: the
-    allocation d, its marginals mu, and the coupling products
-    (sm @ (d * mu), sm @ mu, sm @ d) of that mu, as ``_coupling_products``
-    or a ``BatchSolution`` column gives them."""
+    """A solved allocation, greedy's state between rounds: the allocation d,
+    its marginals mu, and the coupling products (sm @ (d * mu), sm @ mu,
+    sm @ d) of that mu, as ``_coupling_products`` or a ``BatchSolution``
+    column gives them. Products are None on an uncertified instance."""
 
     d: np.ndarray
     mu: np.ndarray
@@ -250,7 +248,7 @@ def _coupling_products(instance: Instance, d, mu: np.ndarray) -> tuple:
 def batch_fixed_point(
     instance: Instance,
     allocations: np.ndarray,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
     seed: int | None = None,
     init: np.ndarray | Incumbent | None = None,
 ) -> BatchSolution:
@@ -297,7 +295,6 @@ def batch_fixed_point(
     lives in one of five buffers allocated up front: the allocations, w1,
     the current and the next iterate, and one scratch array.
     """
-    settings = settings or SolverSettings()
     th = instance.theta
     sm = instance.coupling
     dt = allocation_vector(allocations, instance.n, block=True).T.astype(float, order="C")
@@ -391,23 +388,21 @@ def _tie_tolerance(instance: Instance, settings: SolverSettings) -> float:
 
 def _linear_response(
     instance: Instance,
-    d: np.ndarray,
-    mu: np.ndarray,
+    incumbent: Incumbent,
     settings: SolverSettings,
-    products: tuple | None,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Linear-response scores of treating each untreated unit, with proven
     error bounds, from the incumbent fixed point alone.
 
-    Returns ``(s, eps, margin)`` over the units ``np.flatnonzero(d == 0)``,
-    or None when the bound certifies nothing: the instance is not
-    certified, a denominator below is not positive, or a bound is not
-    finite. S_k and C_k below are ``instance.coupling_bounds``. The cost is
-    one product of the coupling (a block of two vectors) per iteration of
-    the v solve, whose last input gives u's products too. ``products`` are
-    the incumbent's (sm @ (d o mu), sm @ mu, sm @ d) (``_coupling_products``),
-    which also give its w1; they may be None only on an uncertified
-    instance, where they are not read. Nothing of size N x N or
+    ``incumbent`` is greedy's state (d, mu, products); its products
+    (sm @ (d o mu), sm @ mu, sm @ d) also give its w1 and may be None only
+    on an uncertified instance, where they are not read. Returns
+    ``(s, eps, margin)`` over the units ``np.flatnonzero(d == 0)``, or None
+    when the bound certifies nothing: the instance is not certified, a
+    denominator below is not positive, or a bound is not finite. S_k and
+    C_k below are ``instance.coupling_bounds``. The cost is one product of
+    the coupling (a block of two vectors) per iteration of the v solve,
+    whose last input gives u's products too. Nothing of size N x N or
     N x candidates is built.
 
     Notation: sm is the coupling (nonnegative, symmetric, zero diagonal),
@@ -502,6 +497,7 @@ def _linear_response(
     """
     if not instance_certified(instance):
         return None
+    d, mu, (dmu_sum, mu_sum, d_sum) = incumbent
     th = instance.theta
     sm = instance.coupling
     row_sums, col_max = instance.coupling_bounds
@@ -514,7 +510,6 @@ def _linear_response(
     if not (gap > 0 and lip < 1):
         return None
     dd = d.astype(float)
-    dmu_sum, mu_sum, d_sum = products
     logit = np.log(mu) - np.log1p(-mu)
     eta = (logit - linear_weights(instance, dd, coupled=d_sum)
            - a * (th.theta5 * mu_sum + th.theta6 * dd * dmu_sum))

@@ -141,9 +141,9 @@ def min_fill_order(n: int, iu, ju) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def logistic_slope(x):
-    """Derivative of the logistic function, logistic(x) * (1 - logistic(x))."""
-    p = expit(x)
-    return p * (1.0 - p)
+    """Derivative of the logistic function, logistic(x) logistic(-x): the
+    same as logistic(x) (1 - logistic(x)) without its cancellation for large x."""
+    return expit(x) * expit(-x)
 
 
 def _coef_array(value, k: int) -> np.ndarray:

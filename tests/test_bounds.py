@@ -25,7 +25,8 @@ from netalloc import (
     solve_allocation,
     weights,
 )
-from netalloc.bounds import direct_effect_scale, positivity_profile_holds, sample_size_ok
+from netalloc.bounds import (_guarantee, direct_effect_scale, positivity_profile_holds,
+                             sample_size_ok)
 from netalloc.experiments import simulation_instance
 from netalloc.network import erdos_renyi
 from tests.conftest import protocol_instance, random_instance
@@ -62,6 +63,18 @@ class TestMargin:
             n = int(rng.integers(3, 20))
             inst = random_instance(rng, n, positivity=True, a_n=float(rng.uniform(0.05, 1.0)))
             assert abs(curvature_margin(inst) - reference_margin(inst)) <= 1e-14
+
+    def test_large_direct_effect_keeps_a_positive_margin(self):
+        # theta1 = 45 puts the second slope branch near x = 45, where
+        # p (1 - p) cancels to 0. The margin is tiny but positive, so the
+        # premise named is the one that fails: N = 10 < 45 / 4.
+        theta = ThetaParams(-2.0, 45.0, 0.1, 0.6, 0.7, 0.8, 0.9, a_n=0.1)
+        inst = simulation_instance(10, 0.4, theta, seed=3)
+        margin = curvature_margin(inst)
+        assert 0.0 < margin < 1e-18
+        assert _guarantee(inst, margin) == (0.0, "the network-size condition fails")
+        with pytest.raises(ValueError, match="network-size condition"):
+            regret_upper_bound(inst)
 
     def test_quarter_slope_case(self):
         # theta0 + min x'theta2 = 0 puts the first slope branch at its

@@ -500,6 +500,114 @@ class TestKernel:
         assert not out.exists()
 
 
+class TestEntry:
+    """The installed command's exit codes (``cli.entry``): 0 success, 2 a
+    failed validation, 1 anything else, with the message on stderr."""
+
+    @staticmethod
+    def exit_code(monkeypatch, *args):
+        monkeypatch.setattr(sys, "argv", ["netalloc", *args])
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        return exit_info.value.code
+
+    def test_runtime_error_is_printed_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        from netalloc import cli
+
+        def fail(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_bounds", fail)
+        cfg = make_toy_files(tmp_path)
+        code = self.exit_code(monkeypatch, "bounds", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_usage_error_is_shown_and_exits_1(self, monkeypatch, capsys):
+        assert self.exit_code(monkeypatch, "simulate", "--bogus") == 1
+        err = capsys.readouterr().err
+        assert "Error: No such option" in err and "--bogus" in err
+
+    def test_failed_validation_exits_2(self, tmp_path, monkeypatch):
+        from netalloc import cli
+
+        summary = {"checks": 1, "failed": 1, "passed": False}
+        monkeypatch.setattr(cli, "run_validate", lambda cfg: ({"summary": summary}, False))
+        code = self.exit_code(monkeypatch, "validate", "--n", "5", "--out", str(tmp_path))
+        assert code == 2
+        assert json.loads((tmp_path / "validation_report.json").read_text()) == {
+            "summary": summary}
+
+
+class TestExperiments:
+    def test_numpy_settings_are_written_as_python_values(self, tmp_path):
+        # Settings given as numpy scalars used to reach the JSON writers as
+        # numpy scalars, which json cannot write.
+        from netalloc.experiments import ExperimentConfig, run_allocate, run_validate, write_json
+
+        cfg = ExperimentConfig(sizes=(np.int64(5),), densities=(np.float64(0.3),),
+                               replications=np.int64(1), seed=np.int32(4))
+        report, _ = run_validate(cfg)
+        write_json(tmp_path / "validation_report.json", report)
+        entry_ = json.loads((tmp_path / "validation_report.json").read_text())["instances"][0]
+        assert (entry_["n"], entry_["density"]) == (5, 0.3)
+        assert type(cfg.sizes[0]) is int and type(cfg.densities[0]) is float
+
+        raw = json.loads(make_toy_files(tmp_path).read_text())
+        cfg = ExperimentConfig.from_dict({**raw, "kappa": np.int64(1)})
+        write_json(tmp_path / "allocation.json", run_allocate(cfg)["allocation"])
+        assert json.loads((tmp_path / "allocation.json").read_text())["kappa"] == 1
+        assert type(cfg.kappa) is int
+
+    @pytest.mark.parametrize("raw,message", [
+        ({"methods": ["greedy", "bogus"]}, r"unknown methods: \['bogus'\]"),
+        ({"evaluators": ["va", "sampled"]}, r"unknown evaluators: \['sampled'\]"),
+        ({"replications": 0}, "replications must be at least 1"),
+    ])
+    def test_sweep_settings_are_checked(self, raw, message):
+        from netalloc.experiments import ExperimentConfig
+
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(raw)
+
+    def test_top_level_a_n_overrides_the_param_set_and_theta(self):
+        from netalloc.experiments import ExperimentConfig
+
+        assert ExperimentConfig(a_n=0.25).resolved_theta(2, 10, generated=True).a_n == 0.25
+        cfg = ExperimentConfig(theta={**THETA, "a_n": 0.5})
+        assert cfg.resolved_theta(1, 10, generated=True).a_n == 0.5
+        cfg = ExperimentConfig(theta={**THETA, "a_n": 0.5}, a_n=0.25)
+        assert cfg.resolved_theta(1, 10, generated=False).a_n == 0.25
+
+    def test_reason_re_raises_other_errors(self):
+        from netalloc.exact import ExactSizeError
+        from netalloc.experiments import _reason
+
+        assert _reason(ExactSizeError("big")) == "exact_infeasible"
+        with pytest.raises(ValueError, match="^not a size refusal$"):
+            _reason(ValueError("not a size refusal"))
+
+    def test_validate_skips_the_exact_checks_above_exact_cap(self):
+        from netalloc.experiments import ExperimentConfig, run_validate
+
+        def checks(exact_cap):
+            report, _ = run_validate(ExperimentConfig(sizes=(6,), replications=1,
+                                                      exact_cap=exact_cap))
+            return set(report["instances"][0]["checks"])
+
+        assert checks(5) == set()
+        assert {"kl_bounds_greedy", "va_vs_exact_none", "stationarity"} <= checks(6)
+
+    def test_allocate_needs_theta(self, tmp_path):
+        from netalloc.experiments import ExperimentConfig, run_allocate
+
+        raw = json.loads(make_toy_files(tmp_path).read_text())
+        del raw["theta"]
+        with pytest.raises(ValueError, match="^allocate/bounds runs need explicit theta parameters$"):
+            run_allocate(ExperimentConfig.from_dict(raw))
+
+
 class TestConfigParsing:
     @pytest.mark.parametrize("raw", [{"sizs": [5]}, {"sparse": True}], ids=["sizs", "sparse"])
     def test_unknown_keys_rejected(self, raw):

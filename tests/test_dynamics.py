@@ -333,7 +333,7 @@ class TestMcmcWelfare:
         # A negative burn-in used to leave unfilled entries in the kept
         # series and bias the estimate toward zero.
         inst = protocol_instance(5, seed=1)
-        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+        with pytest.raises(ValueError, match=r"sweeps > burn_in >= 0, got sweeps=20, burn_in=-5"):
             mcmc_welfare(np.zeros(5, dtype=int), inst, sweeps=20, burn_in=-5, seed=0)
 
     @pytest.mark.parametrize("steps", [0, -3])

@@ -431,6 +431,14 @@ class TestInputContract:
                             np.array([0.6, 0.7]), 0.7, 0.8, 0.9)
         assert theta.theta2 == (0.1, pytest.approx(0.2)) and theta.theta3 == (0.6, 0.7)
 
+    @pytest.mark.parametrize("name", ["theta2", "theta3"])
+    def test_coefficient_length_must_match_the_covariates(self, name):
+        theta = replace(SET1, **{name: (0.1, 0.2, 0.3)})
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        inst = make_instance(Network.from_edges(3, [(0, 1), (1, 2)]), x, theta)
+        with pytest.raises(ValueError, match=r"coefficient of shape \(3,\) incompatible with K=2"):
+            getattr(inst, f"x_effect{name[-1]}")
+
     @pytest.mark.parametrize("a_n", [np.inf, np.nan, -1.0])
     def test_theta_rejects_bad_scaling(self, a_n):
         with pytest.raises(ValueError, match="a_n must be positive and finite"):
@@ -517,6 +525,15 @@ class TestSharedHelpers:
     def test_sigmoid_matches_expit(self):
         for a in (-800.0, -30.0, -1.5, 0.0, 0.25, 30.0, 800.0):
             assert sigmoid(a) == pytest.approx(float(expit(a)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [30.0, 37.0, 50.0, -50.0])
+    def test_logistic_slope_keeps_its_precision_in_the_tails(self, x):
+        # p (1 - p) with p = expit(x) cancels: 0.1% low at x = 30 and 0 from
+        # x = 37. The slope is exp(-|x|) / (1 + exp(-|x|))^2 at any x.
+        tail = np.exp(-abs(x))
+        want = tail / (1.0 + tail) ** 2
+        assert model.logistic_slope(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert model.logistic_slope(np.array([x, -x])) == pytest.approx([want, want], rel=1e-14)
 
     def test_derive_seed_is_pinned(self):
         # Every simulate stream, greedy candidate and bfva restart descends

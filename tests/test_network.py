@@ -411,6 +411,12 @@ class TestFileLoading:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
 
+    def test_negative_index_is_located(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("0,1\n-1,3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: negative unit index$"):
+            load_network(path, n=4)
+
     def test_covariates_csv(self, tmp_path):
         path = tmp_path / "cov.csv"
         path.write_text("x1,x2\n0.5,1.0\n2.0,0.0\n")
@@ -426,6 +432,14 @@ class TestFileLoading:
         path = tmp_path / "cov.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no covariate rows$"):
+            load_covariates(path)
+
+    @pytest.mark.parametrize("text", ["x\n1.0\nabc\n", "x,y\n1.0,2.0\n3.0,\n"])
+    def test_non_numeric_covariates_rejected(self, tmp_path, text):
+        path = tmp_path / "cov.csv"
+        path.write_text(text)
+        message = f"^{re.escape(str(path))}: non-numeric or missing covariate entries$"
+        with pytest.raises(ValueError, match=message):
             load_covariates(path)
 
     def test_negative_covariates_rejected(self, tmp_path):

@@ -27,8 +27,8 @@ from netalloc import (
     make_instance,
 )
 from netalloc import allocate
-from netalloc.meanfield import (_coupling_products, _linear_response, _tie_tolerance,
-                                instance_certified)
+from netalloc.meanfield import (Incumbent, _coupling_products, _linear_response,
+                                _tie_tolerance, instance_certified)
 from netalloc.network import erdos_renyi
 from tests.conftest import _unscreened_greedy, protocol_instance, random_theta
 
@@ -86,7 +86,8 @@ def assert_bound_holds(inst, kappa, screen_settings=TIGHT):
     d = np.zeros(inst.n, dtype=np.int8)
     for step in trace:
         mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=1).mu[:, 0]
-        screen = _linear_response(inst, d, mu, screen_settings, _coupling_products(inst, d, mu))
+        screen = _linear_response(inst, Incumbent(d, mu, _coupling_products(inst, d, mu)),
+                                  screen_settings)
         assert screen is not None
         scores, eps, margin = screen
         untreated = np.flatnonzero(d == 0)
@@ -148,8 +149,9 @@ def test_handed_in_products_give_the_screen_it_computes(storage):
     d[[3, 17, 40]] = 1
     solved = batch_fixed_point(inst, d, TIGHT, seed=0)
     mu = solved.mu[:, 0]
-    handed = _linear_response(inst, d, mu, TIGHT, tuple(p[:, 0] for p in solved.products))
-    computed = _linear_response(inst, d, mu, TIGHT, _coupling_products(inst, d, mu))
+    handed = _linear_response(
+        inst, Incumbent(d, mu, tuple(p[:, 0] for p in solved.products)), TIGHT)
+    computed = _linear_response(inst, Incumbent(d, mu, _coupling_products(inst, d, mu)), TIGHT)
     for got, want in zip(handed, computed):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -182,8 +184,8 @@ def test_shortlist_is_small_and_keeps_the_winner():
     d = np.zeros(inst.n, dtype=np.int8)
     for step in trace:
         mu = batch_fixed_point(inst, d[None, :], settings_, seed=0).mu[:, 0]
-        scores, eps, margin = _linear_response(inst, d, mu, settings_,
-                                               _coupling_products(inst, d, mu))
+        scores, eps, margin = _linear_response(
+            inst, Incumbent(d, mu, _coupling_products(inst, d, mu)), settings_)
         untreated = np.flatnonzero(d == 0)
         kept = untreated[scores + eps >= np.max(scores - eps) - margin]
         block = np.tile(d, (len(untreated), 1))
@@ -214,7 +216,7 @@ def test_certificate_boundary_solves_every_candidate():
     assert not instance_certified(inst)
     d = np.zeros(n, dtype=np.int8)
     mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=0).mu[:, 0]
-    assert _linear_response(inst, d, mu, TIGHT, _coupling_products(inst, d, mu)) is None
+    assert _linear_response(inst, Incumbent(d, mu, _coupling_products(inst, d, mu)), TIGHT) is None
     _, trace = greedy(inst, 2, seed=0)
     assert [s.screened for s in trace] == [5, 4]
 
@@ -232,7 +234,7 @@ def test_uncertified_instance_gets_no_screen_and_no_tie():
     assert 3.0 * inst.coupling_bounds[0].max() < 4.0
     d = np.zeros(3, dtype=np.int8)
     mu = batch_fixed_point(inst, d[None, :], TIGHT, seed=0).mu[:, 0]
-    assert _linear_response(inst, d, mu, TIGHT, _coupling_products(inst, d, mu)) is None
+    assert _linear_response(inst, Incumbent(d, mu, _coupling_products(inst, d, mu)), TIGHT) is None
     assert _tie_tolerance(inst, TIGHT) == 0.0
 
 

@@ -33,7 +33,6 @@ from .meanfield import (
     SolverSettings,
     approx_welfare,
     batch_fixed_point,
-    contraction_certificate,
     fixed_point_solve,
     foc_residual,
     solve_allocation,
@@ -80,7 +79,6 @@ __all__ = [
     "bfva",
     "bounds_report",
     "brute_force_optimal",
-    "contraction_certificate",
     "curvature_margin",
     "enumerate_gibbs",
     "erdos_renyi",

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exact import _argmax_lexicographic
 from .meanfield import (
+    BatchSolution,
     Incumbent,
     SolverSettings,
     _coupling_products,
@@ -66,6 +67,8 @@ def greedy(
     the bound cannot rule out as the round's winner or a tie are solved
     exactly, in one batched iteration. When the incumbent solve did not
     converge or the bound certifies nothing, every candidate is solved.
+    Uncertified rounds solve each candidate alone from the incumbent's
+    marginals and stack the solves into one ``meanfield.BatchSolution``.
     ``GreedyStep.nonconverged`` lists only candidates solved exactly.
     Between rounds the incumbent is one ``meanfield.Incumbent``, from the
     round-0 solve and then the winning row of each round's candidates and
@@ -95,31 +98,28 @@ def greedy(
         candidates[np.arange(len(rows)), rows] = 1
         if certified:
             batch = batch_fixed_point(instance, candidates, settings, init=incumbent)
-            values, mus, converged = batch.welfare, batch.mu, batch.converged
-            iterations = batch.iterations
         else:
             sols = [solve_allocation(instance, c, settings, init=incumbent.mu) for c in candidates]
-            values = np.array([sol.welfare for sol in sols])
-            mus = np.column_stack([sol.mu for sol in sols])
-            converged = np.array([sol.converged for sol in sols])
-            iterations = None
-        best = _argmax_lexicographic(values, candidates, tie=tie)
+            batch = BatchSolution(
+                mu=np.column_stack([sol.mu for sol in sols]),
+                welfare=np.array([sol.welfare for sol in sols]),
+                converged=np.array([sol.converged for sol in sols]), iterations=None, products=None)
+        best = _argmax_lexicographic(batch.welfare, candidates, tie=tie)
         unit = int(rows[best])
-        delta = float(values[best] - base_welfare)
+        delta = float(batch.welfare[best] - base_welfare)
         log.debug("greedy round %d: %d of %d candidates solved exactly",
                   round_idx, len(rows), len(untreated), extra={
                       "round": round_idx, "screened": len(rows), "candidates": len(untreated),
-                      "batch_iterations": iterations})
+                      "batch_iterations": batch.iterations})
         trace.append(
             GreedyStep(round=round_idx, unit=unit, delta=delta,
-                       nonconverged=tuple(int(i) for i in rows[~converged]),
+                       nonconverged=tuple(int(i) for i in rows[~batch.converged]),
                        screened=len(rows))
         )
-        incumbent = Incumbent(
-            candidates[best].copy(), mus[:, best].copy(),
-            tuple(p[:, best].copy() for p in batch.products) if certified else None)
-        base_welfare = float(values[best])
-        base_converged = bool(converged[best])
+        incumbent = Incumbent(candidates[best].copy(), batch.mu[:, best].copy(),
+                              batch.products and tuple(p[:, best].copy() for p in batch.products))
+        base_welfare = float(batch.welfare[best])
+        base_converged = bool(batch.converged[best])
     return Allocation.from_vector(incumbent.d), trace
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class BoundsReport:
     positivity_holds: bool
     sample_size_ok: bool
     contraction_holds: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def positivity_profile_holds(theta) -> bool:

@@ -29,6 +29,7 @@ from .experiments import (
     write_json,
     write_simulate_csv,
 )
+from .model import PARAM_SETS
 
 # Every flag, by the parameter it fills; apart from config_path and out, that
 # is the config key it overrides.
@@ -36,8 +37,9 @@ OPTIONS = {
     "config_path": click.option("--config", "config_path", type=click.Path(exists=True)),
     "sizes": click.option("--n", "sizes", type=int, multiple=True),
     "densities": click.option("--density", "densities", type=float, multiple=True),
-    "param_sets": click.option("--param-set", "param_sets", type=click.Choice(["1", "2"]),
-                               multiple=True, callback=lambda c, p, v: tuple(map(int, v))),
+    "param_sets": click.option("--param-set", "param_sets", multiple=True,
+                               type=click.Choice(list(map(str, PARAM_SETS))),
+                               callback=lambda c, p, v: tuple(map(int, v))),
     "kappa": click.option("--kappa", type=int),
     "kappa_frac": click.option("--kappa-frac", type=float),
     "replications": click.option("--reps", "replications", type=int),

@@ -27,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .model import (Instance, ThetaParams, WeightSystem, allocation_vector, check_count,
-                    linear_weights, weights)
+from .model import Instance, WeightSystem, allocation_vector, check_count, linear_weights, weights
 
 CLAMP = 1e-15  # iterates are clipped to [CLAMP, 1 - CLAMP], keeping their logs finite
 RESTARTS = 10  # random starts of a per-allocation solve without the certificate
@@ -91,23 +90,16 @@ def foc_residual(mu, w: WeightSystem) -> float:
     return float(np.abs(mu - foc_map(mu, w)).max())
 
 
-def contraction_certificate(
-    theta: ThetaParams, m_upper: float, max_degree: int
-) -> bool:
+def instance_certified(instance: Instance) -> bool:
     """True when a_n * m_upper * (|theta5| + |theta6|) * max_degree < 4.
 
     A quarter of the left side bounds the sup-norm Lipschitz constant of the
     first-order-condition map. Below 4 the map is a contraction, so the
     iteration converges to the unique maximizer from any initialization.
     """
-    magnitude = theta.a_n * m_upper * (abs(theta.theta5) + abs(theta.theta6))
-    return magnitude * max_degree < 4.0
-
-
-def instance_certified(instance: Instance) -> bool:
-    return contraction_certificate(
-        instance.theta, instance.m_upper, instance.net.max_degree
-    )
+    th = instance.theta
+    magnitude = th.a_n * instance.m_upper * (abs(th.theta5) + abs(th.theta6))
+    return magnitude * instance.net.max_degree < 4.0
 
 
 def _sweep_gauss_seidel(mu: np.ndarray, w: WeightSystem) -> np.ndarray:
@@ -218,13 +210,14 @@ def approx_welfare(
 class BatchSolution:
     """Mean-field fixed points for a batch of allocations, one per column.
     ``products`` are the coupling products of the returned marginals, each
-    (n, batch): ``sm @ (d * mu)``, ``sm @ mu`` and ``sm @ d``."""
+    (n, batch): ``sm @ (d * mu)``, ``sm @ mu`` and ``sm @ d``; None, like
+    ``iterations``, for a batch stacked from per-allocation solves."""
 
     mu: np.ndarray  # (n, batch)
     welfare: np.ndarray
     converged: np.ndarray
-    iterations: int
-    products: tuple
+    iterations: int | None
+    products: tuple | None
 
 
 class Incumbent(NamedTuple):

@@ -242,11 +242,6 @@ class Allocation:
     def zeros(cls, n: int) -> "Allocation":
         return cls(d=np.zeros(n, dtype=np.int8), treated=())
 
-    def with_unit(self, i: int) -> "Allocation":
-        d = self.d.copy()
-        d[i] = 1
-        return Allocation.from_vector(d)
-
 
 def allocation_vector(d, n: int, block: bool = False) -> np.ndarray:
     """Check an Allocation or array-like and return it as an int8 0/1 array:

@@ -275,6 +275,7 @@ def load_network(path, n: int) -> Network:
     takes the covariate row count), since units without edges appear in no
     line. A file with no edges is rejected.
     """
+    check_count("n", n, minimum=0)
     with open(path) as fh:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
     # One numpy parse; anything it refuses or that fails a check below goes
@@ -285,16 +286,16 @@ def load_network(path, n: int) -> Network:
             warnings.simplefilter("error")  # numpy < 2 read "1.0" as 1, with a warning
             edges = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.int64, ndmin=2)
         valid = (edges.shape[1] == 2 and (edges[:, 0] != edges[:, 1]).all()
-                 and (edges >= 0).all())
+                 and (edges >= 0).all() and (edges < n).all())
     except (ValueError, Warning):  # no lines warns
         valid = False
     if not valid:
-        edges = np.array(_edge_lines(path))
+        edges = np.array(_edge_lines(path, n))
     return Network.from_edges(n, edges)
 
 
-def _edge_lines(path) -> list[tuple[int, int]]:
-    """The edges of an edge list file, read line by line with int()."""
+def _edge_lines(path, n: int) -> list[tuple[int, int]]:
+    """The edges of an edge list file of ``n`` units, read line by line with int()."""
     edges = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -309,6 +310,8 @@ def _edge_lines(path) -> list[tuple[int, int]]:
                 raise ValueError(f"{path}:{lineno}: self-links not allowed")
             if i < 0 or j < 0:
                 raise ValueError(f"{path}:{lineno}: negative unit index")
+            if max(i, j) >= n:
+                raise ValueError(f"{path}:{lineno}: unit {max(i, j)} out of range for n={n}")
             edges.append((i, j))
     if not edges:
         raise ValueError(f"{path}: no edges")

@@ -126,7 +126,7 @@ def _unscreened_greedy(instance, kappa, settings=None, seed=0, warm=False):
             round=round_idx, unit=unit, delta=float(values[best] - base_welfare),
             nonconverged=tuple(int(i) for i, sol in zip(rows, sols) if not sol.converged),
             screened=len(rows)))
-        incumbent = incumbent.with_unit(unit)
+        incumbent = Allocation.from_vector(candidates[best])
         base_welfare = float(values[best])
         base_mu = sols[best].mu.copy()
     return incumbent, trace

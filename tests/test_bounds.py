@@ -1,5 +1,6 @@
 """Closed-form guarantee quantities and their defining inequalities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,8 +40,10 @@ def reference_margin(inst):
     x3 = [float(inst.x[i] @ np.atleast_1d(th.theta3)) for i in range(inst.n)]
 
     def slope(v):
-        p = 1.0 / (1.0 + math.exp(-v))
-        return p * (1.0 - p)
+        # e / (1 + e)^2 with e = exp(-|v|) keeps its precision in the tails,
+        # where p (1 - p) cancels to 0.
+        e = math.exp(-abs(v))
+        return e / (1.0 + e) ** 2
 
     low = slope(th.theta0 + min(x2))
     high = slope(
@@ -63,6 +66,15 @@ class TestMargin:
             n = int(rng.integers(3, 20))
             inst = random_instance(rng, n, positivity=True, a_n=float(rng.uniform(0.05, 1.0)))
             assert abs(curvature_margin(inst) - reference_margin(inst)) <= 1e-14
+
+    @pytest.mark.parametrize("theta1", [30.0, 45.0, 300.0])
+    def test_matches_reference_transcription_in_the_tails(self, theta1):
+        # The second slope branch sits near x = theta1, where the margin is
+        # far below any absolute tolerance, so compare relatively.
+        theta = ThetaParams(-2.0, theta1, 0.1, 0.6, 0.7, 0.8, 0.9, a_n=0.1)
+        inst = simulation_instance(10, 0.4, theta, seed=3)
+        assert curvature_margin(inst) > 0.0
+        assert curvature_margin(inst) == pytest.approx(reference_margin(inst), rel=1e-12, abs=0)
 
     def test_large_direct_effect_keeps_a_positive_margin(self):
         # theta1 = 45 puts the second slope branch near x = 45, where
@@ -258,7 +270,7 @@ class TestReport:
         assert report.sample_size_ok
         assert report.contraction_holds
         assert 0 < report.guarantee_factor <= 1 - 1 / math.e + 1e-12
-        payload = report.to_dict()
+        payload = dataclasses.asdict(report)
         assert payload["kl_upper_bound"] == report.kl_upper_bound
 
     def test_greedy_guarantee_inequality(self):

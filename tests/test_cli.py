@@ -319,7 +319,7 @@ class TestAllocate:
             main, ["allocate", "--config", str(cfg), "--out", str(tmp_path)]
         )
         assert result.exit_code == 1
-        assert str(result.exception) == "edge (1,3) out of range for n=3"
+        assert str(result.exception) == f"{tmp_path / 'net.txt'}:2: unit 3 out of range for n=3"
 
     @pytest.mark.parametrize("command", ["allocate", "bounds"])
     def test_bad_input_file_leaves_no_output_directory(self, runner, tmp_path, command):
@@ -330,7 +330,7 @@ class TestAllocate:
         out = tmp_path / "o"
         result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 1
-        assert str(result.exception) == "edge (1,3) out of range for n=3"
+        assert str(result.exception) == f"{tmp_path / 'net.txt'}:2: unit 3 out of range for n=3"
         assert not out.exists()
 
     def test_malformed_edge_line_is_located(self, runner, tmp_path, monkeypatch, capsys):
@@ -598,6 +598,24 @@ class TestExperiments:
 
         assert checks(5) == set()
         assert {"kl_bounds_greedy", "va_vs_exact_none", "stationarity"} <= checks(6)
+
+    def test_validate_checks_the_guarantee_only_where_its_premises_hold(self):
+        # theta5 = 2000 drives the margin's second slope branch so far into
+        # the tail that the margin underflows to 0. The positivity profile
+        # and the network-size condition still hold, but the guarantee
+        # certifies nothing, so there is no greedy_guarantee check.
+        from netalloc.experiments import ExperimentConfig, run_validate
+
+        def checks(theta):
+            report, ok = run_validate(ExperimentConfig(sizes=(6,), replications=1, theta=theta))
+            assert ok
+            return set(report["instances"][0]["checks"])
+
+        theta = {"theta0": -2.0, "theta1": 0.5, "theta2": 0.1, "theta3": 0.6, "theta4": 0.7,
+                 "theta5": 0.8, "theta6": 0.9}
+        assert {"stationarity", "greedy_guarantee"} <= checks(theta)
+        seen = checks({**theta, "theta5": 2000.0})
+        assert "stationarity" in seen and "greedy_guarantee" not in seen
 
     def test_allocate_needs_theta(self, tmp_path):
         from netalloc.experiments import ExperimentConfig, run_allocate

@@ -16,7 +16,6 @@ from netalloc import (
     ThetaParams,
     approx_welfare,
     batch_fixed_point,
-    contraction_certificate,
     enumerate_gibbs,
     exact_kl,
     fixed_point_solve,
@@ -392,15 +391,23 @@ class TestFixedPoint:
             assert np.all(more.mu >= base.mu - 1e-10)
 
 
+def star_instance(theta, m_upper, max_degree):
+    """A star with ``max_degree`` leaves whose similarity is ``m_upper`` on
+    every pair: an instance with that m_upper and that max_degree."""
+    net = Network.from_edges(max_degree + 1, [(0, i) for i in range(1, max_degree + 1)])
+    return make_instance(net, np.zeros((max_degree + 1, 1)), theta,
+                         kernel=SimilarityKernel.constant(m_upper))
+
+
 class TestCertificate:
     def test_no_spillover_always_certified(self):
         theta = ThetaParams(-1.0, 0.5, 0.1, 0.2, 0.7, 0.0, 0.0)
-        assert contraction_certificate(theta, m_upper=5.0, max_degree=100)
+        assert instance_certified(star_instance(theta, m_upper=5.0, max_degree=100))
 
     def test_strong_coupling_fails(self):
         theta = ThetaParams.from_set(2, a_n=1.0)
         # 1.0 * 1.0 * (7 + 7) * 10 = 140 > 4.
-        assert not contraction_certificate(theta, m_upper=1.0, max_degree=10)
+        assert not instance_certified(star_instance(theta, m_upper=1.0, max_degree=10))
 
     def test_boundary_is_not_certified(self):
         # 0.5 * 1.0 * (1 + 1) * 4 == 4 exactly: the Lipschitz bound is 1, so
@@ -408,15 +415,15 @@ class TestCertificate:
         # fixed point. One neighbor fewer, or a slightly smaller similarity,
         # restores the certificate.
         theta = ThetaParams(-1.0, 0.5, 0.1, 0.2, 0.7, 1.0, -1.0, a_n=0.5)
-        assert not contraction_certificate(theta, m_upper=1.0, max_degree=4)
-        assert contraction_certificate(theta, m_upper=1.0, max_degree=3)
-        assert contraction_certificate(theta, m_upper=1.0 - 1e-12, max_degree=4)
+        assert not instance_certified(star_instance(theta, m_upper=1.0, max_degree=4))
+        assert instance_certified(star_instance(theta, m_upper=1.0, max_degree=3))
+        assert instance_certified(star_instance(theta, m_upper=1.0 - 1e-12, max_degree=4))
 
     def test_scaled_benchmark_profile_certified(self):
         for n in (2, 10, 50, 500):
             theta = ThetaParams.from_set(1, a_n=1.0 / n)
             # (0.8 + 0.9) * (n - 1) / n < 4 for every n.
-            assert contraction_certificate(theta, m_upper=1.0, max_degree=n - 1)
+            assert instance_certified(star_instance(theta, m_upper=1.0, max_degree=n - 1))
 
 
 class TestApproxWelfare:

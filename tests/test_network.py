@@ -380,7 +380,7 @@ class TestFileLoading:
         path = tmp_path / "net.txt"
         path.write_text(text)
         try:
-            edges = network._edge_lines(path)
+            edges = network._edge_lines(path, 11)
         except ValueError as err:
             with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
                 load_network(path, n=11)
@@ -399,10 +399,10 @@ class TestFileLoading:
         j = (i + rng.integers(1, 3000, size=10_000)) % 3000
         path = tmp_path / "net.txt"
         path.write_text("# i,j\n" + "".join(f"{a},{b}\n\n" for a, b in zip(i, j)))
-        edges = network._edge_lines(path)
+        edges = network._edge_lines(path, 3000)
         want = Network.from_edges(max(map(max, edges)) + 1, edges)
 
-        def refuse(path):
+        def refuse(path, n):
             raise AssertionError("the line loop ran")
 
         monkeypatch.setattr(network, "_edge_lines", refuse)
@@ -410,6 +410,23 @@ class TestFileLoading:
         assert got.n == want.n == 3000
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_index_is_located(self, tmp_path):
+        # numpy parses the file; the range check sends it to the line loop.
+        path = tmp_path / "net.txt"
+        path.write_text("0,1\n1,2\n2,9\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}:3: unit 9 out of range for n=4$"):
+            load_network(path, n=4)
+
+    @pytest.mark.parametrize("n, message", [(-1, "n must be at least 0, got -1"),
+                                            ("3", "n must be an integer, got '3'")])
+    def test_bad_unit_count_is_named(self, tmp_path, n, message):
+        path = tmp_path / "net.txt"
+        path.write_text("0,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_network(path, n=n)
 
     def test_negative_index_is_located(self, tmp_path):
         path = tmp_path / "net.txt"

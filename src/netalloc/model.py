@@ -409,7 +409,9 @@ class Instance:
 
     @cached_property
     def m(self) -> np.ndarray:
-        """Dense all-pairs similarity matrix, built on first access."""
+        """Dense all-pairs similarity matrix, built on first access in row
+        blocks, the L1 distance summed one covariate at a time: the N x N
+        result plus one 1 MiB scratch block, whatever K is."""
         return similarity_matrix(self.x, self.kernel)
 
     @cached_property
@@ -417,10 +419,13 @@ class Instance:
         """Similarity masked by adjacency: entry (i, j) is m_ij * G_ij.
 
         Networks with edge density above ``SPARSE_DENSITY`` get the dense
-        array ``m * adjacency``. Sparser ones get a ``scipy.sparse.csr_array``
-        holding the nonzero entries, built from the neighbour lists with the
-        similarity on the edges only, so no N x N array is built. Both forms
-        hold the same values bit for bit; every consumer follows the format.
+        array ``m * adjacency`` (``m`` is built in row blocks, and the
+        product is a second N x N array). Sparser ones get a
+        ``scipy.sparse.csr_array`` holding the nonzero entries, built from
+        the neighbour lists with the similarity on the edges only, so no
+        N x N array is built. Both forms hold the same values bit for bit
+        (one similarity kernel serves both); every consumer follows the
+        format.
         """
         net = self.net
         if net.edge_density > SPARSE_DENSITY:
@@ -497,8 +502,8 @@ def make_instance(
     """Assemble an Instance, logging a large spillover scale.
 
     The default kernel is the L1-distance similarity. The kernel is
-    evaluated lazily: on the edges for a sparse coupling, on all pairs only
-    when ``Instance.m`` is read.
+    evaluated lazily: on the edges for a sparse coupling, on all pairs, in
+    row blocks, only when ``Instance.m`` is read (a dense coupling reads it).
     """
     instance = Instance(net=net, x=x, theta=theta, kernel=kernel or SimilarityKernel.abs_diff())
     if instance.spillover_scale > 10.0:

@@ -7,6 +7,8 @@ per unit. The similarity kernel can be evaluated on all pairs
 (``pair_similarity``), or reduced to its range over distinct pairs in row
 blocks (``similarity_bounds``); the last two never build an N x N array,
 which is what lets ``Instance.coupling`` store sparse networks in CSR form.
+All three sum the L1 distance in one kernel, one covariate at a time, so
+they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -206,13 +208,51 @@ def check_covariates(x) -> np.ndarray:
     return x
 
 
-def _similarity(a, b, kernel: SimilarityKernel) -> np.ndarray:
-    """Similarity of covariate rows a and b, broadcast against each other:
-    the kernel applied to their L1 distance over the last axis."""
+def _similarity(xt, i, j, kernel: SimilarityKernel, out, scratch=None) -> np.ndarray:
+    """Write into ``out`` and return the kernel of the L1 distance between
+    covariate rows ``xt[:, i]`` and ``xt[:, j]``, broadcast against each
+    other, where ``xt`` is the (K, N) transpose of the covariates.
+
+    The distance is summed one covariate at a time, left to right, in place,
+    so no array with a covariate axis is built (for K <= 7 numpy's last-axis
+    sum adds in the same order). Each term after the first goes through
+    ``scratch``, whose leading rows can hold ``out`` (allocated when None).
+    """
     if kernel.kind == "constant":
-        return np.full(np.broadcast_shapes(a.shape, b.shape)[:-1], kernel.value, dtype=float)
-    l1 = np.abs(a - b).sum(axis=-1)
-    return l1 if kernel.kind == "absdiff" else 1.0 / (1.0 + l1)
+        out.fill(kernel.value)
+        return out
+    if len(xt) == 0:
+        out.fill(0.0)
+    else:
+        np.abs(np.subtract(xt[0][i], xt[0][j], out=out), out=out)
+    if len(xt) > 1:
+        term = np.empty_like(out) if scratch is None else scratch[:len(out)]
+        for col in xt[1:]:
+            out += np.abs(np.subtract(col[i], col[j], out=term), out=term)
+    if kernel.kind == "invdist":
+        out += 1.0
+        np.divide(1.0, out, out=out)
+    return out
+
+
+# Elements per row block of the all-pairs similarity: 1 MiB of float64.
+_BOUNDS_BLOCK = 1 << 17
+
+
+def _row_blocks(xt, kernel: SimilarityKernel, out=None):
+    """Yield (rows, block): the all-pairs similarity of the (K, N) covariates
+    ``xt`` over consecutive row ranges, each block of at most
+    ``_BOUNDS_BLOCK`` entries (one row at least). Each block is written into
+    ``out[rows]`` when the (N, N) ``out`` is given, else into one reused
+    buffer; the blocks share one scratch array."""
+    n = xt.shape[1]
+    step = max(1, _BOUNDS_BLOCK // max(n, 1))
+    scratch = np.empty((min(step, n), n))
+    buf = np.empty_like(scratch) if out is None else None
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        block = buf[:rows.stop - start] if out is None else out[rows]
+        yield rows, _similarity(xt, (rows, None), (None, slice(None)), kernel, block, scratch)
 
 
 def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
@@ -220,47 +260,49 @@ def similarity_matrix(x, kernel: SimilarityKernel) -> np.ndarray:
 
     The result is exactly symmetric with nonnegative entries. The diagonal
     is computed but never enters any downstream quantity because networks
-    have no self-links.
+    have no self-links. The (N, N) result is allocated once and filled in
+    row blocks of at most ``_BOUNDS_BLOCK`` entries, the L1 distance summed
+    one covariate at a time in place, so the transient memory is one
+    block-sized scratch array (1 MiB).
     """
     x = check_covariates(x)
-    return _similarity(x[:, None, :], x[None, :, :], kernel)
+    out = np.empty((len(x), len(x)))
+    for _ in _row_blocks(np.ascontiguousarray(x.T), kernel, out):
+        pass  # each block is written into its rows of out
+    return out
 
 
 def pair_similarity(x, kernel: SimilarityKernel, rows, cols) -> np.ndarray:
     """Similarity of the pairs (rows[k], cols[k]).
 
     Entry k equals ``similarity_matrix(x, kernel)[rows[k], cols[k]]`` bit
-    for bit: the same differences are summed over the same covariate axis.
+    for bit: the same differences are summed in the same order.
     """
     x = check_covariates(x)
-    return _similarity(x[rows], x[cols], kernel)
-
-
-# Elements per row block of similarity_bounds: 1 MiB of float64.
-_BOUNDS_BLOCK = 1 << 17
+    return _similarity(np.ascontiguousarray(x.T), rows, cols, kernel, np.empty(len(rows)))
 
 
 def similarity_bounds(x, kernel: SimilarityKernel) -> tuple[float, float]:
     """(min, max) similarity over distinct pairs; (0, 0) below two units.
 
     Equal to the min and max of the off-diagonal entries of
-    ``similarity_matrix(x, kernel)``. Equal covariate rows give equal
-    similarities, so only pairs of distinct rows are evaluated, plus one
-    zero distance when some row repeats. They are evaluated in row blocks
-    of at most ``_BOUNDS_BLOCK`` differences, so memory stays O(N K).
+    ``similarity_matrix(x, kernel)``: the same kernel, summed in the same
+    order. Equal covariate rows give equal similarities, so only pairs of
+    distinct rows are evaluated, plus one zero distance when some row
+    repeats. They are evaluated in row blocks of at most ``_BOUNDS_BLOCK``
+    entries in one reused buffer, so memory stays O(N K) plus 2 MiB.
     """
     x = check_covariates(x)
     n = x.shape[0]
     if n < 2:
         return 0.0, 0.0
     rows = np.unique(x, axis=0)
-    u, k = rows.shape
-    found = [_similarity(rows[:1], rows[:1], kernel)] if u < n else []  # a repeated row
-    step = max(1, _BOUNDS_BLOCK // (u * max(k, 1)))
-    for start in range(0, u if u > 1 else 0, step):
-        idx = np.arange(start, min(start + step, u))
-        block = _similarity(rows[idx, None, :], rows[None, :, :], kernel)
-        block[idx - start, idx] = np.nan  # the diagonal is not a pair
+    u = len(rows)
+    xt = np.ascontiguousarray(rows.T)
+    found = [_similarity(xt, [0], [0], kernel, np.empty(1))] if u < n else []  # a repeated row
+    for block_rows, block in _row_blocks(xt, kernel) if u > 1 else ():
+        idx = np.arange(block_rows.start, block_rows.stop)
+        block[idx - block_rows.start, idx] = np.nan  # the diagonal is not a pair
         found.append([np.nanmin(block), np.nanmax(block)])
     both = np.concatenate(found)
     return float(both.min()), float(both.max())
@@ -321,9 +363,20 @@ def _edge_lines(path, n: int) -> list[tuple[int, int]]:
 def load_covariates(path) -> np.ndarray:
     """Read a covariate CSV (header row, one row per unit) as an (N, K) array.
     A file with no rows is rejected."""
-    with warnings.catch_warnings():  # the empty file is reported below
-        warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
+    # One numpy parse; a file it refuses or warns about (no rows, an empty
+    # field, a ragged row, quotes, "1_0") is read again by genfromtxt, whose
+    # NaN for an unparsable entry is reported below.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no rows warns
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
+    except (ValueError, Warning):
+        with warnings.catch_warnings():  # the empty file is reported below
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+            try:
+                data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
+            except ValueError as exc:  # a ragged row
+                raise ValueError(f"{path}: {exc}") from None
     if data.size == 0:
         raise ValueError(f"{path}: no covariate rows")
     if np.isnan(data).any():

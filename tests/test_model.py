@@ -533,7 +533,8 @@ class TestSharedHelpers:
         tail = np.exp(-abs(x))
         want = tail / (1.0 + tail) ** 2
         assert model.logistic_slope(x) == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert model.logistic_slope(np.array([x, -x])) == pytest.approx([want, want], rel=1e-14)
+        assert model.logistic_slope(np.array([x, -x])) == pytest.approx(
+            [want, want], rel=1e-14, abs=0.0)
 
     def test_derive_seed_is_pinned(self):
         # Every simulate stream, greedy candidate and bfva restart descends

@@ -18,6 +18,7 @@ from netalloc import (
     network,
     similarity_matrix,
 )
+from netalloc.network import pair_similarity, similarity_bounds
 
 
 def triu_draw(n, density, seed):
@@ -29,6 +30,25 @@ def triu_draw(n, density, seed):
     )
     iu, ju = np.triu_indices(n, k=1)
     return Network.from_edges(n, np.stack([iu[chosen], ju[chosen]], axis=1))
+
+
+def cube_similarity(x, kind):
+    """Frozen copy of the similarity that built the (N, N, K) difference cube
+    and summed it over its last axis."""
+    l1 = np.abs(x[:, None, :] - x[None, :, :]).sum(-1)
+    return l1 if kind == "absdiff" else 1.0 / (1.0 + l1)
+
+
+def genfromtxt_covariates(path):
+    """Frozen copy of load_covariates as one genfromtxt parse."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path}: no covariate rows")
+    if np.isnan(data).any():
+        raise ValueError(f"{path}: non-numeric or missing covariate entries")
+    return network.check_covariates(data)
 
 
 class TestErdosRenyi:
@@ -331,6 +351,64 @@ class TestSimilarity:
             SimilarityKernel.parse(spec)
 
 
+class TestSimilarityKernel:
+    @pytest.mark.parametrize("kind", ["absdiff", "invdist"])
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("n", [0, 1, 2, 33])
+    def test_equals_the_difference_cube_bit_for_bit(self, rng, monkeypatch, kind, k, n):
+        # Up to K = 7 numpy's last-axis sum adds left to right, as the
+        # per-covariate kernel does. A 7-entry block splits rows across blocks.
+        monkeypatch.setattr(network, "_BOUNDS_BLOCK", 7)
+        x = rng.uniform(0, 5, size=(n, k))
+        kernel = SimilarityKernel(kind)
+        want = cube_similarity(x, kind)
+        got = similarity_matrix(x, kernel)
+        assert got.shape == want.shape == (n, n)
+        assert np.array_equal(got, want)
+        rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
+        assert np.array_equal(pair_similarity(x, kernel, rows, cols), want.ravel())
+        if n >= 2:
+            off = want[~np.eye(n, dtype=bool)]
+            assert similarity_bounds(x, kernel) == (off.min(), off.max())
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 40])
+    def test_no_covariates_and_the_constant_kernel(self, monkeypatch, n):
+        monkeypatch.setattr(network, "_BOUNDS_BLOCK", 7)
+        rows, cols = np.arange(n), np.arange(n)[::-1]
+        for kernel, x, value in [(SimilarityKernel.abs_diff(), np.zeros((n, 0)), 0.0),
+                                 (SimilarityKernel.inverse_distance(), np.zeros((n, 0)), 1.0),
+                                 (SimilarityKernel.constant(0.7), np.arange(n * 3.0).reshape(n, 3),
+                                  0.7)]:
+            m = similarity_matrix(x, kernel)
+            assert m.shape == (n, n) and (m == value).all()
+            assert np.array_equal(pair_similarity(x, kernel, rows, cols), m[rows, cols])
+            assert similarity_bounds(x, kernel) == ((value, value) if n >= 2 else (0.0, 0.0))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pairs_equal_matrix_entries_bit_for_bit(self, rng, monkeypatch, k):
+        # Past K = 7 numpy sums pairwise, so this holds only because both
+        # take the one per-covariate kernel.
+        monkeypatch.setattr(network, "_BOUNDS_BLOCK", 50)
+        x = rng.uniform(0, 5, size=(30, k))
+        rows, cols = rng.integers(0, 30, size=(2, 200))
+        for kernel in (SimilarityKernel.abs_diff(), SimilarityKernel.inverse_distance()):
+            m = similarity_matrix(x, kernel)
+            assert np.array_equal(pair_similarity(x, kernel, rows, cols), m[rows, cols])
+            off = m[~np.eye(30, dtype=bool)]
+            assert similarity_bounds(x, kernel) == (off.min(), off.max())
+
+    def test_matrix_memory_is_the_result_plus_one_block(self, rng):
+        # The difference cube peaked at 22 MB here, for a 2.9 MB result.
+        x = rng.uniform(size=(600, 4))
+        tracemalloc.start()
+        try:
+            m = similarity_matrix(x, SimilarityKernel.inverse_distance())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.nbytes + 2 * 2**20
+
+
 class TestFileLoading:
     def test_edge_list_roundtrip_with_dedup(self, tmp_path):
         path = tmp_path / "net.txt"
@@ -483,6 +561,58 @@ class TestFileLoading:
         path.write_text(f"x\n1.0\n{bad}\n")
         with pytest.raises(ValueError, match="covariates must be finite"):
             load_covariates(path)
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n# note\n1,2\n3,4 # tail\n",  # comments
+        "x,y\n\n1,2\n\n3,4\n\n",  # blank lines
+        "x,y\r\n1,2\r\n3,4\r\n",  # CRLF
+        "x,y\n1 ,2  \n 3,4 \n",  # spaces around entries
+        "x,y\n1,2\n",  # one row
+        "x\n1\n2\n",  # one column
+        "x\n1\n   \n2\n",  # a whitespace-only line
+        "x\n1\nnan\n",
+        "x\n1\ninf\n",
+        "x,y\n1,2,\n3,4,\n",  # a trailing comma
+        "x,y\n1,\n3,4\n",  # an empty field
+        'x\n"1"\n2\n',  # quotes
+        "x\n1_0\n2\n",  # genfromtxt reads 10; loadtxt refuses it
+        "x,y\n",  # header only
+        "",
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_one_parse_equals_genfromtxt(self, tmp_path, text):
+        path = tmp_path / "cov.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = genfromtxt_covariates(path)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                load_covariates(path)
+            return
+        got = load_covariates(path)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_ragged_rows_are_named_with_the_file(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("x,y\n1,2\n3\n")
+        message = (f"{path}: Some errors were detected !\n"
+                   "    Line #3 (got 1 columns instead of 2)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_covariates(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_covariate_file_takes_one_numpy_parse(self, tmp_path, monkeypatch):
+        x = np.random.default_rng(4).integers(0, 2, size=(2000, 2))
+        path = tmp_path / "cov.csv"
+        path.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in x.tolist()))
+        want = genfromtxt_covariates(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("genfromtxt ran")
+
+        monkeypatch.setattr(np, "genfromtxt", refuse)
+        got = load_covariates(path)
+        assert np.array_equal(got, want) and np.array_equal(got, x)
 
     def test_nan_covariates_rejected_in_memory(self):
         with pytest.raises(ValueError, match="covariates must be finite"):

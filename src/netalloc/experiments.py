@@ -532,10 +532,10 @@ def run_validate(cfg: ExperimentConfig) -> tuple[dict, bool]:
 def load_instance(cfg: ExperimentConfig) -> Instance:
     if not cfg.network_file or not cfg.covariates_file:
         raise ValueError("allocate/bounds runs need network_file and covariates_file")
-    x = load_covariates(cfg.covariates_file)
-    net = load_network(cfg.network_file, n=x.shape[0])
     if cfg.theta is None:
         raise ValueError("allocate/bounds runs need explicit theta parameters")
+    x = load_covariates(cfg.covariates_file)
+    net = load_network(cfg.network_file, n=x.shape[0])
     theta = cfg.resolved_theta(set_id=1, n=net.n, generated=False)
     return make_instance(net, x, theta, kernel=cfg.similarity_kernel)
 

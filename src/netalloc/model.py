@@ -146,16 +146,6 @@ def logistic_slope(x):
     return expit(x) * expit(-x)
 
 
-def _coef_array(value, k: int) -> np.ndarray:
-    """Broadcast a scalar or length-K coefficient to a length-K array."""
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape == (1,) and k > 1:
-        arr = np.full(k, arr[0])
-    if arr.shape != (k,):
-        raise ValueError(f"coefficient of shape {arr.shape} incompatible with K={k}")
-    return arr
-
-
 # Benchmark parameter profiles: (theta0, ..., theta6). The second profile
 # has spillover terms large enough to break the contraction condition.
 PARAM_SETS = {
@@ -168,8 +158,9 @@ PARAM_SETS = {
 class ThetaParams:
     """Structural parameters theta0..theta6 plus the spillover scaling a_n.
 
-    theta2 and theta3 may be scalars (K = 1, or one shared coefficient per
-    covariate column) or length-K sequences. Every entry must be finite.
+    theta2 and theta3 are each a number or a flat list of K numbers, one per
+    covariate column; a number or one entry serves every column (``Instance``
+    checks the length against K). Every entry must be finite.
     a_n rescales every spillover term and must be positive; a_n *
     max_degree should stay bounded as the network grows, which is reported
     (not enforced) at instance assembly.
@@ -193,13 +184,14 @@ class ThetaParams:
         for k in range(7):
             name = f"theta{k}"
             v = getattr(self, name)
-            entries = np.ravel(np.asarray(v, dtype=object))
-            if not all(isinstance(u, numbers.Real) and not isinstance(u, bool) for u in entries):
+            entries = np.asarray(v, dtype=object)
+            if entries.ndim > 1 or not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
+                                           for u in entries.ravel()):
                 raise ValueError(f"{name} must be a number or a list of numbers, got {v!r}")
             if not np.isfinite(entries.astype(float)).all():
                 raise ValueError(f"{name} must be finite, got {v!r}")
-            if np.ndim(v) > 0:
-                object.__setattr__(self, name, tuple(float(u) for u in v))
+            if entries.ndim:
+                object.__setattr__(self, name, tuple(float(u) for u in entries))
 
     @classmethod
     def from_set(cls, set_id: int, a_n: float = 1.0) -> "ThetaParams":
@@ -384,24 +376,37 @@ class Instance:
 
     The similarity m(X_i, X_j) is ``kernel`` evaluated on the covariates.
     Covariates are checked with ``check_covariates`` and stored as a float
-    (N, K) array. All fields are immutable after construction; derived
-    arrays are cached.
+    (N, K) array, and the covariate terms x_i'theta2 and x_i'theta3 are set
+    as ``x_effect2`` and ``x_effect3``. All fields are immutable after
+    construction; the similarity and coupling are built on first use and cached.
     """
 
     net: Network
     x: np.ndarray
     theta: ThetaParams
     kernel: SimilarityKernel
+    x_effect2: np.ndarray = field(init=False, repr=False, compare=False)
+    x_effect3: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kernel, SimilarityKernel):
             raise TypeError(f"kernel must be a SimilarityKernel, got {self.kernel!r}")
+        if not isinstance(self.theta, ThetaParams):
+            raise TypeError(f"theta must be a ThetaParams, got {self.theta!r}")
         object.__setattr__(self, "x", check_covariates(self.x))
         if self.x.shape[0] != self.net.n:
             raise ValueError(
                 f"covariate rows ({self.x.shape[0]}) do not match "
                 f"network size ({self.net.n})"
             )
+        k = self.x.shape[1]
+        for name in ("theta2", "theta3"):
+            coef = np.atleast_1d(np.asarray(getattr(self.theta, name), dtype=float))
+            if coef.shape == (1,) and k != 1:  # one coefficient for every column
+                coef = np.full(k, coef[0])
+            elif coef.shape != (k,):
+                raise ValueError(f"{name} has {coef.size} entries for {k} covariate columns")
+            object.__setattr__(self, f"x_effect{name[-1]}", self.x @ coef)
 
     @property
     def n(self) -> int:
@@ -463,16 +468,6 @@ class Instance:
         return np.asarray(sm.sum(axis=1)).ravel(), to_dense(sm.max(axis=0)).ravel()
 
     @cached_property
-    def x_effect2(self) -> np.ndarray:
-        k = self.x.shape[1]
-        return self.x @ _coef_array(self.theta.theta2, k)
-
-    @cached_property
-    def x_effect3(self) -> np.ndarray:
-        k = self.x.shape[1]
-        return self.x @ _coef_array(self.theta.theta3, k)
-
-    @cached_property
     def m_bounds(self) -> tuple[float, float]:
         """(lower, upper) similarity bounds over distinct pairs, computed in
         row blocks without the dense similarity matrix."""
@@ -486,12 +481,6 @@ class Instance:
     def m_upper(self) -> float:
         return self.m_bounds[1]
 
-    @property
-    def spillover_scale(self) -> float:
-        """a_n times the maximum degree; should stay bounded as networks
-        grow for the approximations to behave."""
-        return self.theta.a_n * self.net.max_degree
-
 
 def make_instance(
     net: Network,
@@ -499,19 +488,17 @@ def make_instance(
     theta: ThetaParams,
     kernel: SimilarityKernel | None = None,
 ) -> Instance:
-    """Assemble an Instance, logging a large spillover scale.
+    """Assemble an Instance, logging a large spillover scale a_n * max_degree.
 
     The default kernel is the L1-distance similarity. The kernel is
     evaluated lazily: on the edges for a sparse coupling, on all pairs, in
     row blocks, only when ``Instance.m`` is read (a dense coupling reads it).
     """
     instance = Instance(net=net, x=x, theta=theta, kernel=kernel or SimilarityKernel.abs_diff())
-    if instance.spillover_scale > 10.0:
-        log.info(
-            "spillover scale a_n * max_degree = %.3g is large; consider a "
-            "smaller a_n for this network",
-            instance.spillover_scale,
-        )
+    scale = theta.a_n * net.max_degree
+    if scale > 10.0:
+        log.info("spillover scale a_n * max_degree = %.3g is large; consider a "
+                 "smaller a_n for this network", scale)
     return instance
 
 

@@ -625,6 +625,21 @@ class TestExperiments:
         with pytest.raises(ValueError, match="^allocate/bounds runs need explicit theta parameters$"):
             run_allocate(ExperimentConfig.from_dict(raw))
 
+    @pytest.mark.parametrize("spoil", ["network", "covariates"])
+    def test_missing_theta_is_refused_before_the_files_are_read(self, tmp_path, spoil):
+        from pathlib import Path
+
+        from netalloc.experiments import ExperimentConfig, run_allocate
+
+        raw = json.loads(make_toy_files(tmp_path).read_text())
+        del raw["theta"]
+        if spoil == "network":
+            Path(raw["network_file"]).write_text("0,1\n1,x\n")
+        else:
+            Path(raw["covariates_file"]).unlink()
+        with pytest.raises(ValueError, match="^allocate/bounds runs need explicit theta parameters$"):
+            run_allocate(ExperimentConfig.from_dict(raw))
+
 
 class TestConfigParsing:
     @pytest.mark.parametrize("raw", [{"sizs": [5]}, {"sparse": True}], ids=["sizs", "sparse"])

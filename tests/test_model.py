@@ -16,8 +16,14 @@ from netalloc import (
     SimilarityKernel,
     ThetaParams,
     WeightSystem,
+    approx_welfare,
+    bounds_report,
+    erdos_renyi,
+    exact_welfare,
     feasible_allocations,
+    greedy,
     make_instance,
+    mcmc_welfare,
     potential,
     utility,
     weights,
@@ -419,7 +425,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("k, bad", [(0, True), (0, "x"), (4, None), (6, {"a": 1}),
                                         (2, (0.1, False)), (3, (0.6, "y")),
-                                        (3, (0.6, [0.1]))])
+                                        (3, (0.6, [0.1])), (2, [[0.1, 0.2]])])
     def test_theta_rejects_non_numbers(self, k, bad):
         vals = list(ThetaParams.from_set(1).to_dict().values())[:7]
         vals[k] = bad
@@ -435,9 +441,54 @@ class TestInputContract:
     def test_coefficient_length_must_match_the_covariates(self, name):
         theta = replace(SET1, **{name: (0.1, 0.2, 0.3)})
         x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        inst = make_instance(Network.from_edges(3, [(0, 1), (1, 2)]), x, theta)
-        with pytest.raises(ValueError, match=r"coefficient of shape \(3,\) incompatible with K=2"):
-            getattr(inst, f"x_effect{name[-1]}")
+        with pytest.raises(ValueError, match=f"^{name} has 3 entries for 2 covariate columns$"):
+            make_instance(Network.from_edges(3, [(0, 1), (1, 2)]), x, theta)
+
+    def test_one_coefficient_serves_every_column(self):
+        x = np.random.default_rng(4).uniform(0, 3, size=(9, 3))
+        net = Network.from_edges(9, [(0, 1), (1, 2)])
+        effects = [(inst.x_effect2, inst.x_effect3) for inst in (
+            make_instance(net, x, replace(SET1, theta2=c2, theta3=c3))
+            for c2, c3 in [(0.1, 0.6), ((0.1,), (0.6,)), ((0.1,) * 3, (0.6,) * 3)])]
+        for x2, x3 in effects[1:]:
+            assert x2.tobytes() == effects[0][0].tobytes()
+            assert x3.tobytes() == effects[0][1].tobytes()
+
+    def test_no_covariate_columns_equal_one_zero_column(self):
+        # K = 0 gives x'theta = 0 and invdist similarity 1, as one all-zero
+        # column does; invdist keeps the coupling the adjacency, not zero.
+        net = erdos_renyi(12, 0.4, seed=5)
+        theta = ThetaParams.from_set(1, a_n=1 / 12)
+        kernel = SimilarityKernel.inverse_distance()
+        none, zero = (make_instance(net, np.zeros((12, k)), theta, kernel) for k in (0, 1))
+        assert (to_dense(none.coupling) == net.adjacency).all() and net.adjacency.sum() > 40
+
+        def outcome(inst):
+            allocation, steps = greedy(inst, 3)
+            d = allocation.d
+            return (allocation.treated, steps, approx_welfare(d, inst, seed=7),
+                    exact_welfare(d, inst), bounds_report(inst),
+                    mcmc_welfare(d, inst, sweeps=300, burn_in=50, seed=7))
+
+        assert outcome(none) == outcome(zero)
+
+    def test_theta_must_be_theta_params(self):
+        theta = SET1.to_dict()
+        message = f"^theta must be a ThetaParams, got {re.escape(repr(theta))}$"
+        with pytest.raises(TypeError, match=message):
+            Instance(Network.from_edges(3, [(0, 1)]), np.zeros((3, 1)), theta,
+                     kernel=SimilarityKernel.abs_diff())
+
+    @pytest.mark.parametrize("a_n, records", [(5.5, 1), (5.0, 0), (1.0, 0)])
+    def test_large_spillover_scale_is_logged_once(self, caplog, a_n, records):
+        # The path's maximum degree is 2, so the scale is 2 a_n.
+        with caplog.at_level("INFO", logger="netalloc.model"):
+            make_instance(Network.from_edges(3, [(0, 1), (1, 2)]), np.zeros((3, 1)),
+                          ThetaParams.from_set(1, a_n=a_n))
+        logged = [r for r in caplog.records if "spillover scale" in r.getMessage()]
+        assert len(logged) == records
+        if records:
+            assert logged[0].levelname == "INFO" and "= 11 is large" in logged[0].getMessage()
 
     @pytest.mark.parametrize("a_n", [np.inf, np.nan, -1.0])
     def test_theta_rejects_bad_scaling(self, a_n):
